@@ -1,8 +1,9 @@
 //! Experiment definitions shared by the harness binaries and the
 //! Criterion benches.
 
-use dvh_core::{DvhFlags, Machine, MachineConfig};
+use dvh_core::{Machine, MachineConfig};
 use dvh_migration::{migrate_nested_vm, MigrationConfig};
+use dvh_workloads::figures::{figure_spec, table3_configs};
 use dvh_workloads::{run_app, run_micro, AppId};
 
 /// Transactions per application measurement (large enough for the
@@ -74,13 +75,7 @@ pub fn table3() -> Vec<Table3Row> {
 /// the thread boundary, and rows come back in canonical config order,
 /// so the result is identical to the serial one.
 pub fn table3_with_workers(workers: usize) -> Vec<Table3Row> {
-    let configs: [(&'static str, MachineConfig); 5] = [
-        ("VM", MachineConfig::baseline(1)),
-        ("nested VM", MachineConfig::baseline(2)),
-        ("nested VM + DVH", MachineConfig::dvh(2)),
-        ("L3 VM", MachineConfig::baseline(3)),
-        ("L3 VM + DVH", MachineConfig::dvh(3)),
-    ];
+    let configs = table3_configs();
     crate::parallel::pmap_with_workers(workers, &configs, |(name, cfg)| {
         let mut m = Machine::build(cfg.clone());
         let r = run_micro(&mut m, 5);
@@ -171,70 +166,6 @@ fn run_figure_with_workers(
         columns,
         rows,
     }
-}
-
-/// The (title, configuration columns) of one application figure.
-fn figure_spec(figure: u32) -> Option<(&'static str, Vec<(&'static str, MachineConfig)>)> {
-    Some(match figure {
-        7 => (
-            "Figure 7: Application performance (overhead vs native)",
-            vec![
-                ("VM", MachineConfig::baseline(1)),
-                ("VM+PT", MachineConfig::passthrough(1)),
-                ("Nested", MachineConfig::baseline(2)),
-                ("Nested+PT", MachineConfig::passthrough(2)),
-                ("DVH-VP", MachineConfig::dvh_vp(2)),
-                ("DVH", MachineConfig::dvh(2)),
-            ],
-        ),
-        8 => {
-            let pi = DvhFlags {
-                viommu_posted_interrupts: true,
-                ..DvhFlags::NONE
-            };
-            let pi_ipi = DvhFlags {
-                virtual_ipis: true,
-                ..pi
-            };
-            let pi_ipi_t = DvhFlags {
-                virtual_timers: true,
-                ..pi_ipi
-            };
-            (
-                "Figure 8: Application performance breakdown (incremental DVH)",
-                vec![
-                    ("Nested", MachineConfig::baseline(2)),
-                    ("DVH-VP", MachineConfig::dvh_vp(2)),
-                    ("+PI", MachineConfig::dvh_partial(2, pi)),
-                    ("+vIPI", MachineConfig::dvh_partial(2, pi_ipi)),
-                    ("+vtimer", MachineConfig::dvh_partial(2, pi_ipi_t)),
-                    ("+vidle", MachineConfig::dvh(2)),
-                ],
-            )
-        }
-        9 => (
-            "Figure 9: Application performance in L3 VM (overhead vs native)",
-            vec![
-                ("VM", MachineConfig::baseline(1)),
-                ("VM+PT", MachineConfig::passthrough(1)),
-                ("L3", MachineConfig::baseline(3)),
-                ("L3+PT", MachineConfig::passthrough(3)),
-                ("L3+DVH-VP", MachineConfig::dvh_vp(3)),
-                ("L3+DVH", MachineConfig::dvh(3)),
-            ],
-        ),
-        10 => (
-            "Figure 10: Application performance, Xen guest hypervisor on KVM",
-            vec![
-                ("VM", MachineConfig::baseline(1)),
-                ("VM+PT", MachineConfig::passthrough(1)),
-                ("Nested(Xen)", MachineConfig::baseline(2).with_xen_guest()),
-                ("Nested+PT", MachineConfig::passthrough(2).with_xen_guest()),
-                ("DVH-VP", MachineConfig::dvh_vp(2).with_xen_guest()),
-            ],
-        ),
-        _ => return None,
-    })
 }
 
 /// Regenerates figure 7, 8, 9, or 10 with its cells fanned out over
@@ -440,7 +371,7 @@ mod tests {
 
     #[test]
     fn recursion_grows_then_dvh_flattens() {
-        let rows = recursion_experiment(4);
+        let rows = recursion_experiment(8);
         for pair in rows.windows(2) {
             assert!(
                 pair[1].hypercall > 10 * pair[0].hypercall,

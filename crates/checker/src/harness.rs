@@ -5,6 +5,7 @@
 use crate::causal_lint::lint_causal;
 use crate::metrics_lint::{lint_chrome_export, lint_metrics};
 use crate::source_lint::lint_sources;
+use crate::summary_diff::check_exit_summaries;
 use crate::trace_lint::{lint_trace, TraceContext};
 use crate::{Report, Violation};
 use dvh_core::{Machine, MachineConfig};
@@ -208,11 +209,15 @@ pub fn check_machine(config: MachineConfig) -> Vec<Violation> {
     out
 }
 
+/// Deepest `run_micro` level `dvh check` certifies against full
+/// recursion (the test suite also certifies one level deeper).
+pub const SUMMARY_MICRO_MAX_LEVEL: usize = 5;
+
 /// Runs every pass: vmentry, trace, and metrics over each Fig. 7
-/// configuration, the pinned fixture, and the source lint over
-/// `source_root` when given (pass the repo root; `None` skips the
-/// source pass, e.g. when running from an installed binary with no
-/// checkout around).
+/// configuration, the pinned fixture, the exit-summary differential,
+/// and the source lint over `source_root` when given (pass the repo
+/// root; `None` skips the source pass, e.g. when running from an
+/// installed binary with no checkout around).
 pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
     let mut report = Report::new();
     for (name, config) in fig7_configs() {
@@ -235,6 +240,15 @@ pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
         ),
         "pinned-fixture",
         pinned,
+    );
+    let (count, summary) = check_exit_summaries(SUMMARY_MICRO_MAX_LEVEL);
+    report.add(
+        format!(
+            "exit-summary differential: {count} scenario(s), {} violation(s)",
+            summary.len()
+        ),
+        "exit-summary",
+        summary,
     );
     if let Some(root) = source_root {
         let outcome = lint_sources(root)?;
@@ -261,6 +275,13 @@ mod tests {
             let violations = check_machine(config);
             assert!(violations.is_empty(), "{name}: {:?}", violations);
         }
+    }
+
+    #[test]
+    fn exit_summaries_match_full_recursion_through_l6() {
+        let (count, violations) = check_exit_summaries(SUMMARY_MICRO_MAX_LEVEL + 1);
+        assert!(count > 150, "{count} scenarios");
+        assert!(violations.is_empty(), "{violations:#?}");
     }
 
     #[test]

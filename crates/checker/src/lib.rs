@@ -36,6 +36,11 @@
 //!    (children inside parents, siblings non-overlapping), the forest
 //!    must hold exactly one node per counted hardware exit, and the
 //!    folded flamegraph text must re-parse to the same totals.
+//! 6. **Exit-summary differential** ([`summary_diff`]): every Table
+//!    3, Fig. 7–10, recursion and deep micro scenario runs with the
+//!    engine's memoized exit summaries and with full recursion; the
+//!    two machines must agree bit for bit (ledger, clocks, VMCSs,
+//!    timers, halt chains).
 //!
 //! The [`harness`] module ties the first two passes to representative
 //! workloads (the paper's Fig. 7 configurations) for `dvh check`.
@@ -47,6 +52,7 @@ pub mod causal_lint;
 pub mod harness;
 pub mod metrics_lint;
 pub mod source_lint;
+pub mod summary_diff;
 pub mod trace_lint;
 pub mod vmentry;
 
@@ -71,6 +77,9 @@ pub enum Pass {
     /// from the trace must reproduce the attribution ledger and
     /// partition exactly).
     Causal,
+    /// Exit-summary differential certification (memoized exit
+    /// summaries must reproduce full recursion bit for bit).
+    Summary,
 }
 
 impl fmt::Display for Pass {
@@ -82,6 +91,7 @@ impl fmt::Display for Pass {
             Pass::Fixture => "fixture",
             Pass::Metrics => "metrics",
             Pass::Causal => "causal",
+            Pass::Summary => "summary",
         })
     }
 }

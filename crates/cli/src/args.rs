@@ -2,6 +2,7 @@
 //! style: small fixed vocabulary).
 
 use dvh_core::MachineConfig;
+use dvh_hypervisor::MAX_LEVELS;
 use dvh_workloads::AppId;
 use std::fmt;
 
@@ -175,8 +176,9 @@ pub enum Command {
     Sweep {
         /// Figure number.
         figure: u32,
-        /// Worker threads (0 = one per host core). The CSV is
-        /// byte-identical at any worker count.
+        /// Worker threads (0, the default when `--workers` is absent,
+        /// means one per host core). The CSV is byte-identical at any
+        /// worker count.
         workers: usize,
     },
     /// Benchmark the simulator engine itself (exits/second and sweep
@@ -326,8 +328,48 @@ impl<'a> Opts<'a> {
         }
     }
 
-    fn u32_of(&self, flag: &str, default: u32) -> Result<u32, ParseError> {
-        Ok(self.usize_of(flag, default as usize)? as u32)
+    /// A count that must be at least 1 (`--txns`, `--iters`, `--runs`,
+    /// `--workers`, `--figure`): zero would divide by zero or silently
+    /// measure nothing.
+    fn count_of(&self, flag: &str, default: u32) -> Result<u32, ParseError> {
+        let n = match self.value_of(flag) {
+            None => default,
+            Some(v) => v.parse().map_err(|_| {
+                ParseError(format!(
+                    "{flag} expects a number from 1 to {}, got '{v}'",
+                    u32::MAX
+                ))
+            })?,
+        };
+        if n == 0 {
+            return Err(ParseError(format!("{flag} must be at least 1, got 0")));
+        }
+        Ok(n)
+    }
+
+    /// `--level`: 1 up to [`MAX_LEVELS`], the deepest level whose cycle
+    /// totals fit in 64 bits.
+    fn level(&self) -> Result<usize, ParseError> {
+        let level = self.usize_of("--level", 2)?;
+        if level == 0 {
+            return Err(ParseError("--level must be at least 1, got 0".into()));
+        }
+        if level > MAX_LEVELS {
+            return Err(ParseError(format!(
+                "--level must be at most {MAX_LEVELS}, got {level} (deeper \
+                 nesting saturates the 64-bit cycle counters)"
+            )));
+        }
+        Ok(level)
+    }
+
+    /// `--workers`: absent means one per host core (0); an explicit
+    /// value must be at least 1.
+    fn workers(&self) -> Result<usize, ParseError> {
+        match self.value_of("--workers") {
+            None => Ok(0),
+            Some(_) => Ok(self.count_of("--workers", 1)? as usize),
+        }
     }
 
     fn config(&self) -> Result<CliConfig, ParseError> {
@@ -350,9 +392,9 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let opts = Opts { rest: &args[1..] };
     match cmd.as_str() {
         "micro" => Ok(Command::Micro {
-            level: opts.usize_of("--level", 2)?,
+            level: opts.level()?,
             config: opts.config()?,
-            iters: opts.u32_of("--iters", 10)?,
+            iters: opts.count_of("--iters", 10)?,
             csv: opts.has("--csv"),
         }),
         "app" => {
@@ -361,17 +403,17 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 .ok_or_else(|| ParseError("app requires --name <benchmark>".into()))?;
             Ok(Command::App {
                 app: parse_app(name)?,
-                level: opts.usize_of("--level", 2)?,
+                level: opts.level()?,
                 config: opts.config()?,
-                runs: opts.u32_of("--runs", 3)?,
-                txns: opts.u32_of("--txns", 400)?,
+                runs: opts.count_of("--runs", 3)?,
+                txns: opts.count_of("--txns", 400)?,
                 csv: opts.has("--csv"),
             })
         }
         "apps" => Ok(Command::Apps {
-            level: opts.usize_of("--level", 2)?,
+            level: opts.level()?,
             config: opts.config()?,
-            txns: opts.u32_of("--txns", 400)?,
+            txns: opts.count_of("--txns", 400)?,
             csv: opts.has("--csv"),
         }),
         "migrate" => Ok(Command::Migrate {
@@ -384,8 +426,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "trace" => Ok(Command::Trace {
             op: opts.value_of("--op").unwrap_or("timer").to_string(),
             app: opts.value_of("--app").map(parse_app).transpose()?,
-            txns: opts.u32_of("--txns", 40)?,
-            level: opts.usize_of("--level", 2)?,
+            txns: opts.count_of("--txns", 40)?,
+            level: opts.level()?,
             config: opts.config()?,
             format: match opts.value_of("--format") {
                 None => TraceFormat::Text,
@@ -395,8 +437,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "profile" => Ok(Command::Profile {
             op: opts.value_of("--op").unwrap_or("timer").to_string(),
             app: opts.value_of("--app").map(parse_app).transpose()?,
-            txns: opts.u32_of("--txns", 40)?,
-            level: opts.usize_of("--level", 2)?,
+            txns: opts.count_of("--txns", 40)?,
+            level: opts.level()?,
             config: opts.config()?,
             top: opts.usize_of("--top", 10)?,
             snapshot: opts.has("--snapshot"),
@@ -408,11 +450,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
         "obs" => parse_obs(&args[1..]),
         "explain" => Ok(Command::Explain {
             op: opts.value_of("--op").unwrap_or("timer").to_string(),
-            level: opts.usize_of("--level", 2)?,
+            level: opts.level()?,
             config: opts.config()?,
         }),
         "sweep" => {
-            let figure = opts.u32_of("--figure", 7)?;
+            let figure = opts.count_of("--figure", 7)?;
             if ![7, 8, 9, 10].contains(&figure) {
                 return Err(ParseError(format!(
                     "no figure {figure} (expected 7|8|9|10)"
@@ -420,7 +462,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             }
             Ok(Command::Sweep {
                 figure,
-                workers: opts.usize_of("--workers", 0)?,
+                workers: opts.workers()?,
             })
         }
         "bench-engine" => Ok(Command::BenchEngine {
@@ -478,8 +520,8 @@ fn parse_obs(args: &[String]) -> Result<Command, ParseError> {
         "snapshot" => Ok(Command::ObsSnapshot {
             op: opts.value_of("--op").unwrap_or("timer").to_string(),
             app: opts.value_of("--app").map(parse_app).transpose()?,
-            txns: opts.u32_of("--txns", 40)?,
-            level: opts.usize_of("--level", 2)?,
+            txns: opts.count_of("--txns", 40)?,
+            level: opts.level()?,
             config: opts.config()?,
             out: opts.value_of("--out").map(str::to_string),
             prom: opts.has("--prom"),
@@ -810,6 +852,37 @@ mod tests {
             "nope"
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn zero_counts_and_levels_are_rejected() {
+        for args in [
+            &["micro", "--level", "0"][..],
+            &["micro", "--level", "12"],
+            &["micro", "--iters", "0"],
+            &["app", "--name", "rr", "--runs", "0"],
+            &["app", "--name", "rr", "--txns", "0"],
+            &["apps", "--txns", "0"],
+            &["trace", "--txns", "0"],
+            &["profile", "--txns", "0"],
+            &["obs", "snapshot", "--txns", "0"],
+            &["sweep", "--workers", "0"],
+            &["micro", "--iters", "4294967296"],
+        ] {
+            assert!(parse(&v(args)).is_err(), "{args:?}");
+        }
+        // Absent --workers still means one per host core.
+        assert_eq!(
+            parse(&v(&["sweep"])).unwrap(),
+            Command::Sweep {
+                figure: 7,
+                workers: 0
+            }
+        );
+        assert!(matches!(
+            parse(&v(&["micro", "--level", "11"])).unwrap(),
+            Command::Micro { level: 11, .. }
+        ));
     }
 
     #[test]

@@ -3,6 +3,13 @@
 
 use std::fmt;
 
+/// The deepest nesting level the command line accepts: the deepest at
+/// which the default microbenchmark run (four operations, ten
+/// iterations each) keeps every simulated cycle total below
+/// `u64::MAX`. Cycle arithmetic saturates; one L12 hypercall already
+/// costs about 1.9e18 cycles, so ten of them would pin the clock.
+pub const MAX_LEVELS: usize = 11;
+
 /// Which I/O virtualization model the nested VM uses (Fig. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IoModel {

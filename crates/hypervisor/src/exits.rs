@@ -16,6 +16,7 @@
 //!    the recursion.
 
 use crate::config::IoModel;
+use crate::summary::{Probe, Program};
 use crate::world::World;
 use dvh_arch::apic::IcrValue;
 use dvh_arch::msr;
@@ -49,11 +50,58 @@ impl World {
             "vmexit from level {from_level} outside 1..={}",
             self.leaf_level()
         );
+        // A guest hypervisor's trapped primitive: its subtree may be
+        // memoized (see `summary.rs`). Leaf exits never are — their
+        // handling depends on device, timer and interrupt state.
+        if from_level >= 2
+            && from_level < self.leaf_level()
+            && self.summarized_exit(from_level, cpu, reason, &qual)
+        {
+            return;
+        }
+        self.vmexit_full(from_level, cpu, reason, qual);
+    }
+
+    /// Handles a guest-hypervisor primitive through its exit summary:
+    /// applies it on a hit, or runs and records the full recursion on
+    /// the first occurrence. Returns `false` when the exit must take
+    /// the plain full recursion instead.
+    #[inline(never)]
+    fn summarized_exit(
+        &mut self,
+        from_level: usize,
+        cpu: usize,
+        reason: ExitReason,
+        qual: &ExitQualification,
+    ) -> bool {
+        let t0 = self.now(cpu);
+        let probe = self.summary_probe(from_level, cpu, reason, qual);
+        if matches!(probe, Probe::Full) {
+            return false;
+        }
+        self.run_probe(probe, cpu, |w| {
+            w.vmexit_nested(from_level, cpu, reason, *qual)
+        });
+        // No trace or metrics can be on here (they bypass summaries),
+        // so the ledger line is the whole attribution tail.
+        if self.exit_depth[cpu] == 0 {
+            let spent = self.now(cpu) - t0;
+            self.stats.attribute_cycles(from_level, reason, spent);
+        }
+        true
+    }
+
+    /// The full recursion of one exit, with its attribution tail.
+    fn vmexit_full(
+        &mut self,
+        from_level: usize,
+        cpu: usize,
+        reason: ExitReason,
+        qual: ExitQualification,
+    ) {
         let outermost = self.exit_depth[cpu] == 0;
         let t0 = if outermost { Some(self.now(cpu)) } else { None };
-        self.exit_depth[cpu] += 1;
-        self.vmexit_inner(from_level, cpu, reason, qual);
-        self.exit_depth[cpu] -= 1;
+        self.vmexit_nested(from_level, cpu, reason, qual);
         if let Some(t0) = t0 {
             let spent = self.now(cpu) - t0;
             self.stats.attribute_cycles(from_level, reason, spent);
@@ -77,6 +125,20 @@ impl World {
                 reason,
             });
         }
+    }
+
+    /// Runs the handling of one exit one nesting level deeper.
+    #[inline(always)]
+    fn vmexit_nested(
+        &mut self,
+        from_level: usize,
+        cpu: usize,
+        reason: ExitReason,
+        qual: ExitQualification,
+    ) {
+        self.exit_depth[cpu] += 1;
+        self.vmexit_inner(from_level, cpu, reason, qual);
+        self.exit_depth[cpu] -= 1;
     }
 
     fn vmexit_inner(
@@ -141,6 +203,7 @@ impl World {
             }
             self.extensions = exts;
             if let Some(name) = handled {
+                self.taint_summaries();
                 self.stats.record_dvh(name);
                 self.observe(|m| m.record_dvh(name));
                 self.trace(|w| crate::trace::TraceEvent::DvhIntercept {
@@ -263,7 +326,8 @@ impl World {
                 self.compute(cpu, self.costs.vmcs02_merge);
                 for f in field::VMCS12_DIRTY_FIELDS {
                     let v = self.vmcs(from_level, cpu).read(*f);
-                    self.hv_vmwrite(0, cpu, *f, v);
+                    self.hv_vmwrite_trap(0, cpu, *f, v);
+                    self.vmcs_copy(0, from_level, cpu, *f);
                 }
                 // The merge is where hardware's VM-entry checks run on
                 // the guest hypervisor's vmcs12.
@@ -283,7 +347,8 @@ impl World {
             _ => HandlerFlow::Resume,
         };
         if flow == HandlerFlow::Resume {
-            self.hv_vmwrite(0, cpu, field::GUEST_RIP, 0);
+            self.hv_vmwrite_trap(0, cpu, field::GUEST_RIP, 0);
+            self.vmcs_set(0, cpu, field::GUEST_RIP, 0);
             self.l0_vmentry(cpu);
         }
     }
@@ -302,8 +367,11 @@ impl World {
                 self.compute(cpu, self.costs.rdtsc);
                 self.compute(cpu, self.costs.hrtimer_program);
                 self.hv_wrmsr(0, cpu, msr::IA32_TSC_DEADLINE, qual.msr_value);
-                if from_level == 1 {
-                    self.timers[cpu].arm(qual.msr_value);
+                // Only the leaf's own deadline programs the emulated
+                // LAPIC timer; a guest hypervisor's hrtimer re-arm that
+                // L0 handles (from L1) must not clobber it.
+                if from_level == self.leaf_level() {
+                    self.arm_leaf_timer(cpu, qual.msr_value);
                 }
             }
             msr::IA32_X2APIC_ICR => {
@@ -423,10 +491,19 @@ impl World {
         reason: ExitReason,
         qual: &ExitQualification,
     ) {
-        let m = self.vmcs_mut(reader_level, cpu);
-        m.write(field::VM_EXIT_REASON, reason.number() as u64);
-        m.write(field::EXIT_QUALIFICATION, qual.raw);
-        m.write(field::GUEST_PHYSICAL_ADDRESS, qual.guest_physical);
+        for (f, value) in [
+            (field::VM_EXIT_REASON, reason.number() as u64),
+            (field::EXIT_QUALIFICATION, qual.raw),
+            (field::GUEST_PHYSICAL_ADDRESS, qual.guest_physical),
+        ] {
+            self.vmcs_set(reader_level, cpu, f, value);
+        }
+    }
+
+    /// Arms the leaf's emulated LAPIC timer on `cpu`.
+    fn arm_leaf_timer(&mut self, cpu: usize, deadline: u64) {
+        self.taint_summaries();
+        self.timers[cpu].arm(deadline);
     }
 
     /// The `vmresume` instruction executed by the hypervisor at
@@ -450,6 +527,10 @@ impl World {
     /// The exit-side world-switch program of the hypervisor at
     /// `level` ≥ 1 (see [`crate::profile::HvProfile`]).
     pub(crate) fn exit_side_program(&mut self, level: usize, cpu: usize) {
+        self.run_program(level, cpu, Program::ExitSide, World::exit_side_body);
+    }
+
+    fn exit_side_body(&mut self, level: usize, cpu: usize) {
         // Iterate the profile's field lists by index: `hv_vmread` takes
         // `&mut self` (it may recursively vmexit and re-enter this very
         // function for an intermediate level), so the lists cannot be
@@ -475,19 +556,21 @@ impl World {
     /// The entry-side world-switch program of the hypervisor at
     /// `level` ≥ 1.
     pub(crate) fn entry_side_program(&mut self, level: usize, cpu: usize) {
+        self.run_program(level, cpu, Program::EntrySide, World::entry_side_body);
+    }
+
+    fn entry_side_body(&mut self, level: usize, cpu: usize) {
         // Index iteration for the same reentrancy reason as
         // `exit_side_program`: no per-exit clone of the field lists.
         #[allow(clippy::needless_range_loop)]
         for i in 0..self.profile.hot_writes.len() {
             let f = self.profile.hot_writes[i];
-            let v = self.vmcs(level, cpu).read(f);
-            self.hv_vmwrite(level, cpu, f, v);
+            self.write_back(level, cpu, f);
         }
         #[allow(clippy::needless_range_loop)]
         for i in 0..self.profile.cold_writes.len() {
             let f = self.profile.cold_writes[i];
-            let v = self.vmcs(level, cpu).read(f);
-            self.hv_vmwrite(level, cpu, f, v);
+            self.write_back(level, cpu, f);
         }
         for i in 0..self.profile.entry_msr_writes {
             if i == 0 {
@@ -511,6 +594,16 @@ impl World {
             }
         }
         self.compute(cpu, self.profile.entry_software);
+    }
+
+    /// A `vmwrite` by the hypervisor at `level` of field `f`'s own
+    /// current value. Its trap only touches lower levels' VMCSs, so the
+    /// store changes no value and exit summaries need not log it (the
+    /// recording run on this CPU already set the written-bit).
+    fn write_back(&mut self, level: usize, cpu: usize, f: u32) {
+        let v = self.vmcs(level, cpu).read(f);
+        self.hv_vmwrite_trap(level, cpu, f, v);
+        self.vmcs_store(level, cpu).write(f, v);
     }
 
     /// The reason-specific handler run by a guest hypervisor (`owner`
@@ -540,7 +633,7 @@ impl World {
                     self.compute(cpu, self.costs.rdtsc);
                     self.compute(cpu, self.costs.hrtimer_program);
                     if from_level == self.leaf_level() {
-                        self.timers[cpu].arm(qual.msr_value);
+                        self.arm_leaf_timer(cpu, qual.msr_value);
                     }
                     self.hv_wrmsr(owner, cpu, msr::IA32_TSC_DEADLINE, qual.msr_value);
                     self.advance_guest_rip(owner, cpu);
@@ -624,7 +717,8 @@ impl World {
                 self.compute(cpu, self.costs.vmcs02_merge);
                 for f in field::VMCS12_DIRTY_FIELDS {
                     let v = self.vmcs(from_level, cpu).read(*f);
-                    self.hv_vmwrite(owner, cpu, *f, v);
+                    self.hv_vmwrite_trap(owner, cpu, *f, v);
+                    self.vmcs_copy(owner, from_level, cpu, *f);
                 }
                 self.on_vmentry(from_level, cpu);
                 self.hv_vmptrld(owner, cpu);
@@ -646,7 +740,9 @@ impl World {
     /// Advances the exiting guest's RIP past the emulated instruction.
     fn advance_guest_rip(&mut self, owner: usize, cpu: usize) {
         let rip = self.vmcs(owner, cpu).read(field::GUEST_RIP);
-        self.hv_vmwrite(owner, cpu, field::GUEST_RIP, rip.wrapping_add(3));
+        let next = rip.wrapping_add(crate::summary::RIP_ADVANCE);
+        self.hv_vmwrite_trap(owner, cpu, field::GUEST_RIP, next);
+        self.vmcs_add_rip(owner, cpu);
     }
 
     /// Combined TSC offset from L0 down to (and including) the

@@ -33,7 +33,10 @@ pub trait L0Extension {
     /// Offers an exit to the extension. Implementations that claim the
     /// exit must charge all handling costs (via the [`World`]
     /// primitives) *and* the final VM entry, then return
-    /// [`Intercept::Handled`].
+    /// [`Intercept::Handled`]. Declining with
+    /// [`Intercept::NotHandled`] must have no side effects: exit
+    /// summaries replay guest-hypervisor primitives without offering
+    /// them to extensions again.
     fn try_intercept(
         &mut self,
         w: &mut World,

@@ -162,6 +162,18 @@ mod tests {
     }
 
     #[test]
+    fn guest_timer_deadline_survives_guest_hypervisor_rearms() {
+        // Every guest hypervisor re-arms its own hrtimer (a trapped
+        // TSC_DEADLINE write of u64::MAX) on its way back into the
+        // leaf; only the leaf's write may program the leaf's timer.
+        for levels in 1..=3 {
+            let mut w = world(levels);
+            w.guest_program_timer(0, 1_000);
+            assert_eq!(w.timers[0].deadline, Some(1_000), "L{levels}");
+        }
+    }
+
+    #[test]
     fn send_ipi_to_idle_destination() {
         let mut w = world(1);
         let total = w.send_ipi_to_idle(0, 1).as_u64();

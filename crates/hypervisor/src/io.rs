@@ -270,6 +270,7 @@ impl World {
     /// device (plain L1 virtio, the last cascade hop, or a
     /// virtual-passthrough kick from a nested VM).
     pub(crate) fn l0_doorbell(&mut self, cpu: usize, from_level: usize, _qual: &ExitQualification) {
+        self.taint_summaries();
         if from_level >= 2 {
             if self.mmio_doorbell_cached {
                 // MMIO fast path: the GPA→device resolution is cached;
@@ -345,6 +346,7 @@ impl World {
     /// through the device one level down — whose doorbell is an MMIO
     /// write by `owner`, trapping again.
     pub(crate) fn owner_doorbell(&mut self, owner: usize, cpu: usize) {
+        self.taint_summaries();
         if let Some(bytes) = self.pending_blk_bytes {
             // Block cascade hop: copy and re-submit one level down.
             self.compute(cpu, self.costs.copy_cost(bytes));

@@ -50,12 +50,13 @@ mod memory_virt;
 pub mod profile;
 mod runtime;
 pub mod stats;
+mod summary;
 pub mod trace;
 pub mod trace_export;
 pub mod world;
 
 pub use check::VmentryFinding;
-pub use config::{DvhFlags, HvKind, IoModel, WorldConfig};
+pub use config::{DvhFlags, HvKind, IoModel, WorldConfig, MAX_LEVELS};
 pub use extension::{Intercept, L0Extension};
 pub use runtime::IrqPath;
 pub use stats::RunStats;

@@ -69,6 +69,7 @@ impl World {
     /// the mapping. Called from the exit engine; the caller has
     /// already charged the reflection path if `stage >= 1`.
     pub(crate) fn populate_stage(&mut self, stage: usize, cpu: usize, leaf_pfn: u64) {
+        self.taint_summaries();
         let n = self.config.levels;
         let pfn_in = leaf_pfn + (n - 1 - stage) as u64 * STAGE_PFN_OFFSET;
         let pfn_out = pfn_in + STAGE_PFN_OFFSET;

@@ -56,6 +56,7 @@ impl World {
 
     /// Appends `level` to the halt chain of `cpu`.
     pub(crate) fn push_halt_level(&mut self, cpu: usize, level: usize) {
+        self.taint_summaries();
         let mut chain = self
             .halt_chain(cpu)
             .map(<[usize]>::to_vec)
@@ -81,6 +82,7 @@ impl World {
         event_time: Cycles,
         path: IrqPath,
     ) -> Cycles {
+        self.taint_summaries();
         let path_tag = match path {
             IrqPath::PostedDirect => "posted",
             IrqPath::ExitInjected => "injected",
@@ -220,6 +222,7 @@ impl World {
     /// The terminal, physical IPI send performed by L0 (for its own
     /// needs or while emulating a guest's ICR write).
     pub(crate) fn send_physical_ipi(&mut self, sender_cpu: usize, icr: IcrValue) {
+        self.taint_summaries();
         self.compute(sender_cpu, self.costs.ipi_send);
         let dest = icr.dest as usize;
         if dest >= self.num_cpus() || dest == sender_cpu {

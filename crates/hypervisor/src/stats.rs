@@ -35,11 +35,17 @@ impl ExitLedger {
     /// level rows on first use.
     #[inline(always)]
     pub fn record(&mut self, level: usize, reason: ExitReason) {
+        self.add(level, reason, 1);
+    }
+
+    /// Adds `n` to the counter for (`level`, `reason`).
+    #[inline(always)]
+    pub fn add(&mut self, level: usize, reason: ExitReason, n: u64) {
         let idx = level * REASON_SLOTS + reason.number() as usize;
         if idx >= self.counts.len() {
             self.counts.resize((level + 1) * REASON_SLOTS, 0);
         }
-        self.counts[idx] += 1;
+        self.counts[idx] += n;
     }
 
     /// The count for (`level`, `reason`).
@@ -121,12 +127,18 @@ impl InterventionLedger {
     /// Increments the counter for `level`, growing on first use.
     #[inline(always)]
     pub fn record(&mut self, level: usize) {
+        self.add(level, 1);
+    }
+
+    /// Adds `n` to the counter for `level`.
+    #[inline(always)]
+    pub fn add(&mut self, level: usize, n: u64) {
         if let Some(c) = self.counts.get_mut(level) {
-            *c += 1;
+            *c += n;
         } else {
             // Cold: first intervention at this level.
             self.counts.resize(level + 1, 0);
-            *self.counts.last_mut().expect("just resized to level + 1") += 1;
+            *self.counts.last_mut().expect("just resized to level + 1") += n;
         }
     }
 

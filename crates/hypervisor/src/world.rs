@@ -61,11 +61,13 @@ pub const SHADOW_VMCS_ADDR: u64 = 0x8000;
 
 /// The simulated machine.
 pub struct World {
-    /// Cycle-cost model in force.
+    /// Cycle-cost model in force. Set it before the first exit: exit
+    /// summaries recorded under one cost model replay its cycles.
     pub costs: CostModel,
     /// Machine configuration.
     pub config: WorldConfig,
-    /// World-switch footprint of guest hypervisors.
+    /// World-switch footprint of guest hypervisors. Like `costs`, set
+    /// it before the first exit.
     pub profile: HvProfile,
     shadow: ShadowFieldSet,
     cpus: Vec<PhysCpu>,
@@ -162,6 +164,9 @@ pub struct World {
     pub(crate) vmentry_checks: bool,
     /// Violations collected while `vmentry_checks` is on.
     pub(crate) vmentry_findings: Vec<crate::check::VmentryFinding>,
+    /// Memoized guest-hypervisor primitives (see `summary.rs`); built
+    /// lazily by the first occurrence of each primitive.
+    pub(crate) summaries: Box<crate::summary::SummaryMemo>,
 }
 
 impl World {
@@ -294,6 +299,7 @@ impl World {
                 | dvh_arch::vmx::cap::VCIMTAR,
             vmentry_checks: false,
             vmentry_findings: Vec::new(),
+            summaries: Default::default(),
             config,
         };
         w.setup_io();
@@ -416,6 +422,7 @@ impl World {
     /// next nested MMIO doorbell to take the slow path (used by the
     /// DevNotify microbenchmark, which measures the uncached cost).
     pub fn invalidate_mmio_cache(&mut self) {
+        self.taint_summaries();
         self.mmio_doorbell_cached = false;
     }
 
@@ -424,6 +431,9 @@ impl World {
     /// from a nested VM to its guest hypervisor.
     pub fn register_extension(&mut self, ext: Box<dyn L0Extension>) {
         self.extensions.push(ext);
+        // Extensions see exits before reflection, so every recorded
+        // subtree may now run differently.
+        self.summaries.invalidate();
     }
 
     // ---- Clock and accounting helpers ---------------------------------
@@ -479,9 +489,21 @@ impl World {
         &self.vmcs[owner][cpu]
     }
 
-    /// Mutable access; see [`World::vmcs`].
+    /// Mutable access; see [`World::vmcs`]. A store through this
+    /// accessor while an exit summary is being recorded is one the
+    /// summary's effect log does not describe, so it taints the
+    /// recording.
     #[inline(always)]
     pub fn vmcs_mut(&mut self, owner: usize, cpu: usize) -> &mut Vmcs {
+        self.taint_summaries();
+        &mut self.vmcs[owner][cpu]
+    }
+
+    /// Mutable access for the exit engine's own stores: ones the
+    /// exit-summary effect log records or replays, and the
+    /// value-preserving write-backs of `entry_side_program`.
+    #[inline(always)]
+    pub(crate) fn vmcs_store(&mut self, owner: usize, cpu: usize) -> &mut Vmcs {
         &mut self.vmcs[owner][cpu]
     }
 
@@ -630,6 +652,18 @@ impl World {
     /// `vmwrite` of `f = v` by the hypervisor at `level`.
     #[inline]
     pub fn hv_vmwrite(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
+        self.hv_vmwrite_trap(level, cpu, f, v);
+        // The exit engine's own vmwrites store through `vmcs_store`;
+        // this one is outside any exit-summary effect log.
+        self.taint_summaries();
+        self.vmcs[level][cpu].write(f, v);
+    }
+
+    /// The instruction half of [`World::hv_vmwrite`]: charges the
+    /// `vmwrite` (native, shadowed, or trapped and reflected) without
+    /// storing the value; the caller stores it.
+    #[inline]
+    pub(crate) fn hv_vmwrite_trap(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
         if level == 0 {
             self.compute(cpu, self.costs.vmwrite);
         } else if level == 1 && self.profile.uses_shadowing && self.shadow.covers_write(f) {
@@ -642,7 +676,6 @@ impl World {
                 dvh_arch::vmx::ExitQualification::vmwrite(f, v),
             );
         }
-        self.vmcs[level][cpu].write(f, v);
     }
 
     /// `vmptrld` by the hypervisor at `level`.

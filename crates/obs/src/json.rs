@@ -149,6 +149,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// trailing garbage.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -162,6 +163,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -305,13 +307,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = text.chars().next().ok_or("unterminated string")?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or
+                    // backslash as one slice. Both are ASCII and never
+                    // occur inside a multibyte UTF-8 sequence, so the
+                    // run ends on a character boundary.
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos = start + run;
+                    s.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -406,6 +411,37 @@ mod tests {
             parse("99999999999999999999").unwrap(),
             Value::Float(_)
         ));
+    }
+
+    #[test]
+    fn long_strings_keep_multibyte_text_and_every_escape() {
+        let chunk = "é→✓𝄞 plain ascii ";
+        let long = chunk.repeat(2_000);
+        for text in [
+            long.clone(),
+            format!("{long}\"\\/\n\r\t\u{8}\u{c}{long}"),
+            format!("\u{1}{long}\u{1f}"),
+        ] {
+            let v = Value::Str(text);
+            assert_eq!(parse(&v.to_json()).unwrap(), v);
+        }
+        // Hand-written escapes, including \u, in the middle of long runs.
+        let doc = format!(r#""{long}\"\\\/\b\f\n\r\t\u00e9\u2192{long}""#);
+        let want = format!("{long}\"\\/\u{8}\u{c}\n\r\té→{long}");
+        assert_eq!(parse(&doc).unwrap(), Value::Str(want));
+        assert!(parse(&format!("\"{long}\\x\"")).is_err());
+        assert!(parse(&format!("\"{long}\\u12\"")).is_err());
+        assert!(parse(&format!("\"{long}")).is_err());
+    }
+
+    #[test]
+    fn string_scan_is_linear() {
+        // A 4 MB string parses in one pass; the old per-character
+        // rescan of the buffer tail took minutes on this size.
+        let v = Value::Str("ü".repeat(2 << 20));
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&v.to_json()).unwrap(), v);
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]

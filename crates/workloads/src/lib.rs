@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 pub mod apps;
+pub mod figures;
 pub mod micro;
 pub mod runner;
 

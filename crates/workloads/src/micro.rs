@@ -60,6 +60,19 @@ mod tests {
     }
 
     #[test]
+    fn max_levels_is_the_deepest_unsaturated_default_run() {
+        let run = |levels| {
+            let mut m = Machine::build(MachineConfig::baseline(levels));
+            let r = run_micro(&mut m, 10);
+            (r, m.now(0).as_u64())
+        };
+        let (r, clock) = run(dvh_hypervisor::MAX_LEVELS);
+        assert!(clock < u64::MAX, "{r:?}");
+        let (_, clock) = run(dvh_hypervisor::MAX_LEVELS + 1);
+        assert_eq!(clock, u64::MAX, "one level deeper saturates");
+    }
+
+    #[test]
     fn vm_column_matches_paper_within_5_percent() {
         let mut m = Machine::build(MachineConfig::baseline(1));
         let r = run_micro(&mut m, 10);
