@@ -65,7 +65,9 @@ fn main() {
     for extra_cold in [0usize, 4, 8] {
         let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
         for _ in 0..extra_cold {
-            w.profile.cold_reads.push(dvh_arch::vmx::field::HOST_RIP);
+            w.profile_mut()
+                .cold_reads
+                .push(dvh_arch::vmx::field::HOST_RIP);
         }
         let c = w.guest_hypercall(0).as_u64();
         println!("  +{extra_cold} cold VMCS reads per exit: L2 hypercall = {c:>7} cycles");

@@ -14,14 +14,15 @@
 //! | `cargo run -p dvh-bench --bin migration` | §4 migration experiment |
 //! | `cargo run -p dvh-bench --bin recursion` | §3.5 recursion beyond L3 (extension) |
 //!
-//! Plain benches (`cargo bench`, using the in-tree [`tinybench`]
-//! runner) measure the same operations for regression tracking of the
-//! simulator itself.
+//! `summary`, `ablations` and `arm` print the whole evaluation, the
+//! design ablations and the ARM comparison. All of these print
+//! simulated cycles, which are deterministic. The host speed of the
+//! simulator itself is measured by the separate `hostbench/` package
+//! (see its README), which reuses [`harness::APP_TXNS`] and
+//! [`parallel`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod harness;
 pub mod parallel;
-pub mod tinybench;

@@ -58,7 +58,7 @@ impl<'a> TraceContext<'a> {
     pub fn for_world(w: &'a World) -> TraceContext<'a> {
         TraceContext {
             leaf_level: w.leaf_level(),
-            shadow: (w.config.vmcs_shadowing && w.profile.uses_shadowing)
+            shadow: (w.config.vmcs_shadowing && w.profile().uses_shadowing)
                 .then(|| w.shadow_fields()),
             dropped: w.trace_dropped(),
             stats: Some(&w.stats),

@@ -181,17 +181,6 @@ pub enum Command {
         /// worker count.
         workers: usize,
     },
-    /// Benchmark the simulator engine itself (exits/second and sweep
-    /// wall-clock), emitting `BENCH_engine.json`.
-    BenchEngine {
-        /// Smaller loop and fewer repeats, for CI smoke runs.
-        quick: bool,
-        /// Where to write the JSON result (`None` = don't write).
-        out: Option<String>,
-        /// Baseline JSON to compare against (>25% exit-rate drop
-        /// fails the command).
-        baseline: Option<String>,
-    },
     /// Dump the full event trace of one operation or application run.
     Trace {
         /// Operation: hypercall|timer|ipi|devnotify (ignored when
@@ -302,21 +291,108 @@ fn parse_app(s: &str) -> Result<AppId, ParseError> {
     })
 }
 
+/// Every subcommand's vocabulary: its name, the flags that take a
+/// value, the switches, and whether it takes file arguments. Anything
+/// else on its command line is an error, never a silent default.
+const SUBCOMMANDS: &[(&str, &[&str], &[&str], bool)] = &[
+    (
+        "micro",
+        &["--level", "--config", "--iters"],
+        &["--csv"],
+        false,
+    ),
+    (
+        "app",
+        &["--name", "--level", "--config", "--runs", "--txns"],
+        &["--csv"],
+        false,
+    ),
+    (
+        "apps",
+        &["--level", "--config", "--txns"],
+        &["--csv"],
+        false,
+    ),
+    ("migrate", &["--config"], &["--with-hypervisor"], false),
+    ("results", &[], &[], true),
+    ("explain", &["--op", "--level", "--config"], &[], false),
+    ("sweep", &["--figure", "--workers"], &[], false),
+    (
+        "trace",
+        &["--op", "--app", "--txns", "--level", "--config", "--format"],
+        &[],
+        false,
+    ),
+    (
+        "profile",
+        &[
+            "--op", "--app", "--txns", "--level", "--config", "--top", "--format",
+        ],
+        &["--snapshot"],
+        false,
+    ),
+    (
+        "obs snapshot",
+        &["--op", "--app", "--txns", "--level", "--config", "--out"],
+        &["--prom"],
+        false,
+    ),
+    ("obs diff", &["--threshold"], &["--json"], true),
+    ("check", &["--source-root"], &["--no-source"], false),
+];
+
+/// One subcommand's arguments, checked against its vocabulary.
 struct Opts<'a> {
-    rest: &'a [String],
+    values: Vec<(&'a str, &'a str)>,
+    switches: Vec<&'a str>,
+    files: Vec<&'a str>,
 }
 
 impl<'a> Opts<'a> {
+    /// Sorts `rest` into flag values, switches and files for subcommand
+    /// `sub`. Returns `None` when `--help`/`-h` asks for usage instead.
+    fn strict(sub: &str, rest: &'a [String]) -> Result<Option<Opts<'a>>, ParseError> {
+        let Some(&(_, values, switches, takes_files)) =
+            SUBCOMMANDS.iter().find(|(name, ..)| *name == sub)
+        else {
+            return Err(ParseError(format!("unknown command '{sub}'")));
+        };
+        let mut opts = Opts {
+            values: Vec::new(),
+            switches: Vec::new(),
+            files: Vec::new(),
+        };
+        let mut args = rest.iter().map(String::as_str);
+        while let Some(arg) = args.next() {
+            if values.contains(&arg) {
+                let value = args
+                    .next()
+                    .ok_or_else(|| ParseError(format!("{arg} expects a value")))?;
+                opts.values.push((arg, value));
+            } else if switches.contains(&arg) {
+                opts.switches.push(arg);
+            } else if arg == "--help" || arg == "-h" {
+                return Ok(None);
+            } else if arg.starts_with('-') {
+                return Err(ParseError(format!("unknown flag '{arg}' for {sub}")));
+            } else if takes_files {
+                opts.files.push(arg);
+            } else {
+                return Err(ParseError(format!("unexpected argument '{arg}' for {sub}")));
+            }
+        }
+        Ok(Some(opts))
+    }
+
     fn value_of(&self, flag: &str) -> Option<&'a str> {
-        self.rest
+        self.values
             .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.rest.get(i + 1))
-            .map(String::as_str)
+            .find(|(f, _)| *f == flag)
+            .map(|(_, v)| *v)
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.rest.iter().any(|a| a == flag)
+        self.switches.contains(&flag)
     }
 
     fn usize_of(&self, flag: &str, default: usize) -> Result<usize, ParseError> {
@@ -329,8 +405,8 @@ impl<'a> Opts<'a> {
     }
 
     /// A count that must be at least 1 (`--txns`, `--iters`, `--runs`,
-    /// `--workers`, `--figure`): zero would divide by zero or silently
-    /// measure nothing.
+    /// `--workers`, `--figure`, `--top`): zero would divide by zero or
+    /// silently measure nothing.
     fn count_of(&self, flag: &str, default: u32) -> Result<u32, ParseError> {
         let n = match self.value_of(flag) {
             None => default,
@@ -378,6 +454,14 @@ impl<'a> Opts<'a> {
             Some(v) => CliConfig::parse(v),
         }
     }
+
+    fn op(&self) -> String {
+        self.value_of("--op").unwrap_or("timer").to_string()
+    }
+
+    fn app(&self) -> Result<Option<AppId>, ParseError> {
+        self.value_of("--app").map(parse_app).transpose()
+    }
 }
 
 /// Parses a full argument vector (without the program name).
@@ -389,8 +473,29 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
     let Some(cmd) = args.first() else {
         return Ok(Command::Help);
     };
-    let opts = Opts { rest: &args[1..] };
-    match cmd.as_str() {
+    let (sub, rest) = match cmd.as_str() {
+        "help" | "--help" | "-h" => return Ok(Command::Help),
+        "obs" => match args.get(1).map(String::as_str) {
+            Some("snapshot") => ("obs snapshot", &args[2..]),
+            Some("diff") => ("obs diff", &args[2..]),
+            Some("--help" | "-h") => return Ok(Command::Help),
+            Some(other) => {
+                return Err(ParseError(format!(
+                    "unknown obs subcommand '{other}' (expected snapshot|diff)"
+                )))
+            }
+            None => {
+                return Err(ParseError(
+                    "obs requires a subcommand (snapshot|diff)".into(),
+                ))
+            }
+        },
+        other => (other, &args[1..]),
+    };
+    let Some(opts) = Opts::strict(sub, rest)? else {
+        return Ok(Command::Help);
+    };
+    match sub {
         "micro" => Ok(Command::Micro {
             level: opts.level()?,
             config: opts.config()?,
@@ -421,11 +526,11 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             with_hypervisor: opts.has("--with-hypervisor"),
         }),
         "results" => Ok(Command::Results {
-            files: args[1..].to_vec(),
+            files: opts.files.iter().map(|f| f.to_string()).collect(),
         }),
         "trace" => Ok(Command::Trace {
-            op: opts.value_of("--op").unwrap_or("timer").to_string(),
-            app: opts.value_of("--app").map(parse_app).transpose()?,
+            op: opts.op(),
+            app: opts.app()?,
             txns: opts.count_of("--txns", 40)?,
             level: opts.level()?,
             config: opts.config()?,
@@ -435,21 +540,56 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             },
         }),
         "profile" => Ok(Command::Profile {
-            op: opts.value_of("--op").unwrap_or("timer").to_string(),
-            app: opts.value_of("--app").map(parse_app).transpose()?,
+            op: opts.op(),
+            app: opts.app()?,
             txns: opts.count_of("--txns", 40)?,
             level: opts.level()?,
             config: opts.config()?,
-            top: opts.usize_of("--top", 10)?,
+            top: opts.count_of("--top", 10)? as usize,
             snapshot: opts.has("--snapshot"),
             format: match opts.value_of("--format") {
                 None => ProfileFormat::Table,
                 Some(v) => ProfileFormat::parse(v)?,
             },
         }),
-        "obs" => parse_obs(&args[1..]),
+        "obs snapshot" => Ok(Command::ObsSnapshot {
+            op: opts.op(),
+            app: opts.app()?,
+            txns: opts.count_of("--txns", 40)?,
+            level: opts.level()?,
+            config: opts.config()?,
+            out: opts.value_of("--out").map(str::to_string),
+            prom: opts.has("--prom"),
+        }),
+        "obs diff" => {
+            let [baseline, current] = opts.files[..] else {
+                return Err(ParseError(
+                    "obs diff requires exactly two files: <baseline.json> <current.json>".into(),
+                ));
+            };
+            let threshold = match opts.value_of("--threshold") {
+                None => 0.25,
+                Some(v) => {
+                    let pct: f64 = v.parse().map_err(|_| {
+                        ParseError(format!("--threshold expects a number, got '{v}'"))
+                    })?;
+                    if !(0.0..=1000.0).contains(&pct) {
+                        return Err(ParseError(format!(
+                            "--threshold {pct} out of range (percent, 0..=1000)"
+                        )));
+                    }
+                    pct / 100.0
+                }
+            };
+            Ok(Command::ObsDiff {
+                baseline: baseline.to_string(),
+                current: current.to_string(),
+                threshold,
+                json: opts.has("--json"),
+            })
+        }
         "explain" => Ok(Command::Explain {
-            op: opts.value_of("--op").unwrap_or("timer").to_string(),
+            op: opts.op(),
             level: opts.level()?,
             config: opts.config()?,
         }),
@@ -465,121 +605,14 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 workers: opts.workers()?,
             })
         }
-        "bench-engine" => Ok(Command::BenchEngine {
-            quick: opts.has("--quick"),
-            out: opts.value_of("--out").map(str::to_string),
-            baseline: opts.value_of("--baseline").map(str::to_string),
+        "check" => Ok(Command::Check {
+            source_root: if opts.has("--no-source") {
+                None
+            } else {
+                Some(opts.value_of("--source-root").unwrap_or(".").to_string())
+            },
         }),
-        "check" => {
-            // check gates CI, so unlike the exploratory subcommands it
-            // rejects anything it does not understand: a typo'd flag
-            // silently running the defaults would weaken the gate.
-            let rest = opts.rest;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--no-source" => i += 1,
-                    "--source-root" => {
-                        if rest.get(i + 1).is_none() {
-                            return Err(ParseError("--source-root expects a directory".into()));
-                        }
-                        i += 2;
-                    }
-                    other => {
-                        return Err(ParseError(format!(
-                            "unknown flag '{other}' for check (expected \
-                             [--source-root DIR] [--no-source])"
-                        )))
-                    }
-                }
-            }
-            Ok(Command::Check {
-                source_root: if opts.has("--no-source") {
-                    None
-                } else {
-                    Some(opts.value_of("--source-root").unwrap_or(".").to_string())
-                },
-            })
-        }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!("unknown command '{other}'"))),
-    }
-}
-
-/// Parses the `obs` subcommand family: `obs snapshot` (exploratory,
-/// profile-style flags) and `obs diff` (a CI gate, so it strict-parses
-/// like `check` — a typo'd flag must fail, not silently run defaults).
-fn parse_obs(args: &[String]) -> Result<Command, ParseError> {
-    let Some(sub) = args.first() else {
-        return Err(ParseError(
-            "obs requires a subcommand (snapshot|diff)".into(),
-        ));
-    };
-    let opts = Opts { rest: &args[1..] };
-    match sub.as_str() {
-        "snapshot" => Ok(Command::ObsSnapshot {
-            op: opts.value_of("--op").unwrap_or("timer").to_string(),
-            app: opts.value_of("--app").map(parse_app).transpose()?,
-            txns: opts.count_of("--txns", 40)?,
-            level: opts.level()?,
-            config: opts.config()?,
-            out: opts.value_of("--out").map(str::to_string),
-            prom: opts.has("--prom"),
-        }),
-        "diff" => {
-            let rest = &args[1..];
-            let mut files: Vec<&str> = Vec::new();
-            let mut threshold = 0.25f64;
-            let mut json = false;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--threshold" => {
-                        let v = rest
-                            .get(i + 1)
-                            .ok_or_else(|| ParseError("--threshold expects a percentage".into()))?;
-                        let pct: f64 = v.parse().map_err(|_| {
-                            ParseError(format!("--threshold expects a number, got '{v}'"))
-                        })?;
-                        if !(0.0..=1000.0).contains(&pct) {
-                            return Err(ParseError(format!(
-                                "--threshold {pct} out of range (percent, 0..=1000)"
-                            )));
-                        }
-                        threshold = pct / 100.0;
-                        i += 2;
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(ParseError(format!(
-                            "unknown flag '{flag}' for obs diff (expected \
-                             <baseline.json> <current.json> [--threshold PCT] [--json])"
-                        )))
-                    }
-                    file => {
-                        files.push(file);
-                        i += 1;
-                    }
-                }
-            }
-            let [baseline, current] = files.as_slice() else {
-                return Err(ParseError(
-                    "obs diff requires exactly two files: <baseline.json> <current.json>".into(),
-                ));
-            };
-            Ok(Command::ObsDiff {
-                baseline: baseline.to_string(),
-                current: current.to_string(),
-                threshold,
-                json,
-            })
-        }
-        other => Err(ParseError(format!(
-            "unknown obs subcommand '{other}' (expected snapshot|diff)"
-        ))),
+        other => unreachable!("'{other}' is listed in SUBCOMMANDS"),
     }
 }
 
@@ -596,7 +629,6 @@ USAGE:
   dvh results <file.csv> ...
   dvh explain [--op hypercall|timer|ipi|devnotify] [--level N] [--config ...]
   dvh sweep   [--figure 7|8|9|10] [--workers N]
-  dvh bench-engine [--quick] [--out FILE] [--baseline FILE]
   dvh trace   [--op hypercall|timer|ipi|devnotify | --app NAME [--txns N]]
               [--level N] [--config ...] [--format text|chrome|jsonl]
   dvh profile [--op hypercall|timer|ipi|devnotify | --app NAME [--txns N]]
@@ -606,7 +638,7 @@ USAGE:
               [--out FILE] [--prom]
   dvh obs diff <baseline.json> <current.json> [--threshold PCT] [--json]
   dvh check   [--source-root DIR] [--no-source]
-  dvh help
+  dvh help | <command> --help
 ";
 
 #[cfg(test)]
@@ -868,6 +900,7 @@ mod tests {
             &["obs", "snapshot", "--txns", "0"],
             &["sweep", "--workers", "0"],
             &["micro", "--iters", "4294967296"],
+            &["profile", "--top", "0"],
         ] {
             assert!(parse(&v(args)).is_err(), "{args:?}");
         }

@@ -9,17 +9,56 @@ use dvh_obs::causal::render_multiplication;
 use dvh_obs::percentiles::{exit_percentiles, render_percentiles};
 use dvh_obs::profile::{exit_profile, render_profile};
 use dvh_workloads::{run_app, run_micro, AppId};
+use std::io::{self, Write};
 
 /// Executes a parsed command, writing human or CSV output to `out`.
+/// A reader that goes away early (`dvh profile | head -3`) ends the
+/// command quietly: the output nobody reads is not an error.
 ///
 /// # Errors
 ///
 /// Returns a message for I/O failures or unusable inputs (e.g. a
 /// non-migratable configuration).
-pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String> {
-    let w = |out: &mut dyn std::io::Write, s: String| {
-        out.write_all(s.as_bytes()).map_err(|e| e.to_string())
+pub fn execute(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
+    let mut out = PipeWatch {
+        inner: out,
+        closed: false,
     };
+    match run(cmd, &mut out) {
+        Err(_) if out.closed => Ok(()),
+        result => result,
+    }
+}
+
+/// Passes writes through and notes whether the reader closed the pipe.
+struct PipeWatch<'a> {
+    inner: &'a mut dyn Write,
+    closed: bool,
+}
+
+impl PipeWatch<'_> {
+    fn note<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if matches!(&result, Err(e) if e.kind() == io::ErrorKind::BrokenPipe) {
+            self.closed = true;
+        }
+        result
+    }
+}
+
+impl Write for PipeWatch<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.note(result)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let result = self.inner.flush();
+        self.note(result)
+    }
+}
+
+fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
+    let w = |out: &mut dyn Write, s: String| out.write_all(s.as_bytes()).map_err(|e| e.to_string());
     match cmd {
         Command::Help => w(out, crate::args::USAGE.to_string()),
         Command::Micro {
@@ -304,32 +343,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             let fig = dvh_bench::harness::figure_with_workers(figure, workers)
                 .expect("validated at parse time");
             w(out, fig.to_csv())
-        }
-        Command::BenchEngine {
-            quick,
-            out: out_path,
-            baseline,
-        } => {
-            let r = dvh_bench::engine::run(quick);
-            w(out, r.to_report())?;
-            if let Some(path) = out_path {
-                std::fs::write(&path, r.to_json()).map_err(|e| format!("{path}: {e}"))?;
-                w(out, format!("wrote {path}\n"))?;
-            }
-            if let Some(path) = baseline {
-                let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                let b = dvh_bench::engine::Baseline::parse(&text)
-                    .map_err(|e| format!("{path}: {e}"))?;
-                dvh_bench::engine::check_regression(&r, &b, 0.25)?;
-                w(
-                    out,
-                    format!(
-                        "within 25% of baseline ({:.2}M exits/s)\n",
-                        b.exit_rate / 1e6
-                    ),
-                )?;
-            }
-            Ok(())
         }
         Command::Check { source_root } => {
             let root = source_root.map(std::path::PathBuf::from);
@@ -753,6 +766,28 @@ mod tests {
             config: CliConfig::Base,
         })
         .is_err());
+    }
+
+    /// A reader that has gone away, as `head` does after its lines.
+    struct Closed(io::ErrorKind);
+
+    impl Write for Closed {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn broken_pipe_ends_quietly_but_other_write_errors_fail() {
+        assert_eq!(
+            execute(Command::Help, &mut Closed(io::ErrorKind::BrokenPipe)),
+            Ok(())
+        );
+        assert!(execute(Command::Help, &mut Closed(io::ErrorKind::PermissionDenied)).is_err());
     }
 
     #[test]

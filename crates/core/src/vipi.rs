@@ -131,15 +131,15 @@ impl L0Extension for VirtualIpis {
         // step 2).
         w.hv_vmread(0, cpu, field::DVH_EXEC_CONTROLS);
         w.hv_vmread(0, cpu, field::DVH_VCIMTAR);
-        w.compute(cpu, w.costs.walk_mem_ref * 3);
+        w.compute(cpu, w.costs().walk_mem_ref * 3);
         w.compute(cpu, dvh_arch::Cycles::new(800)); // DVH bookkeeping
 
         // Emulate the ICR write: update the PI descriptor named by the
         // table and notify its physical CPU.
-        w.compute(cpu, w.costs.icr_emulate);
-        w.compute(cpu, w.costs.pi_desc_update);
+        w.compute(cpu, w.costs().icr_emulate);
+        w.compute(cpu, w.costs().pi_desc_update);
         let dest_cpu = w.pi_desc[pi_desc as usize].ndst as usize;
-        w.compute(cpu, w.costs.ipi_send);
+        w.compute(cpu, w.costs().ipi_send);
         let t = w.now(cpu);
         w.deliver_leaf_interrupt(dest_cpu, icr.vector, t, IrqPath::PostedDirect);
 

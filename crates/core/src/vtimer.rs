@@ -90,12 +90,12 @@ impl L0Extension for VirtualTimers {
         // Confirm the enable bit in the merged execution controls
         // (one native vmread) and locate the nested state in memory.
         w.hv_vmread(0, cpu, field::DVH_EXEC_CONTROLS);
-        w.compute(cpu, w.costs.walk_mem_ref); // vmcs12 lookup
+        w.compute(cpu, w.costs().walk_mem_ref); // vmcs12 lookup
 
         // Account for the time-base difference: the combined TSC
         // offset is already maintained in the VMCS for the nested VM
         // (§3.2), so this is arithmetic, not more vmreads.
-        w.compute(cpu, w.costs.rdtsc);
+        w.compute(cpu, w.costs().rdtsc);
         let offset = w.combined_tsc_offset(from_level - 1, cpu);
         w.compute(cpu, dvh_arch::Cycles::new(100));
 
@@ -105,11 +105,11 @@ impl L0Extension for VirtualTimers {
         w.vmcs_mut(from_level - 1, cpu)
             .write(field::DVH_VTIMER_DEADLINE, deadline);
         w.timers[cpu].arm(qual.msr_value);
-        w.compute(cpu, w.costs.walk_mem_ref); // fetch programmed vector
-        w.compute(cpu, w.costs.pi_desc_update); // set up direct delivery
+        w.compute(cpu, w.costs().walk_mem_ref); // fetch programmed vector
+        w.compute(cpu, w.costs().pi_desc_update); // set up direct delivery
 
         // Program the emulation backend (hrtimer) and the hardware.
-        w.compute(cpu, w.costs.hrtimer_program);
+        w.compute(cpu, w.costs().hrtimer_program);
         w.hv_wrmsr(0, cpu, msr::IA32_TSC_DEADLINE, deadline);
         w.compute(cpu, dvh_arch::Cycles::new(400)); // DVH bookkeeping
 

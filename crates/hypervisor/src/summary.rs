@@ -654,6 +654,21 @@ mod tests {
     }
 
     #[test]
+    fn changing_the_profile_drops_stale_summaries() {
+        let mut fast = world(3);
+        let mut slow = world(3);
+        slow.disable_exit_summaries();
+        for w in [&mut fast, &mut slow] {
+            w.guest_hypercall(0);
+            w.profile_mut().cold_reads.push(field::HOST_RIP);
+            w.reset_stats();
+            w.guest_hypercall(0);
+        }
+        assert!(fast.exit_summary_count() > 0);
+        assert_eq!(state(&fast), state(&slow));
+    }
+
+    #[test]
     fn registering_an_extension_invalidates_the_memo() {
         struct Never;
         impl crate::extension::L0Extension for Never {

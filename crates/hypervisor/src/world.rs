@@ -61,14 +61,14 @@ pub const SHADOW_VMCS_ADDR: u64 = 0x8000;
 
 /// The simulated machine.
 pub struct World {
-    /// Cycle-cost model in force. Set it before the first exit: exit
-    /// summaries recorded under one cost model replay its cycles.
-    pub costs: CostModel,
+    /// Cycle-cost model in force, fixed at construction: exit summaries
+    /// replay the cycles recorded under it.
+    pub(crate) costs: CostModel,
     /// Machine configuration.
     pub config: WorldConfig,
-    /// World-switch footprint of guest hypervisors. Like `costs`, set
-    /// it before the first exit.
-    pub profile: HvProfile,
+    /// World-switch footprint of guest hypervisors. Changed only
+    /// through [`World::profile_mut`], which drops stale summaries.
+    pub(crate) profile: HvProfile,
     shadow: ShadowFieldSet,
     cpus: Vec<PhysCpu>,
     vmcs: Vec<Vec<Vmcs>>,
@@ -437,6 +437,24 @@ impl World {
     }
 
     // ---- Clock and accounting helpers ---------------------------------
+
+    /// The cycle-cost model in force.
+    pub fn costs(&self) -> &CostModel {
+        &self.costs
+    }
+
+    /// The world-switch footprint of guest hypervisors.
+    pub fn profile(&self) -> &HvProfile {
+        &self.profile
+    }
+
+    /// Mutable access to the guest-hypervisor footprint. Every
+    /// recorded exit summary may now run differently, so the memo is
+    /// dropped.
+    pub fn profile_mut(&mut self) -> &mut HvProfile {
+        self.summaries.invalidate();
+        &mut self.profile
+    }
 
     /// Number of physical CPUs (= leaf vCPUs).
     pub fn num_cpus(&self) -> usize {

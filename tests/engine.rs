@@ -57,27 +57,3 @@ fn dense_engine_matches_pinned_pre_optimization_runstats() {
     let violations = dvh_checker::harness::check_pinned_fixture();
     assert!(violations.is_empty(), "{violations:#?}");
 }
-
-#[test]
-fn engine_bench_json_baseline_round_trip() {
-    let r = dvh_bench::engine::EngineBenchResult {
-        quick: false,
-        workers: 2,
-        micro_iters: 5000,
-        micro_repeats: 7,
-        total_exits: 7_345_000,
-        micro_wall_s: 0.3,
-        exit_rate: 24_483_333.0,
-        sweep_figure: 7,
-        sweep_serial_s: 0.4,
-        sweep_parallel_s: 0.25,
-        sweep_speedup: 1.6,
-        sweep_deterministic: true,
-        metrics_exit_rate: 22_000_000.0,
-        metrics_conserved: true,
-        p50_exit_cycles: 4096,
-        p99_exit_cycles: 65_536,
-    };
-    let baseline = dvh_bench::engine::Baseline::parse(&r.to_json()).unwrap();
-    assert!(dvh_bench::engine::check_regression(&r, &baseline, 0.25).is_ok());
-}
