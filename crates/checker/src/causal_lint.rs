@@ -23,7 +23,7 @@
 //!   from its own text output, sums per root frame to the same root
 //!   totals — what a flamegraph viewer would display conserves too.
 
-use crate::{Pass, Violation};
+use crate::{ledger_conservation, Pass, Violation};
 use dvh_hypervisor::{RunStats, TraceEvent};
 use dvh_obs::causal::{CausalNode, Forest};
 use std::collections::BTreeMap;
@@ -72,38 +72,14 @@ pub fn lint_causal(
         ));
     }
 
-    let roots = forest.root_cycle_totals();
-    let ledger = &stats.cycles_by_reason;
-    for ((level, reason), cycles) in ledger {
-        match roots.get(&(*level, *reason)) {
-            None => out.push(violation(
-                "causal-roots-conserved",
-                format!("L{level} {reason}"),
-                format!(
-                    "ledger attributes {} cycles but the forest has no root",
-                    cycles.as_u64()
-                ),
-            )),
-            Some(got) if *got != cycles.as_u64() => out.push(violation(
-                "causal-roots-conserved",
-                format!("L{level} {reason}"),
-                format!(
-                    "root spans sum to {got} cycles, ledger says {}",
-                    cycles.as_u64()
-                ),
-            )),
-            Some(_) => {}
-        }
-    }
-    for ((level, reason), got) in &roots {
-        if !ledger.contains_key(&(*level, *reason)) {
-            out.push(violation(
-                "causal-roots-conserved",
-                format!("L{level} {reason}"),
-                format!("forest has {got} root cycles for a key the ledger never attributed"),
-            ));
-        }
-    }
+    out.extend(ledger_conservation(
+        Pass::Causal,
+        "causal-roots-conserved",
+        "causal forest",
+        &forest.root_cycle_totals(),
+        stats,
+        |reason| reason,
+    ));
 
     let total = forest.total_exits();
     if total != stats.total_exits() {

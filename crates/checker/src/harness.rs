@@ -182,7 +182,7 @@ pub fn check_machine(config: MachineConfig) -> Vec<Violation> {
         w.enable_tracing(TRACE_CAPACITY);
         w.enable_metrics();
         w.enable_vmentry_checks();
-        // Stats, trace, and metrics must cover the same window for
+        // Stats, trace, and metrics must fold the same events for
         // cycle conservation to be exact.
         w.reset_stats();
     }

@@ -56,6 +56,8 @@ pub mod summary_diff;
 pub mod trace_lint;
 pub mod vmentry;
 
+use dvh_hypervisor::RunStats;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Which checker pass produced a violation.
@@ -117,6 +119,47 @@ impl fmt::Display for Violation {
             self.pass, self.rule, self.location, self.detail
         )
     }
+}
+
+/// Compares per-(level, reason) cycle totals derived by `view` (the
+/// metrics registry, the Chrome export, the causal forest) with the
+/// attribution ledger in both directions: one `rule` violation per key
+/// whose totals differ, or that only one side has.
+pub(crate) fn ledger_conservation<R: Ord + fmt::Display>(
+    pass: Pass,
+    rule: &'static str,
+    view: &str,
+    derived: &BTreeMap<(usize, R), u64>,
+    stats: &RunStats,
+    reason_key: impl Fn(dvh_arch::vmx::ExitReason) -> R,
+) -> Vec<Violation> {
+    let ledger: BTreeMap<(usize, R), u64> = stats
+        .cycles_by_reason
+        .iter()
+        .map(|(&(level, reason), c)| ((level, reason_key(reason)), c.as_u64()))
+        .collect();
+    let keys: BTreeSet<&(usize, R)> = derived.keys().chain(ledger.keys()).collect();
+    let mut out = Vec::new();
+    for key in keys {
+        let detail = match (derived.get(key), ledger.get(key)) {
+            (Some(got), Some(want)) if got == want => continue,
+            (Some(got), Some(want)) => format!("{view} has {got} cycles, ledger says {want}"),
+            (None, Some(want)) => {
+                format!("ledger attributes {want} cycles but the {view} has no entry")
+            }
+            (Some(got), None) => {
+                format!("{view} has {got} cycles for a key the ledger never attributed")
+            }
+            (None, None) => continue,
+        };
+        out.push(Violation {
+            pass,
+            rule,
+            location: format!("L{} {}", key.0, key.1),
+            detail,
+        });
+    }
+    out
 }
 
 /// The combined result of a checker run.

@@ -1,15 +1,16 @@
 //! The metrics-conservation pass: certifies the dvh-obs observability
 //! layer against the exit engine's own accounting.
 //!
-//! The observability layer records a *parallel* ledger — every
-//! `attribute_cycles` call in the engine has a metrics twin
-//! (`observe_exit`), and the Chrome trace export re-derives the same
-//! totals a third way from serialized spans. This pass proves all
-//! three agree, key for key:
+//! The engine states each outermost exit once, as a `Completed` event
+//! that `World::record` folds into both the `RunStats` ledger and the
+//! metrics registry; the Chrome trace export re-derives the same
+//! totals from serialized spans. This pass proves the folds and the
+//! export agree, key for key:
 //!
 //! - `exit-cycles-conserved`: the registry's per-(level, reason) exit
 //!   cycle totals equal [`RunStats::cycles_by_reason`] in both
-//!   directions — no missing keys, no phantom keys, no drift.
+//!   directions — no missing keys, no phantom keys, no drift between
+//!   the two arms of the fold.
 //! - `histogram-consistent`: every histogram's bucket counts sum to
 //!   its observation count (the invariant `Histogram::is_consistent`
 //!   encodes).
@@ -21,7 +22,7 @@
 //! A violation here means the observability layer is lying about where
 //! cycles went — the one failure mode a profiling tool must not have.
 
-use crate::{Pass, Violation};
+use crate::{ledger_conservation, Pass, Violation};
 use dvh_hypervisor::trace_export::{chrome_json, chrome_outermost_totals};
 use dvh_hypervisor::{RunStats, TraceEvent};
 use dvh_obs::json;
@@ -30,48 +31,19 @@ use dvh_obs::MetricsRegistry;
 /// Checks the registry's exit cycle totals against the engine ledger
 /// (both directions) and every histogram's internal consistency.
 pub fn lint_metrics(reg: &MetricsRegistry, stats: &RunStats) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let observed = reg.exit_cycle_totals();
-    let ledger = &stats.cycles_by_reason;
-
-    for ((level, reason), cycles) in ledger {
-        match observed.get(&(*level, *reason)) {
-            None => out.push(Violation {
-                pass: Pass::Metrics,
-                rule: "exit-cycles-conserved",
-                location: format!("L{level} {reason}"),
-                detail: format!(
-                    "ledger attributes {} cycles but the metrics registry has no entry",
-                    cycles.as_u64()
-                ),
-            }),
-            Some(got) if got != cycles => out.push(Violation {
-                pass: Pass::Metrics,
-                rule: "exit-cycles-conserved",
-                location: format!("L{level} {reason}"),
-                detail: format!(
-                    "metrics registry has {} cycles, ledger says {}",
-                    got.as_u64(),
-                    cycles.as_u64()
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-    for ((level, reason), cycles) in &observed {
-        if !ledger.contains_key(&(*level, *reason)) {
-            out.push(Violation {
-                pass: Pass::Metrics,
-                rule: "exit-cycles-conserved",
-                location: format!("L{level} {reason}"),
-                detail: format!(
-                    "metrics registry has {} cycles for a key the ledger never attributed",
-                    cycles.as_u64()
-                ),
-            });
-        }
-    }
-
+    let observed = reg
+        .exit_cycle_totals()
+        .into_iter()
+        .map(|(key, c)| (key, c.as_u64()))
+        .collect();
+    let mut out = ledger_conservation(
+        Pass::Metrics,
+        "exit-cycles-conserved",
+        "metrics registry",
+        &observed,
+        stats,
+        |reason| reason,
+    );
     for (key, h) in reg.histograms() {
         if !h.is_consistent() {
             out.push(Violation {
@@ -122,37 +94,14 @@ pub fn lint_chrome_export(
         });
     }
 
-    let from_json = chrome_outermost_totals(&doc);
-    let ledger = &stats.cycles_by_reason;
-    for ((level, reason), cycles) in ledger {
-        let got = from_json
-            .get(&(*level, reason.to_string()))
-            .copied()
-            .unwrap_or(0);
-        if got != cycles.as_u64() {
-            out.push(Violation {
-                pass: Pass::Metrics,
-                rule: "chrome-spans-conserved",
-                location: format!("L{level} {reason}"),
-                detail: format!(
-                    "outermost chrome spans sum to {got} cycles, ledger says {}",
-                    cycles.as_u64()
-                ),
-            });
-        }
-    }
-    if from_json.len() != ledger.len() {
-        out.push(Violation {
-            pass: Pass::Metrics,
-            rule: "chrome-spans-conserved",
-            location: "chrome export".into(),
-            detail: format!(
-                "export has {} (level, reason) span groups, ledger has {}",
-                from_json.len(),
-                ledger.len()
-            ),
-        });
-    }
+    out.extend(ledger_conservation(
+        Pass::Metrics,
+        "chrome-spans-conserved",
+        "chrome export",
+        &chrome_outermost_totals(&doc),
+        stats,
+        |reason| reason.to_string(),
+    ));
     out
 }
 

@@ -293,7 +293,7 @@ mod tests {
     fn a_divergent_ledger_and_clock_are_reported() {
         let mut a = Machine::build(MachineConfig::baseline(3));
         let b = Machine::build(MachineConfig::baseline(3));
-        a.world_mut().stats.record_intervention(2);
+        a.world_mut().stats.interventions.record(2);
         a.world_mut().compute(1, dvh_arch::Cycles::new(1));
         let rules: Vec<_> = diff_worlds(a.world(), b.world())
             .iter()

@@ -6,12 +6,14 @@
 //! - `trace-truncated` — the bounded trace buffer evicted events; a
 //!   truncated log proves nothing, so linting refuses it.
 //! - `exit-nesting` — every `Intervention` happens inside an open exit
-//!   and delivers to a hypervisor *below* the exiting level.
+//!   and delivers to a hypervisor *below* the exiting level; every
+//!   `Relay` (an interrupt relayed by a guest hypervisor) happens
+//!   outside any open exit.
 //! - `time-monotone` — per-CPU simulated time never goes backwards
 //!   (engine events only; `IrqDelivered` carries the sender's clock).
-//! - `reflection-depth` — exits come from levels `1..=leaf_level` and
-//!   reflections target levels `1..leaf_level`: reflection never
-//!   recurses past the hierarchy.
+//! - `reflection-depth` — exits come from levels `1..=leaf_level`, and
+//!   reflections and relays target levels `1..leaf_level`: reflection
+//!   never recurses past the hierarchy.
 //! - `completed-balance` — every outermost exit is closed by exactly
 //!   one matching `Completed`, and none is left open at the end.
 //! - `return-balance` — every `Returned` closes the deepest open
@@ -21,20 +23,21 @@
 //!   causal trees.
 //! - `cycle-attribution` — each `Completed.spent` equals exactly the
 //!   simulated time between its exit and its completion.
-//! - `cycle-conservation` — cycles charged during top-level exits
-//!   (summed from `Completed`) equal the cycles attributed in
-//!   [`RunStats::cycles_by_reason`], key by key.
 //! - `shadow-bypass` — with VMCS shadowing on, no L1 `vmread`/`vmwrite`
 //!   of a shadowed field ever exits (shadow hardware should have
 //!   absorbed it).
 //! - `dvh-reflected` — a `DvhIntercept` is never followed by a
 //!   reflection of the same exit (DVH handled it; reflecting too would
 //!   double-charge the guest hypervisor).
+//!
+//! That `Completed` cycles add up to the attribution ledger needs no
+//! rule here: the ledger is folded from those very events, and the
+//! causal pass's `causal-roots-conserved` checks the sums.
 
 use crate::{Pass, Violation};
 use dvh_arch::vmx::{ExitReason, ShadowFieldSet};
 use dvh_arch::Cycles;
-use dvh_hypervisor::{RunStats, TraceEvent, World};
+use dvh_hypervisor::{TraceEvent, World};
 use std::collections::BTreeMap;
 
 /// Everything the linter needs to know about the world that produced
@@ -47,21 +50,16 @@ pub struct TraceContext<'a> {
     pub shadow: Option<&'a ShadowFieldSet>,
     /// Events evicted from the bounded trace buffer.
     pub dropped: u64,
-    /// The statistics ledger covering the same window as the trace
-    /// (`None` disables the `cycle-conservation` rule).
-    pub stats: Option<&'a RunStats>,
 }
 
 impl<'a> TraceContext<'a> {
-    /// Builds the context straight from a world (the common case: the
-    /// trace was recorded by `w` from a [`World::reset_stats`] onward).
+    /// Builds the context straight from a world.
     pub fn for_world(w: &'a World) -> TraceContext<'a> {
         TraceContext {
             leaf_level: w.leaf_level(),
             shadow: (w.config.vmcs_shadowing && w.profile().uses_shadowing)
                 .then(|| w.shadow_fields()),
             dropped: w.trace_dropped(),
-            stats: Some(&w.stats),
         }
     }
 }
@@ -105,7 +103,6 @@ pub fn lint_trace(events: &[TraceEvent], ctx: &TraceContext) -> Vec<Violation> {
     }
 
     let mut cpus: BTreeMap<usize, CpuState> = BTreeMap::new();
-    let mut attributed: BTreeMap<(usize, ExitReason), Cycles> = BTreeMap::new();
 
     for (idx, e) in events.iter().enumerate() {
         let st = cpus.entry(e.cpu()).or_default();
@@ -204,9 +201,6 @@ pub fn lint_trace(events: &[TraceEvent], ctx: &TraceContext) -> Vec<Violation> {
                 // exit its handling caused.
                 st.stack.clear();
                 st.last_was_dvh = false;
-                *attributed
-                    .entry((*from_level, *reason))
-                    .or_insert(Cycles::ZERO) += *spent;
             }
             TraceEvent::Returned {
                 from_level, reason, ..
@@ -242,37 +236,30 @@ pub fn lint_trace(events: &[TraceEvent], ctx: &TraceContext) -> Vec<Violation> {
                 // not a reflection of the intercepted exit.
                 st.last_was_dvh = false;
             }
-            TraceEvent::Intervention { hv_level, .. } => {
+            TraceEvent::Intervention { hv_level, .. } | TraceEvent::Relay { hv_level, .. } => {
                 if *hv_level < 1 || *hv_level >= ctx.leaf_level.max(1) {
                     out.push(violation(
                         "reflection-depth",
                         idx,
                         e,
-                        format!(
-                            "reflection to level {hv_level} outside 1..{}",
-                            ctx.leaf_level
-                        ),
+                        format!("delivery to level {hv_level} outside 1..{}", ctx.leaf_level),
                     ));
                 }
-                match st.stack.last() {
-                    None => out.push(violation(
-                        "exit-nesting",
-                        idx,
-                        e,
-                        "intervention outside any open exit".into(),
+                let relay = matches!(e, TraceEvent::Relay { .. });
+                let nesting = match st.stack.last() {
+                    Some((fl, r, _)) if relay => {
+                        Some(format!("interrupt relay inside the open exit L{fl} {r}"))
+                    }
+                    None if !relay => Some("intervention outside any open exit".into()),
+                    Some((fl, _, _)) if !relay && hv_level >= fl => Some(format!(
+                        "intervention at level {hv_level} not below the exiting level {fl}"
                     )),
-                    Some((fl, _, _)) if hv_level >= fl => out.push(violation(
-                        "exit-nesting",
-                        idx,
-                        e,
-                        format!(
-                            "intervention at level {hv_level} not below the exiting \
-                             level {fl}"
-                        ),
-                    )),
-                    Some(_) => {}
+                    _ => None,
+                };
+                if let Some(detail) = nesting {
+                    out.push(violation("exit-nesting", idx, e, detail));
                 }
-                if st.last_was_dvh {
+                if st.last_was_dvh && !relay {
                     out.push(violation(
                         "dvh-reflected",
                         idx,
@@ -293,40 +280,6 @@ pub fn lint_trace(events: &[TraceEvent], ctx: &TraceContext) -> Vec<Violation> {
                 rule: "completed-balance",
                 location: format!("cpu{cpu} end of trace"),
                 detail: format!("exit L{fl} {r} opened at {t0} never completed"),
-            });
-        }
-    }
-
-    if let Some(stats) = ctx.stats {
-        if attributed != stats.cycles_by_reason {
-            let keys: std::collections::BTreeSet<_> = attributed
-                .keys()
-                .chain(stats.cycles_by_reason.keys())
-                .collect();
-            let diffs: Vec<String> = keys
-                .into_iter()
-                .filter(|k| attributed.get(k) != stats.cycles_by_reason.get(k))
-                .map(|(l, r)| {
-                    format!(
-                        "(L{l}, {r}): trace {} vs ledger {}",
-                        attributed.get(&(*l, *r)).copied().unwrap_or(Cycles::ZERO),
-                        stats
-                            .cycles_by_reason
-                            .get(&(*l, *r))
-                            .copied()
-                            .unwrap_or(Cycles::ZERO),
-                    )
-                })
-                .collect();
-            out.push(Violation {
-                pass: Pass::Trace,
-                rule: "cycle-conservation",
-                location: "stats ledger".into(),
-                detail: format!(
-                    "cycles charged during top-level exits diverge from \
-                     RunStats::attribute_cycles: {}",
-                    diffs.join("; ")
-                ),
             });
         }
     }

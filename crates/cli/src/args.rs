@@ -291,6 +291,13 @@ fn parse_app(s: &str) -> Result<AppId, ParseError> {
     })
 }
 
+/// Deepest `--level` an observed run accepts. Tracing and metrics
+/// bypass exit summaries, so an observed run pays the full recursion,
+/// about 24x more host time per level: one L6 operation takes about
+/// half a second, one L6 netperf-RR transaction about three, and at L7
+/// a single transaction takes over a minute.
+pub const MAX_OBSERVED_LEVEL: usize = 6;
+
 /// Every subcommand's vocabulary: its name, the flags that take a
 /// value, the switches, and whether it takes file arguments. Anything
 /// else on its command line is an error, never a silent default.
@@ -439,6 +446,20 @@ impl<'a> Opts<'a> {
         Ok(level)
     }
 
+    /// `--level` of an observed run (`trace`, `profile`, `obs
+    /// snapshot`): at most [`MAX_OBSERVED_LEVEL`].
+    fn observed_level(&self, sub: &str) -> Result<usize, ParseError> {
+        let level = self.level()?;
+        if level > MAX_OBSERVED_LEVEL {
+            return Err(ParseError(format!(
+                "--level must be at most {MAX_OBSERVED_LEVEL} for {sub}, got {level} \
+                 (observed runs bypass exit summaries and run the full exit \
+                 recursion, whose cost grows about 24x per level)"
+            )));
+        }
+        Ok(level)
+    }
+
     /// `--workers`: absent means one per host core (0); an explicit
     /// value must be at least 1.
     fn workers(&self) -> Result<usize, ParseError> {
@@ -532,7 +553,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             op: opts.op(),
             app: opts.app()?,
             txns: opts.count_of("--txns", 40)?,
-            level: opts.level()?,
+            level: opts.observed_level(sub)?,
             config: opts.config()?,
             format: match opts.value_of("--format") {
                 None => TraceFormat::Text,
@@ -543,7 +564,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             op: opts.op(),
             app: opts.app()?,
             txns: opts.count_of("--txns", 40)?,
-            level: opts.level()?,
+            level: opts.observed_level(sub)?,
             config: opts.config()?,
             top: opts.count_of("--top", 10)? as usize,
             snapshot: opts.has("--snapshot"),
@@ -556,7 +577,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             op: opts.op(),
             app: opts.app()?,
             txns: opts.count_of("--txns", 40)?,
-            level: opts.level()?,
+            level: opts.observed_level(sub)?,
             config: opts.config()?,
             out: opts.value_of("--out").map(str::to_string),
             prom: opts.has("--prom"),

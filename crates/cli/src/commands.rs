@@ -191,33 +191,25 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
             config,
             format,
         } => {
-            let mut m = Machine::build(config.machine_config(level));
-            m.world_mut().enable_tracing(1 << 20);
-            match app {
-                Some(app) => {
-                    run_app(&mut m, &app.mix(), txns);
-                }
-                None => {
-                    run_named_op(&mut m, &op)?;
-                }
+            let obs = observe_workload(&op, app, txns, level, config)?;
+            if obs.dropped > 0 {
+                return Err(truncated(obs.dropped));
             }
-            let events = m.world_mut().take_trace();
             match format {
                 TraceFormat::Text => {
-                    for e in &events {
+                    for e in &obs.events {
                         w(out, format!("{e}\n"))?;
                     }
                     Ok(())
                 }
                 TraceFormat::Chrome => {
-                    let world = m.world();
                     w(
                         out,
-                        trace_export::chrome_json(&events, world.num_cpus(), world.leaf_level()),
+                        trace_export::chrome_json(&obs.events, obs.num_cpus, level),
                     )?;
                     w(out, "\n".to_string())
                 }
-                TraceFormat::Jsonl => w(out, trace_export::jsonl(&events)),
+                TraceFormat::Jsonl => w(out, trace_export::jsonl(&obs.events)),
             }
         }
         Command::Profile {
@@ -231,11 +223,11 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
             format,
         } => {
             let obs = observe_workload(&op, app, txns, level, config)?;
+            let forest = obs.forest()?;
             match format {
                 ProfileFormat::Folded => {
                     // Pure folded-stack lines, pipeable straight into a
                     // flamegraph renderer — no header, no footer.
-                    let forest = trace_export::causal_forest(&obs.events, obs.num_cpus);
                     w(out, forest.folded())
                 }
                 ProfileFormat::Table => {
@@ -246,7 +238,6 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
                         w(out, "\noutermost-exit latency (cycles):\n".to_string())?;
                         w(out, render_percentiles(&rows))?;
                     }
-                    let forest = trace_export::causal_forest(&obs.events, obs.num_cpus);
                     let factors = forest.multiplication_factors();
                     if !factors.is_empty() {
                         w(
@@ -384,17 +375,46 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
     }
 }
 
+/// Trace buffer capacity of the observed commands.
+const TRACE_CAPACITY: usize = 1 << 20;
+
+/// The error for output derived from a trace the bounded buffer
+/// truncated: whatever it printed would silently miss exits.
+fn truncated(dropped: u64) -> String {
+    format!(
+        "the trace buffer ({TRACE_CAPACITY} events) dropped {dropped} events; \
+         output derived from the trace would be incomplete"
+    )
+}
+
 /// A workload run with the full observability stack armed: the trace
-/// events, the metrics registry (device metrics exported), and a
-/// one-line header describing what ran.
+/// events and how many of them the buffer dropped, the metrics
+/// registry (device metrics exported), and a one-line header
+/// describing what ran.
 struct Observed {
     header: String,
     events: Vec<dvh_hypervisor::TraceEvent>,
+    dropped: u64,
     num_cpus: usize,
     reg: dvh_obs::MetricsRegistry,
 }
 
-/// Runs the profile/obs-snapshot workload (one named op, or a full
+impl Observed {
+    /// The causal forest of the run's trace, refused when the trace is
+    /// truncated or any exit could not be placed in a tree.
+    fn forest(&self) -> Result<dvh_obs::causal::Forest, String> {
+        let forest = trace_export::causal_forest(&self.events, self.num_cpus);
+        match (self.dropped, forest.incomplete) {
+            (0, 0) => Ok(forest),
+            (0, n) => Err(format!(
+                "{n} trace exits could not be placed in a causal tree"
+            )),
+            (dropped, _) => Err(truncated(dropped)),
+        }
+    }
+}
+
+/// Runs the trace/profile/obs-snapshot workload (one named op, or a full
 /// application benchmark) on a fresh machine with tracing and metrics
 /// on. Observability never advances simulated time, so the reported
 /// costs and overheads are identical to an unobserved run.
@@ -406,7 +426,7 @@ fn observe_workload(
     config: CliConfig,
 ) -> Result<Observed, String> {
     let mut m = Machine::build(config.machine_config(level));
-    m.world_mut().enable_observability(1 << 20);
+    m.world_mut().enable_observability(TRACE_CAPACITY);
     let header = match app {
         Some(app) => {
             let overhead = run_app(&mut m, &app.mix(), txns).overhead;
@@ -420,13 +440,16 @@ fn observe_workload(
             format!("{op} at L{level} ({config}): {cost}\n")
         }
     };
-    m.world_mut().export_device_metrics();
-    let events = m.world_mut().take_trace();
-    let num_cpus = m.world().num_cpus();
-    let reg = m.world_mut().take_metrics().unwrap_or_default();
+    let w = m.world_mut();
+    w.export_device_metrics();
+    let dropped = w.trace_dropped();
+    let events = w.take_trace();
+    let num_cpus = w.num_cpus();
+    let reg = w.take_metrics().unwrap_or_default();
     Ok(Observed {
         header,
         events,
+        dropped,
         num_cpus,
         reg,
     })

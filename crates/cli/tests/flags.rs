@@ -41,6 +41,46 @@ fn level_above_the_cap_is_rejected() {
 }
 
 #[test]
+fn observed_runs_reject_levels_past_the_observed_cap() {
+    let too_deep = (dvh_cli::args::MAX_OBSERVED_LEVEL + 1).to_string();
+    for args in [
+        &["trace", "--level", &too_deep][..],
+        &["profile", "--level", &too_deep],
+        &["obs", "snapshot", "--app", "rr", "--level", &too_deep],
+    ] {
+        assert_rejected(args, "--level");
+        let (_, stderr) = dvh(args);
+        assert!(
+            stderr.contains("bypass exit summaries"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn truncated_traces_are_refused_not_reported() {
+    // An L6 hypercall raises more exits than the trace buffer holds:
+    // the trace and everything derived from it must fail loudly,
+    // naming the evicted count, instead of printing a partial tree.
+    for args in [
+        &["trace", "--op", "hypercall", "--level", "6"][..],
+        &["profile", "--op", "timer", "--level", "6"],
+        &[
+            "profile", "--op", "timer", "--level", "6", "--format", "folded",
+        ],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dvh"))
+            .args(args)
+            .output()
+            .expect("dvh binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("dropped"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a truncated result");
+    }
+}
+
+#[test]
 fn txns_zero_is_rejected_everywhere() {
     assert_rejected(&["app", "--name", "rr", "--txns", "0"], "--txns");
     assert_rejected(&["apps", "--txns", "0"], "--txns");

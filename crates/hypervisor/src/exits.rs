@@ -17,6 +17,7 @@
 
 use crate::config::IoModel;
 use crate::summary::{Probe, Program};
+use crate::trace::TraceEvent;
 use crate::world::World;
 use dvh_arch::apic::IcrValue;
 use dvh_arch::msr;
@@ -44,22 +45,42 @@ impl World {
     ) {
         // Load-bearing in release builds too: a bad level would charge
         // cycles to a nonexistent layer and corrupt the attribution
-        // ledger (checked by dvh-checker's cycle-conservation lint).
+        // ledger (checked by dvh-checker's causal-roots-conserved lint).
         assert!(
             from_level >= 1 && from_level <= self.leaf_level(),
             "vmexit from level {from_level} outside 1..={}",
             self.leaf_level()
         );
+        let t0 = self.now(cpu);
         // A guest hypervisor's trapped primitive: its subtree may be
         // memoized (see `summary.rs`). Leaf exits never are — their
         // handling depends on device, timer and interrupt state.
-        if from_level >= 2
+        let summarized = from_level >= 2
             && from_level < self.leaf_level()
-            && self.summarized_exit(from_level, cpu, reason, &qual)
-        {
-            return;
+            && self.summarized_exit(from_level, cpu, reason, &qual);
+        if !summarized {
+            self.vmexit_nested(from_level, cpu, reason, qual);
         }
-        self.vmexit_full(from_level, cpu, reason, qual);
+        // Close the exit's interval: an outermost exit completes with
+        // its attributed cycles; a nested one returns to the enclosing
+        // exit's handling, so its causal tree can be rebuilt exactly.
+        let at = self.now(cpu);
+        self.record(if self.exit_depth[cpu] == 0 {
+            TraceEvent::Completed {
+                at,
+                cpu,
+                from_level,
+                reason,
+                spent: at - t0,
+            }
+        } else {
+            TraceEvent::Returned {
+                at,
+                cpu,
+                from_level,
+                reason,
+            }
+        });
     }
 
     /// Handles a guest-hypervisor primitive through its exit summary:
@@ -74,7 +95,6 @@ impl World {
         reason: ExitReason,
         qual: &ExitQualification,
     ) -> bool {
-        let t0 = self.now(cpu);
         let probe = self.summary_probe(from_level, cpu, reason, qual);
         if matches!(probe, Probe::Full) {
             return false;
@@ -82,49 +102,7 @@ impl World {
         self.run_probe(probe, cpu, |w| {
             w.vmexit_nested(from_level, cpu, reason, *qual)
         });
-        // No trace or metrics can be on here (they bypass summaries),
-        // so the ledger line is the whole attribution tail.
-        if self.exit_depth[cpu] == 0 {
-            let spent = self.now(cpu) - t0;
-            self.stats.attribute_cycles(from_level, reason, spent);
-        }
         true
-    }
-
-    /// The full recursion of one exit, with its attribution tail.
-    fn vmexit_full(
-        &mut self,
-        from_level: usize,
-        cpu: usize,
-        reason: ExitReason,
-        qual: ExitQualification,
-    ) {
-        let outermost = self.exit_depth[cpu] == 0;
-        let t0 = if outermost { Some(self.now(cpu)) } else { None };
-        self.vmexit_nested(from_level, cpu, reason, qual);
-        if let Some(t0) = t0 {
-            let spent = self.now(cpu) - t0;
-            self.stats.attribute_cycles(from_level, reason, spent);
-            // The metrics twin of the ledger line above; the checker's
-            // metrics pass proves the two stay equal.
-            self.observe(|m| m.observe_exit(from_level, reason, spent));
-            self.trace(|w| crate::trace::TraceEvent::Completed {
-                at: w.now(cpu),
-                cpu,
-                from_level,
-                reason,
-                spent,
-            });
-        } else {
-            // A nested exit: close its interval so the causal tree of
-            // the enclosing outermost exit can be rebuilt exactly.
-            self.trace(|w| crate::trace::TraceEvent::Returned {
-                at: w.now(cpu),
-                cpu,
-                from_level,
-                reason,
-            });
-        }
     }
 
     /// Runs the handling of one exit one nesting level deeper.
@@ -151,15 +129,13 @@ impl World {
         // Record the exit at the moment it occurs (before any cycles
         // are charged) so a Completed event's `spent` equals exactly
         // `completed.at - exit.at` for outermost exits.
-        self.stats.record_exit(from_level, reason);
-        let qual_field = qual.vmcs_field;
-        self.trace(|w| crate::trace::TraceEvent::Exit {
-            at: w.now(cpu),
+        self.record(TraceEvent::Exit {
+            at: self.now(cpu),
             cpu,
             from_level,
             reason,
             vmcs_field: matches!(reason, ExitReason::Vmread | ExitReason::Vmwrite)
-                .then_some(qual_field),
+                .then_some(qual.vmcs_field),
         });
         self.compute(cpu, self.costs.vmexit_to_root);
         self.compute(cpu, self.costs.l0_dispatch);
@@ -204,10 +180,8 @@ impl World {
             self.extensions = exts;
             if let Some(name) = handled {
                 self.taint_summaries();
-                self.stats.record_dvh(name);
-                self.observe(|m| m.record_dvh(name));
-                self.trace(|w| crate::trace::TraceEvent::DvhIntercept {
-                    at: w.now(cpu),
+                self.record(TraceEvent::DvhIntercept {
+                    at: self.now(cpu),
                     cpu,
                     mechanism: name,
                 });
@@ -424,9 +398,8 @@ impl World {
             owner >= 1,
             "cannot reflect an exit to L0 (owner must be >= 1)"
         );
-        self.stats.record_intervention(owner);
-        self.trace(|w| crate::trace::TraceEvent::Intervention {
-            at: w.now(cpu),
+        self.record(TraceEvent::Intervention {
+            at: self.now(cpu),
             cpu,
             hv_level: owner,
             reason,
@@ -434,7 +407,7 @@ impl World {
         // Intervention latency spans the whole delivery: forwarding
         // chain, owner handler, and resume. Reading the clock twice is
         // gated so the disabled path stays a single branch.
-        let obs_t0 = if self.metrics_on {
+        let obs_t0 = if self.observing {
             Some(self.now(cpu))
         } else {
             None

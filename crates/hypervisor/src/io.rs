@@ -240,30 +240,11 @@ impl World {
         // with vIOMMU posted interrupts (or at L1), otherwise relayed
         // by each intermediate hypervisor.
         if self.config.levels >= 2 && !(effective_vp && self.config.dvh.viommu_posted_interrupts) {
-            self.relay_irq_for_blk(cpu);
+            self.relay_irq_through_chain(cpu);
         }
         let t = self.now(cpu);
         self.deliver_leaf_interrupt(cpu, 0x52, t, IrqPath::PostedDirect);
         self.now(cpu) - t0
-    }
-
-    /// Completion-side relay for block I/O through intermediate
-    /// hypervisors (shared by the cascade and non-PI VP paths).
-    fn relay_irq_for_blk(&mut self, cpu: usize) {
-        let n = self.config.levels;
-        for j in 1..n {
-            self.stats.record_intervention(j);
-            self.vmexit(
-                self.leaf_level(),
-                cpu,
-                ExitReason::ExternalInterrupt,
-                ExitQualification::default(),
-            );
-            self.exit_side_program(j, cpu);
-            self.compute(cpu, self.costs.icr_emulate);
-            self.compute(cpu, self.costs.event_injection);
-            self.vmresume_insn(j, cpu);
-        }
     }
 
     /// L0's doorbell handler: the kick reached the host's own virtio
@@ -537,7 +518,7 @@ impl World {
                     // Kick hypervisor j: the leaf is running on this
                     // CPU, so the interrupt exits and the chain runs
                     // hv j's RX softirq.
-                    self.stats.record_intervention(j);
+                    self.relay(j, dest);
                     self.vmexit(
                         self.leaf_level(),
                         dest,
@@ -614,12 +595,14 @@ impl World {
         }
     }
 
-    /// Relays a device MSI through every intermediate hypervisor
-    /// (virtual-passthrough without vIOMMU posted-interrupt support).
+    /// Relays a device completion interrupt through every intermediate
+    /// hypervisor (block I/O on the cascade and non-PI virtual-
+    /// passthrough paths, and network RX under virtual-passthrough
+    /// without vIOMMU posted-interrupt support).
     fn relay_irq_through_chain(&mut self, dest: usize) {
         let n = self.config.levels;
         for j in 1..n {
-            self.stats.record_intervention(j);
+            self.relay(j, dest);
             self.vmexit(
                 self.leaf_level(),
                 dest,

@@ -5,6 +5,7 @@
 //! exactly these paths: who blocks a nested vCPU, who wakes it, and how
 //! many hypervisor levels stand between an interrupt and its target.
 
+use crate::trace::TraceEvent;
 use crate::world::World;
 use dvh_arch::apic::IcrValue;
 use dvh_arch::idle::IdleState;
@@ -97,83 +98,51 @@ impl World {
         }
         let woke = self.is_halted(dest);
         let notify = self.pi_desc[dest].post(vector);
-        if self.is_polling(dest) {
+        let polling = self.is_polling(dest);
+        if polling {
             // idle=poll: the waiting span was burned, not saved; the
             // wake itself is nearly free (the poll loop notices the
             // pending bit).
             self.stats.burned_idle_cycles += self.now(dest) - pre_sync;
             self.set_cpu_idle(dest, IdleState::Running);
             self.compute(dest, Cycles::new(50));
-            for v in self.pi_desc[dest].drain() {
-                self.lapic[dest].accept(v);
-            }
-            self.leaf_service_interrupts(dest);
-            self.observe(|m| m.inc(MetricKey::tagged(names::IRQ_DELIVERIES, path_tag)));
-            self.trace(|w| crate::trace::TraceEvent::IrqDelivered {
-                at: w.now(dest),
-                cpu: dest,
-                vector,
-                woke: true,
-            });
-            return self.now(dest);
-        }
-        if self.is_halted(dest) {
+        } else if woke {
             // The span between halting and the wake event was spent in
             // a real low-power state — saved, not burned (§3.4).
             let idle_span = self.now(dest) - pre_sync;
             self.stats.idle_cycles += idle_span;
             self.wake_chain(dest);
-            for v in self.pi_desc[dest].drain() {
-                self.lapic[dest].accept(v);
-            }
-            self.leaf_service_interrupts(dest);
             self.observe(|m| {
-                m.inc(MetricKey::tagged(names::IRQ_DELIVERIES, path_tag));
-                m.observe_cycles(MetricKey::plain(names::IRQ_WAKE_IDLE_CYCLES), idle_span);
+                m.observe_cycles(MetricKey::plain(names::IRQ_WAKE_IDLE_CYCLES), idle_span)
             });
-            self.trace(|w| crate::trace::TraceEvent::IrqDelivered {
-                at: w.now(dest),
-                cpu: dest,
-                vector,
-                woke,
-            });
-            return self.now(dest);
-        }
-        match path {
-            IrqPath::PostedDirect => {
-                // Hardware posts into the running guest; no exit.
-                if notify {
-                    self.compute(dest, self.costs.posted_intr_delivery);
-                }
-                for v in self.pi_desc[dest].drain() {
-                    self.lapic[dest].accept(v);
-                }
-                self.leaf_service_interrupts(dest);
-                self.stats.posted_deliveries += 1;
+        } else if path == IrqPath::PostedDirect {
+            // Hardware posts into the running guest; no exit.
+            if notify {
+                self.compute(dest, self.costs.posted_intr_delivery);
             }
-            IrqPath::ExitInjected => {
-                // The running guest is kicked out; L0 injects on entry.
-                let leaf = self.leaf_level();
-                self.vmexit(
-                    leaf,
-                    dest,
-                    ExitReason::ExternalInterrupt,
-                    ExitQualification::default(),
-                );
-                self.compute(dest, self.costs.event_injection);
-                for v in self.pi_desc[dest].drain() {
-                    self.lapic[dest].accept(v);
-                }
-                self.leaf_service_interrupts(dest);
-                self.stats.injected_interrupts += 1;
-            }
+            self.stats.posted_deliveries += 1;
+        } else {
+            // The running guest is kicked out; L0 injects on entry.
+            let leaf = self.leaf_level();
+            self.vmexit(
+                leaf,
+                dest,
+                ExitReason::ExternalInterrupt,
+                ExitQualification::default(),
+            );
+            self.compute(dest, self.costs.event_injection);
+            self.stats.injected_interrupts += 1;
         }
+        for v in self.pi_desc[dest].drain() {
+            self.lapic[dest].accept(v);
+        }
+        self.leaf_service_interrupts(dest);
         self.observe(|m| m.inc(MetricKey::tagged(names::IRQ_DELIVERIES, path_tag)));
-        self.trace(|w| crate::trace::TraceEvent::IrqDelivered {
-            at: w.now(dest),
+        self.record(TraceEvent::IrqDelivered {
+            at: self.now(dest),
             cpu: dest,
             vector,
-            woke,
+            woke: woke || polling,
         });
         self.now(dest)
     }
@@ -232,6 +201,16 @@ impl World {
         self.deliver_leaf_interrupt(dest, icr.vector, t, IrqPath::PostedDirect);
     }
 
+    /// The guest hypervisor at `level` starts relaying an interrupt
+    /// toward the leaf on `cpu`, outside any exit: one intervention.
+    pub(crate) fn relay(&mut self, level: usize, cpu: usize) {
+        self.record(TraceEvent::Relay {
+            at: self.now(cpu),
+            cpu,
+            hv_level: level,
+        });
+    }
+
     /// A hardware timer expiry on `cpu`: the host's hrtimer fires and
     /// the (possibly emulated, possibly multi-level) timer interrupt
     /// propagates to the leaf.
@@ -252,7 +231,7 @@ impl World {
             // runs: hrtimer callback, raise guest timer interrupt,
             // re-enter — a full intervention per level.
             for j in 1..n {
-                self.stats.record_intervention(j);
+                self.relay(j, cpu);
                 self.exit_side_program(j, cpu);
                 self.compute(cpu, self.costs.hrtimer_program);
                 self.compute(cpu, self.costs.event_injection);

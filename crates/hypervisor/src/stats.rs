@@ -1,6 +1,7 @@
 //! Run statistics: exit counts by level and reason, interventions,
 //! cycle accounting.
 
+use crate::trace::TraceEvent;
 use dvh_arch::vmx::ExitReason;
 use dvh_arch::Cycles;
 use std::collections::BTreeMap;
@@ -224,25 +225,36 @@ impl RunStats {
         RunStats::default()
     }
 
-    /// Records a hardware exit from `level` with `reason`.
+    /// Folds one engine event into the ledgers: `Exit` counts an exit,
+    /// `Intervention` and `Relay` count an intervention, `DvhIntercept`
+    /// counts an interception and `Completed` attributes its cycles.
+    /// The exit engine's only writer of those four ledgers (see
+    /// `World::record`); exit summaries replay recorded deltas.
     #[inline(always)]
-    pub fn record_exit(&mut self, level: usize, reason: ExitReason) {
-        self.exits.record(level, reason);
+    pub(crate) fn fold(&mut self, e: &TraceEvent) {
+        match *e {
+            TraceEvent::Exit {
+                from_level, reason, ..
+            } => self.exits.record(from_level, reason),
+            TraceEvent::Intervention { hv_level, .. } | TraceEvent::Relay { hv_level, .. } => {
+                self.interventions.record(hv_level)
+            }
+            TraceEvent::DvhIntercept { mechanism, .. } => {
+                *self.dvh_intercepts.entry(mechanism).or_insert(0) += 1
+            }
+            TraceEvent::Completed {
+                from_level,
+                reason,
+                spent,
+                ..
+            } => self.attribute(from_level, reason, spent),
+            TraceEvent::Returned { .. } | TraceEvent::IrqDelivered { .. } => {}
+        }
     }
 
-    /// Records delivery of an exit to the guest hypervisor at `level`.
-    #[inline(always)]
-    pub fn record_intervention(&mut self, level: usize) {
-        self.interventions.record(level);
-    }
-
-    /// Records a DVH interception by mechanism name.
-    pub fn record_dvh(&mut self, mechanism: &'static str) {
-        *self.dvh_intercepts.entry(mechanism).or_insert(0) += 1;
-    }
-
-    /// Attributes `cycles` to the outermost exit (level, reason).
-    pub fn attribute_cycles(&mut self, level: usize, reason: ExitReason, cycles: Cycles) {
+    /// Adds `cycles` to the outermost exit (level, reason).
+    #[inline]
+    pub(crate) fn attribute(&mut self, level: usize, reason: ExitReason, cycles: Cycles) {
         *self
             .cycles_by_reason
             .entry((level, reason))
@@ -290,8 +302,8 @@ impl RunStats {
         self.injected_interrupts += other.injected_interrupts;
         self.idle_cycles += other.idle_cycles;
         self.burned_idle_cycles += other.burned_idle_cycles;
-        for (k, v) in &other.cycles_by_reason {
-            *self.cycles_by_reason.entry(*k).or_insert(Cycles::ZERO) += *v;
+        for (&(level, reason), &c) in &other.cycles_by_reason {
+            self.attribute(level, reason, c);
         }
     }
 }
@@ -321,9 +333,9 @@ mod tests {
     #[test]
     fn exit_ledger() {
         let mut s = RunStats::new();
-        s.record_exit(2, ExitReason::Vmcall);
-        s.record_exit(2, ExitReason::Vmcall);
-        s.record_exit(1, ExitReason::Vmresume);
+        s.exits.record(2, ExitReason::Vmcall);
+        s.exits.record(2, ExitReason::Vmcall);
+        s.exits.record(1, ExitReason::Vmresume);
         assert_eq!(s.total_exits(), 3);
         assert_eq!(s.exits_from_level(2), 2);
         assert_eq!(s.exits_with(2, ExitReason::Vmcall), 2);
@@ -332,20 +344,39 @@ mod tests {
 
     #[test]
     fn interventions_and_dvh() {
+        let (at, cpu, reason) = (Cycles::ZERO, 0, ExitReason::Vmcall);
         let mut s = RunStats::new();
-        s.record_intervention(1);
-        s.record_intervention(1);
-        s.record_dvh("vtimer");
-        assert_eq!(s.total_interventions(), 2);
+        for e in [
+            TraceEvent::Intervention {
+                at,
+                cpu,
+                hv_level: 1,
+                reason,
+            },
+            TraceEvent::Relay {
+                at,
+                cpu,
+                hv_level: 1,
+            },
+            TraceEvent::DvhIntercept {
+                at,
+                cpu,
+                mechanism: "vtimer",
+            },
+        ] {
+            s.fold(&e);
+        }
+        assert_eq!(s.interventions.get(1), 2);
         assert_eq!(s.total_dvh_intercepts(), 1);
+        assert_eq!(s.total_exits(), 0, "only Exit events count exits");
     }
 
     #[test]
     fn merge_sums() {
         let mut a = RunStats::new();
-        a.record_exit(1, ExitReason::Hlt);
+        a.exits.record(1, ExitReason::Hlt);
         let mut b = RunStats::new();
-        b.record_exit(1, ExitReason::Hlt);
+        b.exits.record(1, ExitReason::Hlt);
         b.posted_deliveries = 3;
         a.merge(&b);
         assert_eq!(a.exits_with(1, ExitReason::Hlt), 2);
@@ -355,7 +386,7 @@ mod tests {
     #[test]
     fn display_lists_reasons() {
         let mut s = RunStats::new();
-        s.record_exit(2, ExitReason::Hlt);
+        s.exits.record(2, ExitReason::Hlt);
         let text = s.to_string();
         assert!(text.contains("L2 Hlt: 1"));
     }

@@ -280,7 +280,7 @@ impl World {
     /// every exit of the full recursion.
     #[inline(always)]
     fn summaries_usable(&self) -> bool {
-        !(self.summaries.disabled || self.trace_on || self.metrics_on || self.vmentry_checks)
+        !(self.summaries.disabled || self.observing || self.vmentry_checks)
     }
 
     /// Decides how to handle an exit from a guest hypervisor at
@@ -363,7 +363,7 @@ impl World {
             self.stats.interventions.add(level, n);
         }
         for &(level, reason, c) in &s.attributed {
-            self.stats.attribute_cycles(level, reason, c);
+            self.stats.attribute(level, reason, c);
         }
         for &e in &s.effects {
             self.apply_effect(cpu, e);

@@ -1,9 +1,12 @@
 //! Execution tracing: a per-world event log of everything the exit
 //! engine does, for debugging, visualization, and fine-grained tests.
 //!
-//! Tracing is off by default (zero overhead beyond a branch); enable
-//! it with [`World::enable_tracing`] and drain events with
-//! [`World::take_trace`].
+//! A [`TraceEvent`] is also the unit of accounting: the engine states
+//! each fact once, through [`World::record`], which folds it into the
+//! `RunStats` ledger and, while observing, into the metrics registry
+//! and the trace buffer. Tracing is off by default (zero overhead
+//! beyond a branch); enable it with [`World::enable_tracing`] and
+//! drain events with [`World::take_trace`].
 
 use crate::world::World;
 use dvh_arch::vmx::ExitReason;
@@ -30,9 +33,8 @@ pub enum TraceEvent {
     },
     /// An outermost exit finished: the CPU re-entered the level it
     /// exited from, with `spent` simulated cycles consumed end to end.
-    /// Emitted only for top-level exits (`exit_depth` returning to 0),
-    /// mirroring [`crate::stats::RunStats::attribute_cycles`] so the
-    /// trace linter can prove cycle conservation.
+    /// Emitted only for top-level exits (`exit_depth` returning to 0);
+    /// folding it is what fills `RunStats::cycles_by_reason`.
     Completed {
         /// Time the exit finished (re-entry to the guest).
         at: Cycles,
@@ -78,6 +80,19 @@ pub enum TraceEvent {
         /// The reason being delivered.
         reason: ExitReason,
     },
+    /// A guest hypervisor relayed an interrupt toward the leaf outside
+    /// any exit: its timer-emulation or interrupt-remapping layer ran
+    /// for a host interrupt (a timer expiry, a device completion).
+    /// Counted as an intervention at `hv_level`, like an exit
+    /// delivered to it, but it never sits inside an open exit.
+    Relay {
+        /// Time the relaying hypervisor started running.
+        at: Cycles,
+        /// CPU.
+        cpu: usize,
+        /// The relaying guest hypervisor's level.
+        hv_level: usize,
+    },
     /// A DVH mechanism handled an exit at L0.
     DvhIntercept {
         /// Time of interception.
@@ -108,6 +123,7 @@ impl TraceEvent {
             | TraceEvent::Completed { at, .. }
             | TraceEvent::Returned { at, .. }
             | TraceEvent::Intervention { at, .. }
+            | TraceEvent::Relay { at, .. }
             | TraceEvent::DvhIntercept { at, .. }
             | TraceEvent::IrqDelivered { at, .. } => *at,
         }
@@ -120,6 +136,7 @@ impl TraceEvent {
             | TraceEvent::Completed { cpu, .. }
             | TraceEvent::Returned { cpu, .. }
             | TraceEvent::Intervention { cpu, .. }
+            | TraceEvent::Relay { cpu, .. }
             | TraceEvent::DvhIntercept { cpu, .. }
             | TraceEvent::IrqDelivered { cpu, .. } => *cpu,
         }
@@ -164,6 +181,9 @@ impl fmt::Display for TraceEvent {
                 hv_level,
                 reason,
             } => write!(f, "[{at}] cpu{cpu} -> L{hv_level} hypervisor ({reason})"),
+            TraceEvent::Relay { at, cpu, hv_level } => {
+                write!(f, "[{at}] cpu{cpu} -> L{hv_level} hypervisor (irq relay)")
+            }
             TraceEvent::DvhIntercept { at, cpu, mechanism } => {
                 write!(f, "[{at}] cpu{cpu} DVH {mechanism}")
             }
@@ -252,16 +272,14 @@ impl World {
     /// Turns on tracing with the given buffer capacity.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.tracer = Some(Tracer::new(capacity));
-        self.trace_on = true;
+        self.observing = true;
     }
 
     /// Stops tracing and returns the recorded events.
     pub fn take_trace(&mut self) -> Vec<TraceEvent> {
-        self.trace_on = false;
-        self.tracer
-            .take()
-            .map(Tracer::into_events)
-            .unwrap_or_default()
+        let events = self.tracer.take().map(Tracer::into_events);
+        self.observing = self.metrics.is_some();
+        events.unwrap_or_default()
     }
 
     /// Events recorded so far without stopping tracing (empty when
@@ -276,25 +294,38 @@ impl World {
         self.tracer.as_ref().map(|t| t.dropped()).unwrap_or(0)
     }
 
-    /// Records an event if tracing is enabled. The disabled path is a
-    /// single inlined branch on [`World::trace_on`]; the closure gets
-    /// `&World` so event construction (timestamps and all) is fully
-    /// lazy — with tracing off, none of it is evaluated and the
-    /// optimizer can delete the capture setup at every call site.
+    /// States one engine fact. The event always folds into the
+    /// `RunStats` ledger; while observing it also folds into the
+    /// metrics registry and the trace buffer. Every write of the exit,
+    /// intervention, DVH-intercept and attributed-cycle ledgers goes
+    /// through here, so the three views agree by construction. The
+    /// unobserved path is the ledger update plus one predicted branch
+    /// on [`World::observing`].
     #[inline(always)]
-    pub(crate) fn trace(&mut self, e: impl FnOnce(&World) -> TraceEvent) {
-        if !self.trace_on {
-            return;
+    pub(crate) fn record(&mut self, e: TraceEvent) {
+        self.stats.fold(&e);
+        if self.observing {
+            self.observe_event(e);
         }
-        self.trace_record(e);
     }
 
-    /// Out-of-line tracing-enabled path of [`World::trace`].
+    /// Out-of-line observing path of [`World::record`].
     #[inline(never)]
-    fn trace_record(&mut self, e: impl FnOnce(&World) -> TraceEvent) {
-        let event = e(self);
+    fn observe_event(&mut self, e: TraceEvent) {
+        if let Some(m) = self.metrics.as_deref_mut() {
+            match e {
+                TraceEvent::Completed {
+                    from_level,
+                    reason,
+                    spent,
+                    ..
+                } => m.observe_exit(from_level, reason, spent),
+                TraceEvent::DvhIntercept { mechanism, .. } => m.record_dvh(mechanism),
+                _ => {}
+            }
+        }
         if let Some(t) = self.tracer.as_mut() {
-            t.record(event);
+            t.record(e);
         }
     }
 }

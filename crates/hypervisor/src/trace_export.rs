@@ -1,23 +1,23 @@
 //! Trace export: converting [`TraceEvent`] streams into Chrome
-//! trace-event JSON and JSONL, plus the span accounting the checker
-//! uses to certify an export against the engine's attribution ledger.
+//! trace-event JSON and JSONL, and rebuilding their causal forest.
 //!
 //! # Chrome track layout (DESIGN.md §10)
 //!
 //! Each simulated CPU becomes one process (`pid` = CPU index); each
 //! virtualization level becomes one thread within it (`tid` = level).
-//! An outermost exit renders as a complete ("X") span on the track of
-//! the level that exited, with `ts = completed.at - spent` and
-//! `dur = spent` taken verbatim from the engine's `Completed` event —
-//! so summing the durations of `outermost: true` spans per
-//! (level, reason) reproduces `RunStats::cycles_by_reason` *exactly*,
-//! which is what the checker's metrics pass certifies. Nested exits
-//! (the multiplication itself) render as inner spans on their own
-//! level's track, closing at their `Returned` event — the exact
-//! instant their round trip finished — so inner spans nest without
-//! overlapping and the causal tree ([`causal_forest`]) can partition
-//! every outermost span into per-frame self times. Interventions, DVH
-//! intercepts, and interrupt deliveries are instant ("i") events.
+//! Exit spans are the nodes of the trace's causal forest
+//! ([`causal_forest`]), so the per-CPU replay of open exits exists only
+//! in [`dvh_obs::causal`]. A tree's root, an outermost exit, renders
+//! as a complete ("X") span on the track of the level that exited,
+//! with `ts = completed.at - spent` and `dur = spent` taken verbatim
+//! from the engine's `Completed` event — so summing the durations of
+//! `outermost: true` spans per (level, reason) reproduces
+//! `RunStats::cycles_by_reason` *exactly*, which is what the checker's
+//! metrics pass certifies. Nested exits (the multiplication itself)
+//! render as inner spans on their own level's track, closing at their
+//! `Returned` event, so inner spans nest inside their parent without
+//! overlapping. Interventions, interrupt relays, DVH intercepts and
+//! interrupt deliveries are instant ("i") events.
 //!
 //! Timestamps are simulated cycles written verbatim; the viewer labels
 //! them microseconds, but only relative magnitude matters and cycles
@@ -25,25 +25,29 @@
 
 use crate::trace::TraceEvent;
 use dvh_arch::vmx::ExitReason;
-use dvh_arch::Cycles;
+use dvh_obs::causal::CausalNode;
 use dvh_obs::chrome::ChromeTrace;
 use dvh_obs::json::Value;
 use std::collections::BTreeMap;
 
-/// An exit that has been recorded but whose completion has not yet
-/// been seen while scanning the event stream.
-struct OpenExit {
-    at: Cycles,
-    lvl: usize,
-    reason: ExitReason,
-}
-
-fn span_args(lvl: usize, reason: ExitReason, outermost: bool) -> Vec<(String, Value)> {
-    vec![
-        ("level".to_string(), Value::Int(lvl as i64)),
-        ("reason".to_string(), Value::Str(reason.to_string())),
-        ("outermost".to_string(), Value::Bool(outermost)),
-    ]
+/// Adds `node` and its subtree as spans on CPU `cpu`'s tracks.
+fn add_spans(t: &mut ChromeTrace, cpu: usize, node: &CausalNode, outermost: bool) {
+    t.span(
+        &format!("exit {}", node.frame()),
+        "exit",
+        cpu,
+        node.level,
+        node.start,
+        node.span(),
+        vec![
+            ("level".to_string(), Value::Int(node.level as i64)),
+            ("reason".to_string(), Value::Str(node.reason.to_string())),
+            ("outermost".to_string(), Value::Bool(outermost)),
+        ],
+    );
+    for child in &node.children {
+        add_spans(t, cpu, child, false);
+    }
 }
 
 /// Converts a trace into a Chrome trace-event document with one
@@ -56,136 +60,45 @@ pub fn chrome_trace(events: &[TraceEvent], num_cpus: usize, levels: usize) -> Ch
             t.set_thread_name(cpu, lvl, &format!("L{lvl}"));
         }
     }
-    // Per-CPU stacks of exits awaiting their completion. Only the
-    // outermost exit of a chain gets a `Completed` event, which
-    // therefore closes every open exit on that CPU.
-    let mut open: Vec<Vec<OpenExit>> = (0..num_cpus).map(|_| Vec::new()).collect();
+    for tree in &causal_forest(events, num_cpus).trees {
+        add_spans(&mut t, tree.cpu, &tree.root, true);
+    }
     for e in events {
-        match e {
-            TraceEvent::Exit {
-                at,
-                cpu,
-                from_level,
-                reason,
-                ..
-            } => {
-                if let Some(stack) = open.get_mut(*cpu) {
-                    stack.push(OpenExit {
-                        at: *at,
-                        lvl: *from_level,
-                        reason: *reason,
-                    });
-                }
-            }
-            TraceEvent::Returned { at, cpu, .. } => {
-                // A nested exit's round trip finished: close its span
-                // at the true return time. The bottom stack entry is
-                // the outermost exit, which only `Completed` closes.
-                if let Some(stack) = open.get_mut(*cpu) {
-                    if stack.len() > 1 {
-                        let o = stack.pop().expect("len checked above");
-                        let dur = (*at - o.at).as_u64();
-                        t.span(
-                            &format!("exit L{} {}", o.lvl, o.reason),
-                            "exit",
-                            *cpu,
-                            o.lvl,
-                            o.at.as_u64(),
-                            dur,
-                            span_args(o.lvl, o.reason, false),
-                        );
-                    }
-                }
-            }
-            TraceEvent::Completed {
-                at,
-                cpu,
-                from_level,
-                reason,
-                spent,
-            } => {
-                if let Some(stack) = open.get_mut(*cpu) {
-                    // Leftover inner exits (possible only when the
-                    // bounded buffer evicted their `Returned`) close at
-                    // the instant the outermost one resumes.
-                    while stack.len() > 1 {
-                        let o = stack.pop().expect("len checked above");
-                        let dur = (*at - o.at).as_u64();
-                        t.span(
-                            &format!("exit L{} {}", o.lvl, o.reason),
-                            "exit",
-                            *cpu,
-                            o.lvl,
-                            o.at.as_u64(),
-                            dur,
-                            span_args(o.lvl, o.reason, false),
-                        );
-                    }
-                    // The matching outermost open (absent only when
-                    // the trace buffer evicted it).
-                    stack.pop();
-                }
-                // The outermost span takes ts and dur verbatim from
-                // the Completed event, guaranteeing span totals equal
-                // the attribution ledger even for truncated traces.
-                let dur = spent.as_u64();
-                t.span(
-                    &format!("exit L{} {}", *from_level, *reason),
-                    "exit",
-                    *cpu,
-                    *from_level,
-                    at.as_u64().saturating_sub(dur),
-                    dur,
-                    span_args(*from_level, *reason, true),
-                );
-            }
+        let (name, cat, tid, args) = match e {
+            TraceEvent::Exit { .. }
+            | TraceEvent::Returned { .. }
+            | TraceEvent::Completed { .. } => continue,
             TraceEvent::Intervention {
-                at,
-                cpu,
-                hv_level,
-                reason,
-            } => {
-                t.instant(
-                    &format!("intervene L{hv_level}"),
-                    "intervention",
-                    *cpu,
-                    *hv_level,
-                    at.as_u64(),
-                    vec![("reason".to_string(), Value::Str(reason.to_string()))],
-                );
+                hv_level, reason, ..
+            } => (
+                format!("intervene L{hv_level}"),
+                "intervention",
+                *hv_level,
+                vec![("reason".to_string(), Value::Str(reason.to_string()))],
+            ),
+            TraceEvent::Relay { hv_level, .. } => {
+                (format!("relay L{hv_level}"), "relay", *hv_level, vec![])
             }
-            TraceEvent::DvhIntercept { at, cpu, mechanism } => {
-                t.instant(
-                    &format!("DVH {mechanism}"),
-                    "dvh",
-                    *cpu,
-                    0,
-                    at.as_u64(),
-                    vec![(
-                        "mechanism".to_string(),
-                        Value::Str((*mechanism).to_string()),
-                    )],
-                );
-            }
-            TraceEvent::IrqDelivered {
-                at,
-                cpu,
-                vector,
-                woke,
-            } => {
-                t.instant(
-                    &format!("irq {vector:#x}"),
-                    "irq",
-                    *cpu,
-                    0,
-                    at.as_u64(),
-                    vec![
-                        ("vector".to_string(), Value::Int(*vector as i64)),
-                        ("woke".to_string(), Value::Bool(*woke)),
-                    ],
-                );
-            }
-        }
+            TraceEvent::DvhIntercept { mechanism, .. } => (
+                format!("DVH {mechanism}"),
+                "dvh",
+                0,
+                vec![(
+                    "mechanism".to_string(),
+                    Value::Str((*mechanism).to_string()),
+                )],
+            ),
+            TraceEvent::IrqDelivered { vector, woke, .. } => (
+                format!("irq {vector:#x}"),
+                "irq",
+                0,
+                vec![
+                    ("vector".to_string(), Value::Int(*vector as i64)),
+                    ("woke".to_string(), Value::Bool(*woke)),
+                ],
+            ),
+        };
+        t.instant(&name, cat, e.cpu(), tid, e.at().as_u64(), args);
     }
     t
 }
@@ -208,83 +121,65 @@ pub fn jsonl(events: &[TraceEvent]) -> String {
 
 /// A single trace event as a JSON value.
 pub fn event_value(e: &TraceEvent) -> Value {
-    let mut members: Vec<(String, Value)> = Vec::new();
-    let mut put = |k: &str, v: Value| members.push((k.to_string(), v));
-    match e {
+    let int = |n: usize| Value::Int(n as i64);
+    let exit = |level: usize, reason: ExitReason| {
+        vec![
+            ("level", int(level)),
+            ("reason", Value::Str(reason.to_string())),
+        ]
+    };
+    let (kind, mut fields) = match *e {
         TraceEvent::Exit {
-            at,
-            cpu,
             from_level,
             reason,
             vmcs_field,
+            ..
         } => {
-            put("type", Value::Str("exit".to_string()));
-            put("at", Value::Int(at.as_u64() as i64));
-            put("cpu", Value::Int(*cpu as i64));
-            put("level", Value::Int(*from_level as i64));
-            put("reason", Value::Str(reason.to_string()));
-            if let Some(f) = vmcs_field {
-                put("vmcs_field", Value::Int(*f as i64));
-            }
+            let mut fields = exit(from_level, reason);
+            fields.extend(vmcs_field.map(|f| ("vmcs_field", int(f as usize))));
+            ("exit", fields)
         }
         TraceEvent::Completed {
-            at,
-            cpu,
             from_level,
             reason,
             spent,
+            ..
         } => {
-            put("type", Value::Str("completed".to_string()));
-            put("at", Value::Int(at.as_u64() as i64));
-            put("cpu", Value::Int(*cpu as i64));
-            put("level", Value::Int(*from_level as i64));
-            put("reason", Value::Str(reason.to_string()));
-            put("spent", Value::Int(spent.as_u64() as i64));
+            let mut fields = exit(from_level, reason);
+            fields.push(("spent", Value::Int(spent.as_u64() as i64)));
+            ("completed", fields)
         }
         TraceEvent::Returned {
-            at,
-            cpu,
-            from_level,
-            reason,
-        } => {
-            put("type", Value::Str("returned".to_string()));
-            put("at", Value::Int(at.as_u64() as i64));
-            put("cpu", Value::Int(*cpu as i64));
-            put("level", Value::Int(*from_level as i64));
-            put("reason", Value::Str(reason.to_string()));
-        }
+            from_level, reason, ..
+        } => ("returned", exit(from_level, reason)),
         TraceEvent::Intervention {
-            at,
-            cpu,
-            hv_level,
-            reason,
-        } => {
-            put("type", Value::Str("intervention".to_string()));
-            put("at", Value::Int(at.as_u64() as i64));
-            put("cpu", Value::Int(*cpu as i64));
-            put("level", Value::Int(*hv_level as i64));
-            put("reason", Value::Str(reason.to_string()));
-        }
-        TraceEvent::DvhIntercept { at, cpu, mechanism } => {
-            put("type", Value::Str("dvh".to_string()));
-            put("at", Value::Int(at.as_u64() as i64));
-            put("cpu", Value::Int(*cpu as i64));
-            put("mechanism", Value::Str((*mechanism).to_string()));
-        }
-        TraceEvent::IrqDelivered {
-            at,
-            cpu,
-            vector,
-            woke,
-        } => {
-            put("type", Value::Str("irq".to_string()));
-            put("at", Value::Int(at.as_u64() as i64));
-            put("cpu", Value::Int(*cpu as i64));
-            put("vector", Value::Int(*vector as i64));
-            put("woke", Value::Bool(*woke));
-        }
-    }
-    Value::Obj(members)
+            hv_level, reason, ..
+        } => ("intervention", exit(hv_level, reason)),
+        TraceEvent::Relay { hv_level, .. } => ("relay", vec![("level", int(hv_level))]),
+        TraceEvent::DvhIntercept { mechanism, .. } => (
+            "dvh",
+            vec![("mechanism", Value::Str(mechanism.to_string()))],
+        ),
+        TraceEvent::IrqDelivered { vector, woke, .. } => (
+            "irq",
+            vec![
+                ("vector", int(vector as usize)),
+                ("woke", Value::Bool(woke)),
+            ],
+        ),
+    };
+    let mut members = vec![
+        ("type", Value::Str(kind.to_string())),
+        ("at", Value::Int(e.at().as_u64() as i64)),
+        ("cpu", int(e.cpu())),
+    ];
+    members.append(&mut fields);
+    Value::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 /// Rebuilds the causal forest of a trace: one tree per outermost exit,
@@ -316,30 +211,12 @@ pub fn causal_forest(events: &[TraceEvent], num_cpus: usize) -> dvh_obs::causal:
                 spent,
             } => b.completed(*cpu, at.as_u64(), *from_level, *reason, spent.as_u64()),
             TraceEvent::Intervention { .. }
+            | TraceEvent::Relay { .. }
             | TraceEvent::DvhIntercept { .. }
             | TraceEvent::IrqDelivered { .. } => {}
         }
     }
     b.finish()
-}
-
-/// Per-(level, reason) cycle totals of the trace's `Completed` events
-/// — what the outermost chrome spans sum to, shaped like
-/// [`crate::stats::RunStats::cycles_by_reason`].
-pub fn span_cycle_totals(events: &[TraceEvent]) -> BTreeMap<(usize, ExitReason), Cycles> {
-    let mut totals: BTreeMap<(usize, ExitReason), Cycles> = BTreeMap::new();
-    for e in events {
-        if let TraceEvent::Completed {
-            from_level,
-            reason,
-            spent,
-            ..
-        } = e
-        {
-            *totals.entry((*from_level, *reason)).or_insert(Cycles::ZERO) += *spent;
-        }
-    }
-    totals
 }
 
 /// Sums the durations of `outermost: true` spans in a *parsed* chrome
@@ -419,8 +296,17 @@ mod tests {
 
     #[test]
     fn span_totals_helper_matches_ledger() {
+        // The spans are the forest's nodes, so its root totals are what
+        // the outermost spans sum to.
         let (w, events) = traced_world();
-        assert_eq!(span_cycle_totals(&events), w.stats.cycles_by_reason);
+        let roots = causal_forest(&events, w.num_cpus()).root_cycle_totals();
+        let ledger: BTreeMap<_, _> = w
+            .stats
+            .cycles_by_reason
+            .iter()
+            .map(|(k, c)| (*k, c.as_u64()))
+            .collect();
+        assert_eq!(roots, ledger);
     }
 
     #[test]

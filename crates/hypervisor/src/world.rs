@@ -128,15 +128,12 @@ pub struct World {
     /// microbenchmark (Table 3 discussion).
     pub(crate) mmio_doorbell_cached: bool,
     pub(crate) tracer: Option<Tracer>,
-    /// Cached `tracer.is_some()`: the per-event enabled check in the
-    /// exit engine is a single branch on this bool, not an `Option`
-    /// discriminant load behind a method call.
-    pub(crate) trace_on: bool,
     /// Observability registry (None until [`World::enable_metrics`]).
     pub(crate) metrics: Option<Box<MetricsRegistry>>,
-    /// Cached `metrics.is_some()`, mirroring `trace_on`: every
-    /// instrumentation point is one predicted branch when disabled.
-    pub(crate) metrics_on: bool,
+    /// Cached `tracer.is_some() || metrics.is_some()`: every
+    /// observation point in the engine is a single predicted branch on
+    /// this bool when nothing observes.
+    pub(crate) observing: bool,
     /// In-flight block request (bytes), if a blk doorbell chain is
     /// being processed; see `io.rs`.
     pub(crate) pending_blk_bytes: Option<u64>,
@@ -286,9 +283,8 @@ impl World {
             extensions: Vec::new(),
             mmio_doorbell_cached: false,
             tracer: None,
-            trace_on: false,
             metrics: None,
-            metrics_on: false,
+            observing: false,
             pending_blk_bytes: None,
             poll_idle: false,
             runnable_sibling_vms: 0,
@@ -550,8 +546,8 @@ impl World {
     }
 
     /// Resets the statistics ledger to zero. Checker harnesses call
-    /// this together with [`World::enable_tracing`] so the ledger and
-    /// the trace cover exactly the same window (cycle conservation).
+    /// this right after [`World::enable_observability`] so the ledger,
+    /// the registry and the trace fold exactly the same events.
     pub fn reset_stats(&mut self) {
         self.stats = RunStats::new();
     }
@@ -566,7 +562,7 @@ impl World {
         if self.metrics.is_none() {
             self.metrics = Some(Box::default());
         }
-        self.metrics_on = true;
+        self.observing = true;
     }
 
     /// Arms the full observability stack in one call: tracing (with the
@@ -586,28 +582,24 @@ impl World {
 
     /// Stops metrics collection and returns the registry.
     pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
-        self.metrics_on = false;
-        self.metrics.take().map(|m| *m)
+        let reg = self.metrics.take().map(|m| *m);
+        self.observing = self.tracer.is_some();
+        reg
     }
 
-    /// Feeds the registry if metrics are enabled. The disabled path is
-    /// a single inlined branch on [`World::metrics_on`]; the closure
-    /// only ever captures plain copies (levels, reasons, cycle deltas),
-    /// so with metrics off the optimizer deletes the capture setup at
+    /// Feeds the registry a measurement no ledger holds (intervention
+    /// latency, interrupt deliveries, pre-copy rounds); ledger facts go
+    /// through [`World::record`] instead. The disabled path is a single
+    /// inlined branch on [`World::observing`]; the closure only ever
+    /// captures plain copies (levels, reasons, cycle deltas), so with
+    /// nothing observing the optimizer deletes the capture setup at
     /// every call site.
     #[inline(always)]
     pub fn observe(&mut self, f: impl FnOnce(&mut MetricsRegistry)) {
-        if !self.metrics_on {
-            return;
-        }
-        self.observe_record(f);
-    }
-
-    /// Out-of-line metrics-enabled path of [`World::observe`].
-    #[inline(never)]
-    fn observe_record(&mut self, f: impl FnOnce(&mut MetricsRegistry)) {
-        if let Some(m) = self.metrics.as_deref_mut() {
-            f(m);
+        if self.observing {
+            if let Some(m) = self.metrics.as_deref_mut() {
+                f(m);
+            }
         }
     }
 

@@ -18,16 +18,16 @@ use std::fmt;
 /// document each.
 pub mod names {
     /// Histogram, keyed (level, reason): simulated cycles attributed
-    /// to each *outermost* exit — the metrics twin of
-    /// `RunStats::cycles_by_reason`, which the checker proves it
-    /// conserves against.
+    /// to each *outermost* exit, folded from the same `Completed`
+    /// events as `RunStats::cycles_by_reason`.
     pub const EXIT_CYCLES: &str = "exit_cycles";
     /// Histogram, keyed (level): end-to-end latency of delivering one
     /// exit to a guest hypervisor at that level (reflection through
     /// re-entry, nested traps included).
     pub const INTERVENTION_CYCLES: &str = "intervention_cycles";
     /// Counter, tagged by mechanism: exits a DVH extension handled
-    /// entirely at L0.
+    /// entirely at L0, folded from the same `DvhIntercept` events as
+    /// `RunStats::dvh_intercepts`.
     pub const DVH_INTERCEPTS: &str = "dvh_intercepts";
     /// Counter, tagged `posted` or `injected`: leaf interrupt
     /// deliveries by path.

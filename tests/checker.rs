@@ -11,6 +11,7 @@
 use dvh_arch::costs::CostModel;
 use dvh_arch::vmx::{ctrl, field, ExitReason, ShadowFieldSet};
 use dvh_arch::Cycles;
+use dvh_checker::causal_lint::lint_causal;
 use dvh_checker::harness::{check_machine, exercise, fig7_configs, TRACE_CAPACITY};
 use dvh_checker::source_lint::lint_file_text;
 use dvh_checker::trace_lint::{lint_trace, TraceContext};
@@ -169,7 +170,6 @@ fn ctx_for(leaf_level: usize) -> TraceContext<'static> {
         leaf_level,
         shadow: None,
         dropped: 0,
-        stats: None,
     }
 }
 
@@ -233,6 +233,23 @@ fn trace_intervention_at_or_above_exiting_level_fires() {
 }
 
 #[test]
+fn trace_relay_inside_an_exit_or_past_hierarchy_fires() {
+    // A relay runs for a host interrupt outside any exit; inside one it
+    // would be an exit delivery, which only `Intervention` may record.
+    let relay = |hv_level| TraceEvent::Relay {
+        at: Cycles::new(20),
+        cpu: 0,
+        hv_level,
+    };
+    assert!(lint_trace(&[relay(1)], &ctx_for(2)).is_empty());
+    let events = [exit(10, 0, 2, ExitReason::Vmcall), relay(1)];
+    let vs = lint_trace(&events, &ctx_for(2));
+    assert_eq!(rules(&vs), ["exit-nesting", "completed-balance"]);
+    let vs = lint_trace(&[relay(2)], &ctx_for(2));
+    assert_eq!(rules(&vs), ["reflection-depth"]);
+}
+
+#[test]
 fn trace_reflection_past_hierarchy_fires() {
     // An exit from a level deeper than the hierarchy supports.
     let events = [exit(10, 0, 4, ExitReason::Vmcall)];
@@ -275,7 +292,6 @@ fn trace_shadowed_field_reflection_fires() {
         leaf_level: 2,
         shadow: Some(&shadow),
         dropped: 0,
-        stats: None,
     };
     let events = [TraceEvent::Exit {
         at: Cycles::new(10),
@@ -333,10 +349,9 @@ fn tampered_stats_ledger_breaks_conservation() {
     let w = m.world_mut();
     let key = (2, ExitReason::Vmcall);
     *w.stats.cycles_by_reason.get_mut(&key).unwrap() -= Cycles::new(1);
-    let ctx = TraceContext::for_world(w);
-    let vs = lint_trace(w.trace_events(), &ctx);
-    assert_eq!(rules(&vs), ["cycle-conservation"], "{vs:#?}");
-    assert!(vs[0].detail.contains("Vmcall"));
+    let vs = lint_causal(w.trace_events(), w.num_cpus(), w.trace_dropped(), &w.stats);
+    assert_eq!(rules(&vs), ["causal-roots-conserved"], "{vs:#?}");
+    assert!(vs[0].location.contains("Vmcall"));
 }
 
 // ---- Negative: source lints fire on synthetic sources --------------------

@@ -184,10 +184,11 @@ fn figure_5_nested_ipi_with_virtual_ipis() {
 }
 
 /// Every figure scenario above, re-run under the dvh-checker: the
-/// VM-entry checker and trace linter certify the exact traces the
-/// figure tests assert on (zero invariant violations).
+/// VM-entry checker, the trace linter and the causal pass certify the
+/// exact traces the figure tests assert on (zero invariant violations).
 #[test]
 fn figure_traces_are_certified() {
+    use dvh_checker::causal_lint::lint_causal;
     use dvh_checker::trace_lint::{lint_trace, TraceContext};
     use dvh_checker::vmentry::check_world;
 
@@ -221,6 +222,12 @@ fn figure_traces_are_certified() {
         let mut violations = check_world(m.world_mut());
         let w = m.world();
         violations.extend(lint_trace(w.trace_events(), &TraceContext::for_world(w)));
+        violations.extend(lint_causal(
+            w.trace_events(),
+            w.num_cpus(),
+            w.trace_dropped(),
+            &w.stats,
+        ));
         assert!(violations.is_empty(), "{name}: {violations:#?}");
     }
 }

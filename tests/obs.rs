@@ -3,19 +3,20 @@
 //!
 //! The contract under test is exactness, not plausibility — the
 //! metrics registry, the serialized Chrome trace, and the engine's
-//! `RunStats` attribution ledger are three independent accountings of
-//! the same simulated cycles, and they must agree key for key. The
-//! second contract is invisibility: enabling observability must not
-//! change a single simulated cycle.
+//! `RunStats` attribution ledger are three folds of one event stream,
+//! and they must agree key for key. The second contract is
+//! invisibility: enabling observability must not change a single
+//! simulated cycle.
 
 use dvh_checker::metrics_lint::{lint_chrome_export, lint_metrics};
 use dvh_core::{Machine, MachineConfig};
-use dvh_hypervisor::trace_export::{
-    chrome_json, chrome_outermost_totals, jsonl, span_cycle_totals,
-};
+use dvh_hypervisor::trace_export::{causal_forest, chrome_json, chrome_outermost_totals, jsonl};
+use dvh_hypervisor::TraceEvent;
 use dvh_obs::json::{self, Value};
+use dvh_obs::metrics::names;
 use dvh_obs::profile::exit_profile;
 use dvh_workloads::{run_app, AppId};
+use std::collections::BTreeMap;
 
 const TXNS: u32 = 25;
 
@@ -60,24 +61,6 @@ fn chrome_export_round_trips_and_matches_ledger_exactly() {
 }
 
 #[test]
-fn trace_track_layout_is_one_thread_per_level() {
-    let mut m = fig7_l2_netperf();
-    let w = m.world_mut();
-    let events = w.take_trace();
-    let doc = json::parse(&chrome_json(&events, w.num_cpus(), w.leaf_level())).unwrap();
-    for e in doc.get("traceEvents").unwrap().items().unwrap() {
-        if e.get("ph").and_then(Value::as_str) != Some("X") {
-            continue;
-        }
-        // A span's thread track is the level it executed at.
-        assert_eq!(
-            e.get("tid").and_then(Value::as_int),
-            e.get("args").unwrap().get("level").and_then(Value::as_int),
-        );
-    }
-}
-
-#[test]
 fn metrics_registry_is_the_ledgers_twin() {
     let mut m = fig7_l2_netperf();
     let w = m.world_mut();
@@ -87,22 +70,6 @@ fn metrics_registry_is_the_ledgers_twin() {
     assert!(lint_metrics(reg, &w.stats).is_empty());
     let violations = lint_chrome_export(w.trace_events(), w.num_cpus(), w.leaf_level(), &w.stats);
     assert!(violations.is_empty(), "{violations:?}");
-}
-
-#[test]
-fn every_fig7_column_conserves_under_netperf() {
-    for (name, config) in dvh_checker::harness::fig7_configs() {
-        let mut m = Machine::build(config);
-        m.world_mut().enable_metrics();
-        run_app(&mut m, &AppId::NetperfRr.mix(), 20);
-        let w = m.world_mut();
-        let reg = w.metrics().expect("metrics enabled");
-        assert_eq!(
-            reg.exit_cycle_totals(),
-            w.stats.cycles_by_reason,
-            "{name}: registry and ledger disagree"
-        );
-    }
 }
 
 #[test]
@@ -139,14 +106,126 @@ fn jsonl_export_covers_every_event() {
     let text = jsonl(&events);
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), events.len());
+    // The completions' cycles, re-read from the lines, are the ledger.
+    let mut spent: BTreeMap<(i64, String), u64> = BTreeMap::new();
     for line in &lines {
-        json::parse(line).expect("every jsonl line parses");
+        let v = json::parse(line).expect("every jsonl line parses");
+        if v.get("type").and_then(Value::as_str) == Some("completed") {
+            let level = v.get("level").and_then(Value::as_int).unwrap();
+            let reason = v.get("reason").and_then(Value::as_str).unwrap();
+            *spent.entry((level, reason.to_string())).or_insert(0) +=
+                v.get("spent").and_then(Value::as_int).unwrap() as u64;
+        }
     }
-    // The in-memory helper and the trace agree too.
-    assert_eq!(
-        span_cycle_totals(&events),
-        m.world_mut().stats.cycles_by_reason
-    );
+    let ledger: BTreeMap<(i64, String), u64> = m
+        .world()
+        .stats
+        .cycles_by_reason
+        .iter()
+        .map(|((l, r), c)| ((*l as i64, r.to_string()), c.as_u64()))
+        .collect();
+    assert_eq!(spent, ledger);
+}
+
+/// Every view is a fold of the one event stream `World::record` sees:
+/// per level and key, the trace, the `RunStats` ledger and the metrics
+/// registry hold the same interventions, DVH intercepts and attributed
+/// cycles on every Fig. 7 column under netperf RR. Interventions
+/// include the interrupt relays of guest hypervisors, which are
+/// traced as `Relay` events outside any exit.
+#[test]
+fn every_fig7_column_conserves_under_netperf() {
+    for (name, config) in dvh_checker::harness::fig7_configs() {
+        let mut m = Machine::build(config);
+        m.world_mut().enable_observability(1 << 20);
+        run_app(&mut m, &AppId::NetperfRr.mix(), TXNS);
+        let w = m.world_mut();
+        assert_eq!(w.trace_dropped(), 0, "{name}");
+        let mut interventions: BTreeMap<usize, u64> = BTreeMap::new();
+        let mut dvh: BTreeMap<&'static str, u64> = BTreeMap::new();
+        let mut cycles = BTreeMap::new();
+        for e in w.trace_events() {
+            match *e {
+                TraceEvent::Intervention { hv_level, .. } | TraceEvent::Relay { hv_level, .. } => {
+                    *interventions.entry(hv_level).or_insert(0) += 1
+                }
+                TraceEvent::DvhIntercept { mechanism, .. } => {
+                    *dvh.entry(mechanism).or_insert(0) += 1
+                }
+                TraceEvent::Completed {
+                    from_level,
+                    reason,
+                    spent,
+                    ..
+                } => *cycles.entry((from_level, reason)).or_default() += spent,
+                _ => {}
+            }
+        }
+        let stats = &w.stats;
+        let ledger: BTreeMap<usize, u64> = stats.interventions.iter().collect();
+        assert_eq!(interventions, ledger, "{name}: interventions");
+        assert_eq!(dvh, stats.dvh_intercepts, "{name}: DVH intercepts");
+        let reg = w.metrics().expect("metrics enabled");
+        let registry: BTreeMap<&'static str, u64> = reg
+            .counters()
+            .filter(|(k, _)| k.name == names::DVH_INTERCEPTS)
+            .map(|(k, n)| (k.tag.unwrap(), n))
+            .collect();
+        assert_eq!(
+            registry, stats.dvh_intercepts,
+            "{name}: registry DVH intercepts"
+        );
+        assert_eq!(cycles, stats.cycles_by_reason, "{name}: cycles");
+        assert_eq!(reg.exit_cycle_totals(), stats.cycles_by_reason, "{name}");
+    }
+}
+
+/// The Chrome export's spans are the causal forest's nodes, one thread
+/// track per level: one `X` span per exit on its level's track, one
+/// `outermost: true` span per tree, and every inner span inside its
+/// parent on the same CPU.
+#[test]
+fn trace_track_layout_is_one_thread_per_level() {
+    let mut m = fig7_l2_netperf();
+    let w = m.world_mut();
+    assert_eq!(w.trace_dropped(), 0);
+    let (num_cpus, leaf) = (w.num_cpus(), w.leaf_level());
+    let events = w.take_trace();
+    let forest = causal_forest(&events, num_cpus);
+    assert_eq!(forest.incomplete, 0);
+    let doc = json::parse(&chrome_json(&events, num_cpus, leaf)).unwrap();
+    let int = |e: &Value, k: &str| e.get(k).and_then(Value::as_int).unwrap();
+    // (pid, ts, end, outermost) per span.
+    let mut spans: Vec<(i64, i64, i64, bool)> = Vec::new();
+    for e in doc.get("traceEvents").unwrap().items().unwrap() {
+        if e.get("ph").and_then(Value::as_str) != Some("X") {
+            continue;
+        }
+        let args = e.get("args").unwrap();
+        // A span's thread track is the level it executed at.
+        assert_eq!(int(e, "tid"), int(args, "level"));
+        let (ts, outermost) = (
+            int(e, "ts"),
+            args.get("outermost") == Some(&Value::Bool(true)),
+        );
+        spans.push((int(e, "pid"), ts, ts + int(e, "dur"), outermost));
+    }
+    assert_eq!(spans.len() as u64, forest.total_exits());
+    assert_eq!(spans.iter().filter(|s| s.3).count(), forest.trees.len());
+    // Sweep each CPU's spans by start (longest first on ties): the
+    // innermost span still open when a span starts is its parent.
+    spans.sort_by_key(|&(pid, ts, end, _)| (pid, ts, std::cmp::Reverse(end)));
+    let mut open: Vec<(i64, i64, i64, bool)> = Vec::new();
+    for s in spans {
+        while open.last().is_some_and(|top| top.0 != s.0 || top.2 <= s.1) {
+            open.pop();
+        }
+        match open.last() {
+            None => assert!(s.3, "inner span {s:?} has no parent"),
+            Some(parent) => assert!(!s.3 && s.2 <= parent.2, "{s:?} escapes {parent:?}"),
+        }
+        open.push(s);
+    }
 }
 
 #[test]

@@ -257,10 +257,11 @@ fn determinism() {
 }
 
 /// Any random operation sequence, on any configuration, at any depth,
-/// leaves the exit engine certified: the VM-entry checker and trace
-/// linter find zero violations.
+/// leaves the exit engine certified: the VM-entry checker, the trace
+/// linter and the causal pass find zero violations.
 #[test]
 fn random_workloads_are_certified() {
+    use dvh_checker::causal_lint::lint_causal;
     use dvh_checker::trace_lint::{lint_trace, TraceContext};
     use dvh_checker::vmentry::check_world;
 
@@ -304,6 +305,12 @@ fn random_workloads_are_certified() {
         let mut violations = check_world(m.world_mut());
         let w = m.world();
         violations.extend(lint_trace(w.trace_events(), &TraceContext::for_world(w)));
+        violations.extend(lint_causal(
+            w.trace_events(),
+            w.num_cpus(),
+            w.trace_dropped(),
+            &w.stats,
+        ));
         assert!(violations.is_empty(), "{violations:#?}");
     });
 }
