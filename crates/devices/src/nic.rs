@@ -3,10 +3,18 @@
 //! Models the paper's Intel X520-DA2. The passthrough baseline assigns
 //! a VF (or the PF) to a VM; frames then move between the VM and the
 //! wire with DMA translated by the physical IOMMU only.
+//!
+//! The wire is a ring of the most recent [`WIRE_CAPACITY`] frames, so
+//! a run of any length holds bounded memory. Once the ring is full the
+//! evicted frame's buffer carries the next frame's payload: steady-state
+//! transmission allocates nothing.
 
 use crate::pci::{Bdf, Capability, PciDevice};
 use std::collections::VecDeque;
 use std::fmt;
+
+/// Frames the wire keeps: the most recently transmitted ones.
+pub const WIRE_CAPACITY: usize = 256;
 
 /// An Ethernet frame (payload only; headers are folded into payload
 /// length for cost purposes).
@@ -58,12 +66,18 @@ pub struct NicFunction {
 /// assert_eq!(nic.num_functions(), 5);
 /// nic.transmit(1, Frame::patterned(1500, 0));
 /// assert_eq!(nic.wire().len(), 1);
+/// assert_eq!(nic.tx_frames(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Nic {
     pf_pci: PciDevice,
     functions: Vec<NicFunction>,
-    wire: Vec<Frame>,
+    /// The most recent [`WIRE_CAPACITY`] frames, oldest first.
+    wire: VecDeque<Frame>,
+    /// Frames transmitted over the NIC's lifetime.
+    tx_frames: u64,
+    /// The next frame's payload buffer: the last evicted frame's bytes.
+    spare: Vec<u8>,
     /// Line rate in megabits per second (10 GbE).
     pub line_rate_mbps: u64,
 }
@@ -78,7 +92,9 @@ impl Nic {
         Nic {
             pf_pci,
             functions: (0..=num_vfs).map(|_| NicFunction::default()).collect(),
-            wire: Vec::new(),
+            wire: VecDeque::with_capacity(WIRE_CAPACITY),
+            tx_frames: 0,
+            spare: Vec::new(),
             line_rate_mbps: 10_000,
         }
     }
@@ -116,7 +132,40 @@ impl Nic {
     /// Panics if `idx` is out of range.
     pub fn transmit(&mut self, idx: usize, frame: Frame) {
         self.functions[idx].tx_bytes += frame.len() as u64;
-        self.wire.push(frame);
+        self.tx_frames += 1;
+        if self.wire.len() == WIRE_CAPACITY {
+            self.spare = self.wire.pop_front().map(|f| f.payload).unwrap_or_default();
+        }
+        self.wire.push_back(frame);
+    }
+
+    /// Transmits a `len`-byte frame from function `idx` whose payload
+    /// `fill` writes into a zeroed, recycled buffer (the device's DMA
+    /// read). If `fill` fails the frame is dropped: nothing reaches the
+    /// wire and no frame is evicted.
+    ///
+    /// # Errors
+    ///
+    /// Returns `fill`'s error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn transmit_with<E>(
+        &mut self,
+        idx: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut payload = std::mem::take(&mut self.spare);
+        payload.clear();
+        payload.resize(len, 0);
+        if let Err(e) = fill(&mut payload) {
+            self.spare = payload;
+            return Err(e);
+        }
+        self.transmit(idx, Frame { payload });
+        Ok(())
     }
 
     /// Delivers a frame from the wire into function `idx`'s RX queue.
@@ -129,14 +178,27 @@ impl Nic {
         self.functions[idx].rx_queue.push_back(frame);
     }
 
-    /// Frames transmitted onto the wire so far.
-    pub fn wire(&self) -> &[Frame] {
+    /// Counts a frame function `idx` DMA'd straight into its owner's
+    /// memory (passthrough RX): the bytes are received, but nothing
+    /// waits in the RX queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is out of range.
+    pub fn receive_dma(&mut self, idx: usize, len: usize) {
+        self.functions[idx].rx_bytes += len as u64;
+    }
+
+    /// The most recent [`WIRE_CAPACITY`] frames on the wire, oldest
+    /// first.
+    pub fn wire(&self) -> &VecDeque<Frame> {
         &self.wire
     }
 
-    /// Drains the wire (tests, loopback setups).
-    pub fn drain_wire(&mut self) -> Vec<Frame> {
-        std::mem::take(&mut self.wire)
+    /// Frames transmitted over the NIC's lifetime, evicted ones
+    /// included.
+    pub fn tx_frames(&self) -> u64 {
+        self.tx_frames
     }
 
     /// Wire time in nanoseconds for a frame of `bytes` at line rate.
@@ -194,10 +256,50 @@ mod tests {
     }
 
     #[test]
-    fn drain_wire_empties() {
+    fn wire_keeps_the_newest_frames_oldest_first() {
         let mut nic = Nic::new(Bdf::new(1, 0, 0), 0);
-        nic.transmit(0, Frame::patterned(64, 0));
-        assert_eq!(nic.drain_wire().len(), 1);
-        assert!(nic.wire().is_empty());
+        let sent = WIRE_CAPACITY + 3;
+        for i in 0..sent {
+            nic.transmit(0, Frame::patterned(64 + i, i as u8));
+        }
+        assert_eq!(nic.wire().len(), WIRE_CAPACITY);
+        assert_eq!(nic.tx_frames(), sent as u64);
+        for (k, f) in nic.wire().iter().enumerate() {
+            let i = k + 3;
+            assert_eq!(*f, Frame::patterned(64 + i, i as u8), "slot {k}");
+        }
+        let bytes: usize = (0..sent).map(|i| 64 + i).sum();
+        assert_eq!(nic.function_mut(0).tx_bytes, bytes as u64);
+    }
+
+    #[test]
+    fn recycled_buffers_carry_no_stale_bytes() {
+        let mut nic = Nic::new(Bdf::new(1, 0, 0), 0);
+        for _ in 0..=WIRE_CAPACITY {
+            nic.transmit(0, Frame::patterned(1500, 0xAA));
+        }
+        nic.transmit_with(0, 200, |buf| {
+            assert!(buf.iter().all(|&b| b == 0), "buffer must arrive zeroed");
+            buf[..100].fill(7);
+            Ok::<(), ()>(())
+        })
+        .unwrap();
+        let last = nic.wire().back().unwrap();
+        assert_eq!(last.len(), 200);
+        assert!(last.payload[..100].iter().all(|&b| b == 7));
+        assert!(last.payload[100..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn failed_fill_drops_the_frame_and_evicts_nothing() {
+        let mut nic = Nic::new(Bdf::new(1, 0, 0), 0);
+        for i in 0..WIRE_CAPACITY {
+            nic.transmit(0, Frame::patterned(100, i as u8));
+        }
+        let before = nic.wire().clone();
+        assert_eq!(nic.transmit_with(0, 100, |_| Err("fault")), Err("fault"));
+        assert_eq!(*nic.wire(), before);
+        assert_eq!(nic.tx_frames(), WIRE_CAPACITY as u64);
+        assert_eq!(nic.function_mut(0).tx_bytes, 100 * WIRE_CAPACITY as u64);
     }
 }

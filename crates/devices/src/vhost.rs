@@ -9,7 +9,7 @@
 //! between the physical I/O device and (nested) VM address space"
 //! (§4). What changes between models is *who traps*, not this backend.
 
-use crate::nic::Frame;
+use crate::nic::{Frame, Nic};
 use crate::virtio::queue::VirtQueue;
 use dvh_memory::sparse::SparseMemory;
 use dvh_memory::{DirtyBitmap, Gpa, Perms, TranslateErr, PAGE_SIZE};
@@ -175,47 +175,40 @@ impl VhostNet {
     }
 
     /// Services the TX queue after a doorbell: drains all available
-    /// chains, reading packet bytes through `xl`, and returns the
-    /// transmitted frames. Completions are pushed to the used ring.
+    /// chains, DMA-reads each packet through `xl` into a recycled NIC
+    /// buffer and transmits it from NIC function `func`, calling
+    /// `sent` with each transmitted frame's length. Completions are
+    /// pushed to the used ring; a chain whose DMA faults is dropped.
     pub fn service_tx(
         &mut self,
         q: &mut VirtQueue,
         mem: &SparseMemory,
         xl: &mut dyn DmaTranslate,
-    ) -> Vec<Frame> {
-        let mut frames = Vec::new();
+        nic: &mut Nic,
+        func: usize,
+        mut sent: impl FnMut(usize),
+    ) {
         while let Some(chain) = q.pop_avail() {
-            // Size the payload once from the chain's readable length and
-            // gather each descriptor directly into its slice: one
-            // allocation per frame (the Frame owns its bytes), zero per
-            // descriptor.
-            let readable: usize = chain
-                .descs
-                .iter()
-                .filter(|d| !d.device_writes)
-                .map(|d| d.len as usize)
-                .sum();
-            let mut payload = vec![0u8; readable];
-            let mut filled = 0;
-            let mut ok = true;
-            for d in chain.descs.iter().filter(|d| !d.device_writes) {
-                let n = d.len as usize;
-                if dma_read_into(mem, xl, d.addr, &mut payload[filled..filled + n]).is_err() {
-                    ok = false;
-                    break;
+            let readable = chain.readable_len() as usize;
+            let tx = nic.transmit_with(func, readable, |payload| {
+                // Gather each descriptor directly into its slice.
+                let mut filled = 0;
+                for d in chain.descs.iter().filter(|d| !d.device_writes) {
+                    let n = d.len as usize;
+                    dma_read_into(mem, xl, d.addr, &mut payload[filled..filled + n])?;
+                    filled += n;
                 }
-                filled += n;
-            }
-            if ok {
-                self.stats.tx_bytes += payload.len() as u64;
+                Ok::<(), TranslateErr>(())
+            });
+            if tx.is_ok() {
+                self.stats.tx_bytes += readable as u64;
                 self.stats.tx_packets += 1;
-                frames.push(Frame { payload });
+                sent(readable);
             } else {
                 self.stats.dropped += 1;
             }
             q.push_used(chain.head, 0);
         }
-        frames
     }
 
     /// Delivers one received frame into the RX queue's next available
@@ -280,6 +273,7 @@ impl fmt::Display for VhostNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pci::Bdf;
     use crate::virtio::queue::Descriptor;
     use dvh_memory::iommu_pt::IoTable;
 
@@ -304,9 +298,14 @@ mod tests {
         }])
         .unwrap();
         let mut vhost = VhostNet::new();
-        let frames = vhost.service_tx(&mut q, &mem, &mut Identity);
-        assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].payload, b"hello world");
+        let mut nic = Nic::new(Bdf::new(1, 0, 0), 0);
+        let mut sent = Vec::new();
+        vhost.service_tx(&mut q, &mem, &mut Identity, &mut nic, 0, |len| {
+            sent.push(len)
+        });
+        assert_eq!(sent, [11]);
+        assert_eq!(nic.wire().len(), 1);
+        assert_eq!(nic.wire()[0].payload, b"hello world");
         assert_eq!(vhost.stats.tx_bytes, 11);
         assert_eq!(q.used_len(), 1);
     }
@@ -361,8 +360,12 @@ mod tests {
         }])
         .unwrap();
         let mut vhost = VhostNet::new();
-        let frames = vhost.service_tx(&mut q, &mem, &mut xl);
-        assert!(frames.is_empty());
+        let mut nic = Nic::new(Bdf::new(1, 0, 0), 0);
+        vhost.service_tx(&mut q, &mem, &mut xl, &mut nic, 0, |_| {
+            panic!("a dropped chain is not sent")
+        });
+        assert!(nic.wire().is_empty());
+        assert_eq!(nic.tx_frames(), 0);
         assert_eq!(vhost.stats.dropped, 1);
     }
 

@@ -5,8 +5,10 @@
 //! canonical translated addresses, the backend reads/writes them
 //! through the appropriate translation structure (shadow I/O table,
 //! physical IOMMU domain, or L0's own stage table), and frames really
-//! reach the NIC — so data-integrity tests can check end-to-end
-//! payloads while the cost ledger records who trapped where.
+//! reach the NIC, whose wire keeps the most recent 256 — so
+//! data-integrity tests can check end-to-end payloads while the cost
+//! ledger records who trapped where. Transmit paths DMA straight into
+//! recycled wire buffers: steady-state TX allocates no frame.
 
 use crate::config::IoModel;
 use crate::runtime::IrqPath;
@@ -14,6 +16,7 @@ use crate::world::{World, LEAF_BUF_BASE_PFN, STAGE_PFN_OFFSET};
 use dvh_arch::vmx::{ExitQualification, ExitReason};
 use dvh_arch::Cycles;
 use dvh_devices::nic::Frame;
+use dvh_devices::vhost::DmaTranslate;
 use dvh_devices::virtio::net::NOTIFY_BAR_OFFSET;
 use dvh_devices::virtio::queue::Descriptor;
 use dvh_memory::{DirtyBitmap, Gpa};
@@ -83,31 +86,28 @@ impl World {
                         Some(c) => c,
                         None => break,
                     };
-                    let mut payload = Vec::new();
-                    let mut faulted = false;
-                    for d in &chain.descs {
-                        let iova = d.addr.pfn();
-                        match self.phys_iommu.translate(vf, iova, dvh_memory::Perms::RO) {
-                            // Grow the frame once per descriptor and
-                            // gather in place — no temporary Vec per
-                            // DMA read.
-                            Ok(host_pfn) => {
-                                let start = payload.len();
-                                payload.resize(start + d.len as usize, 0);
-                                self.host_mem.read_into(
-                                    Gpa::from_pfn(host_pfn).offset(d.addr.page_offset()),
-                                    &mut payload[start..],
-                                );
-                            }
-                            // A faulting DMA is dropped by the IOMMU;
-                            // the frame never reaches the wire.
-                            Err(_) => faulted = true,
+                    let len = chain.descs.iter().map(|d| d.len as usize).sum();
+                    // Gather each descriptor into a recycled wire
+                    // buffer. A faulting DMA is dropped by the IOMMU;
+                    // the frame never reaches the wire.
+                    let _ = self.nic.transmit_with(1, len, |payload| {
+                        let mut filled = 0;
+                        for d in &chain.descs {
+                            let n = d.len as usize;
+                            let host_pfn = self.phys_iommu.translate(
+                                vf,
+                                d.addr.pfn(),
+                                dvh_memory::Perms::RO,
+                            )?;
+                            self.host_mem.read_into(
+                                Gpa::from_pfn(host_pfn).offset(d.addr.page_offset()),
+                                &mut payload[filled..filled + n],
+                            );
+                            filled += n;
                         }
-                    }
+                        Ok::<(), dvh_memory::TranslateErr>(())
+                    });
                     self.virtio[leaf_dev].tx.push_used(chain.head, 0);
-                    if !faulted {
-                        self.nic.transmit(1, Frame { payload });
-                    }
                 }
             }
             IoModel::VirtualPassthrough => {
@@ -292,34 +292,23 @@ impl World {
     /// L0's vhost backend drains the TX queue of its device and puts
     /// frames on the wire.
     fn l0_vhost_service_tx(&mut self, cpu: usize) {
-        let mut q = std::mem::replace(
-            &mut self.virtio[0].tx,
-            dvh_devices::virtio::queue::VirtQueue::new(1),
-        );
-        let frames = match self.config.io_model {
-            IoModel::VirtualPassthrough => {
-                let mut shadow = self.shadow_io.take().unwrap_or_default();
-                let frames = self.vhost[0].service_tx(&mut q, &self.host_mem, &mut shadow);
-                self.shadow_io = Some(shadow);
-                frames
-            }
-            _ => {
-                // L1's own device: descriptors hold L1 GPAs; translate
-                // through L0's stage table.
-                let mut stage = std::mem::take(&mut self.l0_io_stage);
-                let frames = self.vhost[0].service_tx(&mut q, &self.host_mem, &mut stage);
-                self.l0_io_stage = stage;
-                frames
-            }
+        let xl: &mut dyn DmaTranslate = match self.config.io_model {
+            IoModel::VirtualPassthrough => self.shadow_io.get_or_insert_with(Default::default),
+            // L1's own device: descriptors hold L1 GPAs; translate
+            // through L0's stage table.
+            _ => &mut self.l0_io_stage,
         };
-        self.virtio[0].tx = q;
-        for f in &frames {
-            self.compute(cpu, self.costs.copy_cost(f.len() as u64));
-        }
-        self.compute(cpu, Cycles::new(150) * frames.len() as u64);
-        for f in frames {
-            self.nic.transmit(0, f);
-        }
+        // The vhost copy (floored per frame) plus per-frame backend work.
+        let mut cost = Cycles::ZERO;
+        self.vhost[0].service_tx(
+            &mut self.virtio[0].tx,
+            &self.host_mem,
+            xl,
+            &mut self.nic,
+            0,
+            |len| cost += self.costs.copy_cost(len as u64) + Cycles::new(150),
+        );
+        self.compute(cpu, cost);
     }
 
     /// A cascade hypervisor's doorbell handler (`owner` ≥ 1): its vhost
@@ -415,7 +404,7 @@ impl World {
                     self.vhost[idx] = vhost;
                 }
                 self.virtio[idx].rx = q;
-                self.nic.receive(1, Frame { payload: vec![] });
+                self.nic.receive_dma(1, frame.len());
                 match self.rx_msix_vector(idx) {
                     Some(v) => {
                         let t = self.now(dest);

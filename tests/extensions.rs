@@ -274,3 +274,24 @@ fn detached_passthrough_device_stops_transmitting() {
     );
     assert!(m.world().phys_iommu.fault_count() >= 2);
 }
+
+#[test]
+fn faulting_passthrough_dma_evicts_nothing_from_a_full_ring() {
+    use dvh_devices::nic::WIRE_CAPACITY;
+    let mut m = Machine::build(MachineConfig::passthrough(2));
+    for _ in 0..WIRE_CAPACITY / 8 + 1 {
+        m.net_tx(0, 8, 1500);
+    }
+    let before = m.world().nic.wire().clone();
+    let sent = m.world().nic.tx_frames();
+    assert_eq!(before.len(), WIRE_CAPACITY);
+    let vf = m.world().nic.function_bdf(1);
+    m.world_mut().phys_iommu.detach(vf);
+    m.net_tx(0, 2, 900);
+    assert_eq!(
+        *m.world().nic.wire(),
+        before,
+        "a dropped frame must not evict a frame already on the wire"
+    );
+    assert_eq!(m.world().nic.tx_frames(), sent);
+}

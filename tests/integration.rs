@@ -4,7 +4,7 @@
 
 use dvh_arch::vmx::ExitReason;
 use dvh_core::{migration_cap, Machine, MachineConfig};
-use dvh_devices::nic::Frame;
+use dvh_devices::nic::{Frame, WIRE_CAPACITY};
 use dvh_hypervisor::world::{LEAF_BUF_BASE_PFN, STAGE_PFN_OFFSET};
 use dvh_memory::Gpa;
 use dvh_migration::{migrate_nested_vm, MigrationConfig};
@@ -51,6 +51,73 @@ fn passthrough_rx_is_not_dirty_tracked() {
     m.world_mut()
         .external_packet_arrival(0, Frame::patterned(800, 1));
     assert!(m.world().leaf_dirty.is_clean());
+}
+
+#[test]
+fn passthrough_rx_counts_real_bytes_and_queues_nothing() {
+    // The VF DMAs each frame straight into the leaf: its byte counter
+    // must see every frame, and no placeholder may pile up in its RX
+    // queue.
+    let mut m = Machine::build(MachineConfig::passthrough(2));
+    let n = 50u64;
+    for _ in 0..n {
+        m.net_rx(0, 800);
+    }
+    let vf = m.world_mut().nic.function_mut(1);
+    assert!(
+        vf.rx_queue.is_empty(),
+        "{} frames queued",
+        vf.rx_queue.len()
+    );
+    assert_eq!(vf.rx_bytes, n * 800);
+}
+
+// ---- Bounded wire ----------------------------------------------------------
+
+#[test]
+fn long_maerts_runs_keep_a_full_ring_and_count_every_frame() {
+    // MAERTS flushes 43 frames per transaction in 6 kicks of 7: 42
+    // frames per transaction reach the wire, far more than it keeps.
+    let txns = 2_000u32;
+    for (name, cfg, via_vhost) in [
+        ("L1", MachineConfig::baseline(1), true),
+        ("L1+PT", MachineConfig::passthrough(1), false),
+        ("L2+DVH", MachineConfig::dvh(2), true),
+    ] {
+        let mut m = Machine::build(cfg);
+        run_app(&mut m, &AppId::NetperfMaerts.mix(), txns);
+        let w = m.world();
+        assert_eq!(w.nic.wire().len(), WIRE_CAPACITY, "{name}");
+        assert_eq!(w.nic.tx_frames(), 42 * txns as u64, "{name}");
+        if via_vhost {
+            assert_eq!(w.nic.tx_frames(), w.vhost[0].stats.tx_packets, "{name}");
+        }
+    }
+}
+
+#[test]
+fn recycled_wire_buffers_carry_exact_short_payloads() {
+    // Fill the ring with full-size frames so every later frame reuses
+    // an evicted 1,500-byte buffer; a short guest payload must still
+    // arrive with its exact length and bytes, with no stale tail.
+    for (name, cfg) in [
+        ("L1 virtio", MachineConfig::baseline(1)),
+        ("L2 shadow I/O", MachineConfig::dvh(2)),
+        ("L2 physical IOMMU", MachineConfig::passthrough(2)),
+    ] {
+        let mut m = Machine::build(cfg);
+        for _ in 0..WIRE_CAPACITY / 8 + 1 {
+            m.net_tx(0, 8, 1500);
+        }
+        let payload: Vec<u8> = (0..200u32).map(|i| (i * 13 % 251) as u8 + 1).collect();
+        m.world_mut()
+            .guest_write_memory(0, Gpa::from_pfn(LEAF_BUF_BASE_PFN), &payload);
+        m.net_tx(0, 1, payload.len() as u32);
+        let wire = m.world().nic.wire();
+        assert_eq!(wire.len(), WIRE_CAPACITY, "{name}");
+        assert_eq!(wire.back().unwrap().payload, payload, "{name}");
+        assert_eq!(wire[WIRE_CAPACITY - 2].len(), 1500, "{name}");
+    }
 }
 
 #[test]
