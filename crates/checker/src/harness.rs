@@ -7,8 +7,9 @@ use crate::metrics_lint::{lint_chrome_export, lint_metrics};
 use crate::source_lint::lint_sources;
 use crate::summary_diff::check_exit_summaries;
 use crate::trace_lint::{lint_trace, TraceContext};
-use crate::{Report, Violation};
+use crate::{Pass, Report, Violation};
 use dvh_core::{Machine, MachineConfig};
+use dvh_hypervisor::World;
 use std::path::Path;
 
 /// Trace capacity used by the harness — large enough that no harness
@@ -172,11 +173,31 @@ pub fn check_pinned_fixture() -> Vec<Violation> {
     out
 }
 
-/// Builds a machine for `config`, arms checking, tracing, and metrics,
-/// runs the standard workload, and returns all vmentry-, trace-,
-/// metrics-, and causal-pass violations (empty = certified).
+/// The VM-entry pass over `w` ([`World::take_vmentry_findings`]: the
+/// static sweep of every VMCS plus the findings collected while `w` ran
+/// with [`World::enable_vmentry_checks`] on), as checker violations.
+pub fn vmentry_violations(w: &mut World) -> Vec<Violation> {
+    w.take_vmentry_findings()
+        .into_iter()
+        .map(|f| Violation {
+            pass: Pass::Vmentry,
+            rule: f.violation.rule,
+            location: format!("L{} cpu{} field {:#06x}", f.level, f.cpu, f.violation.field),
+            detail: f.violation.detail,
+        })
+        .collect()
+}
+
+/// Builds a machine for `config` and [`certify`]s the standard
+/// workload ([`exercise`]) on it.
 pub fn check_machine(config: MachineConfig) -> Vec<Violation> {
-    let mut m = Machine::build(config);
+    certify(&mut Machine::build(config), exercise)
+}
+
+/// Arms checking, tracing, and metrics on `m`, runs `workload`, and
+/// returns all vmentry-, trace-, metrics-, and causal-pass violations
+/// (empty = certified).
+pub fn certify(m: &mut Machine, workload: impl FnOnce(&mut Machine)) -> Vec<Violation> {
     {
         let w = m.world_mut();
         w.enable_tracing(TRACE_CAPACITY);
@@ -186,9 +207,9 @@ pub fn check_machine(config: MachineConfig) -> Vec<Violation> {
         // cycle conservation to be exact.
         w.reset_stats();
     }
-    exercise(&mut m);
+    workload(m);
     let w = m.world_mut();
-    let mut out = crate::vmentry::check_world(w);
+    let mut out = vmentry_violations(w);
     let ctx = TraceContext::for_world(w);
     out.extend(lint_trace(w.trace_events(), &ctx));
     if let Some(reg) = w.metrics() {
@@ -268,6 +289,33 @@ pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvh_arch::costs::CostModel;
+    use dvh_arch::vmx::field;
+    use dvh_hypervisor::WorldConfig;
+
+    #[test]
+    fn clean_world_reports_nothing() {
+        let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(3));
+        w.enable_vmentry_checks();
+        w.guest_hypercall(0);
+        assert!(vmentry_violations(&mut w).is_empty());
+    }
+
+    #[test]
+    fn dynamic_findings_are_collapsed() {
+        let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
+        w.enable_vmentry_checks();
+        w.vmcs_mut(0, 0).write(field::EPT_POINTER, 0);
+        // Many entries, each seeing the same broken field...
+        w.guest_hypercall(0);
+        w.guest_hypercall(0);
+        let vs = vmentry_violations(&mut w);
+        // ...reported once, with level and field encoding.
+        assert_eq!(vs.len(), 1);
+        assert_eq!(vs[0].rule, "ept-pointer");
+        assert!(vs[0].location.contains("L0 cpu0"));
+        assert!(vs[0].location.contains("0x201a"));
+    }
 
     #[test]
     fn every_fig7_config_is_certified() {

@@ -4,12 +4,12 @@
 //! exit engine. Four passes, all runnable from `dvh check` and from
 //! the test suite:
 //!
-//! 1. **VM-entry consistency** ([`vmentry`]): every simulated VM entry
-//!    validates the entered VMCS against Intel SDM §26-style rules
-//!    (posted-interrupt descriptor and vector, shadow-VMCS link
-//!    pointer, secondary-control activation, EPT pointer, DVH
-//!    capability gating), reporting violations with the owning level
-//!    and field encoding.
+//! 1. **VM-entry consistency** ([`harness::vmentry_violations`]):
+//!    every simulated VM entry validates the entered VMCS against
+//!    Intel SDM §26-style rules (posted-interrupt descriptor and
+//!    vector, shadow-VMCS link pointer, secondary-control activation,
+//!    EPT pointer, DVH capability gating), reporting violations with
+//!    the owning level and field encoding.
 //! 2. **Trace linting** ([`trace_lint`]): a pass over the
 //!    [`dvh_hypervisor::TraceEvent`] log proving structural invariants
 //!    of the exit engine — well-formed exit/intervention nesting,
@@ -54,7 +54,6 @@ pub mod metrics_lint;
 pub mod source_lint;
 pub mod summary_diff;
 pub mod trace_lint;
-pub mod vmentry;
 
 use dvh_hypervisor::RunStats;
 use std::collections::{BTreeMap, BTreeSet};

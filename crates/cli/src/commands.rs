@@ -1,6 +1,6 @@
 //! Command implementations for the `dvh` binary.
 
-use crate::args::{CliConfig, Command, ProfileFormat, TraceFormat};
+use crate::args::{Command, Op, ProfileFormat, Target, TraceFormat, Workload};
 use crate::results::{to_csv, ResultFile};
 use dvh_core::Machine;
 use dvh_hypervisor::trace_export;
@@ -60,7 +60,7 @@ impl Write for PipeWatch<'_> {
 fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
     let w = |out: &mut dyn Write, s: String| out.write_all(s.as_bytes()).map_err(|e| e.to_string());
     match cmd {
-        Command::Help => w(out, crate::args::USAGE.to_string()),
+        Command::Help(topic) => w(out, crate::args::help(topic)),
         Command::Micro {
             level,
             config,
@@ -183,15 +183,8 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
                 Err(e) => Err(format!("migration failed: {e}")),
             }
         }
-        Command::Trace {
-            op,
-            app,
-            txns,
-            level,
-            config,
-            format,
-        } => {
-            let obs = observe_workload(&op, app, txns, level, config)?;
+        Command::Trace { target, format } => {
+            let obs = observe_workload(target);
             if obs.dropped > 0 {
                 return Err(truncated(obs.dropped));
             }
@@ -205,7 +198,7 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
                 TraceFormat::Chrome => {
                     w(
                         out,
-                        trace_export::chrome_json(&obs.events, obs.num_cpus, level),
+                        trace_export::chrome_json(&obs.events, obs.num_cpus, target.level),
                     )?;
                     w(out, "\n".to_string())
                 }
@@ -213,16 +206,12 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
             }
         }
         Command::Profile {
-            op,
-            app,
-            txns,
-            level,
-            config,
+            target,
             top,
             snapshot,
             format,
         } => {
-            let obs = observe_workload(&op, app, txns, level, config)?;
+            let obs = observe_workload(target);
             let forest = obs.forest()?;
             match format {
                 ProfileFormat::Folded => {
@@ -255,22 +244,19 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
             }
         }
         Command::ObsSnapshot {
-            op,
-            app,
-            txns,
-            level,
-            config,
+            target,
             out: out_path,
             prom,
         } => {
-            let workload = match app {
-                Some(a) => format!("{}@L{level}/{config}", a.mix().name),
-                None => format!("{op}@L{level}/{config}"),
-            };
-            let obs = observe_workload(&op, app, txns, level, config)?;
+            let obs = observe_workload(target);
             let text = if prom {
                 dvh_obs::prom::prometheus(&obs.reg)
             } else {
+                let workload = match target.workload {
+                    Workload::Op(op) => op.to_string(),
+                    Workload::App { app, .. } => app.mix().name.to_string(),
+                };
+                let workload = format!("{workload}@L{}/{}", target.level, target.config);
                 let mut s = dvh_obs::diff::snapshot_json(&obs.reg, &workload);
                 s.push('\n');
                 s
@@ -315,7 +301,7 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
         }
         Command::Explain { op, level, config } => {
             let mut m = Machine::build(config.machine_config(level));
-            let cost = run_named_op(&mut m, &op)?;
+            let cost = run_named_op(&mut m, op);
             w(
                 out,
                 format!(
@@ -350,9 +336,6 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
             }
         }
         Command::Results { files } => {
-            if files.is_empty() {
-                return Err("results requires at least one file".into());
-            }
             for path in files {
                 let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
                 let r = ResultFile::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -418,25 +401,24 @@ impl Observed {
 /// application benchmark) on a fresh machine with tracing and metrics
 /// on. Observability never advances simulated time, so the reported
 /// costs and overheads are identical to an unobserved run.
-fn observe_workload(
-    op: &str,
-    app: Option<AppId>,
-    txns: u32,
-    level: usize,
-    config: CliConfig,
-) -> Result<Observed, String> {
+fn observe_workload(target: Target) -> Observed {
+    let Target {
+        workload,
+        level,
+        config,
+    } = target;
     let mut m = Machine::build(config.machine_config(level));
     m.world_mut().enable_observability(TRACE_CAPACITY);
-    let header = match app {
-        Some(app) => {
+    let header = match workload {
+        Workload::App { app, txns } => {
             let overhead = run_app(&mut m, &app.mix(), txns).overhead;
             format!(
                 "{} at L{level} ({config}): overhead {overhead:.2}x vs native\n",
                 app.mix().name
             )
         }
-        None => {
-            let cost = run_named_op(&mut m, op)?;
+        Workload::Op(op) => {
+            let cost = run_named_op(&mut m, op);
             format!("{op} at L{level} ({config}): {cost}\n")
         }
     };
@@ -446,40 +428,42 @@ fn observe_workload(
     let events = w.take_trace();
     let num_cpus = w.num_cpus();
     let reg = w.take_metrics().unwrap_or_default();
-    Ok(Observed {
+    Observed {
         header,
         events,
         dropped,
         num_cpus,
         reg,
-    })
+    }
 }
 
-fn run_named_op(m: &mut Machine, op: &str) -> Result<dvh_core::Cycles, String> {
-    Ok(match op {
-        "hypercall" => m.hypercall(0),
-        "timer" => m.program_timer(0),
-        "ipi" => m.send_ipi(0, 1),
-        "devnotify" => m.device_notify(0),
-        other => return Err(format!("unknown op '{other}'")),
-    })
-}
-
-/// Convenience used by tests: execute and capture output.
-pub fn execute_to_string(cmd: Command) -> Result<String, String> {
-    let mut buf = Vec::new();
-    execute(cmd, &mut buf)?;
-    String::from_utf8(buf).map_err(|e| e.to_string())
+fn run_named_op(m: &mut Machine, op: Op) -> dvh_core::Cycles {
+    match op {
+        Op::Hypercall => m.hypercall(0),
+        Op::Timer => m.program_timer(0),
+        Op::Ipi => m.send_ipi(0, 1),
+        Op::Devnotify => m.device_notify(0),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::CliConfig;
+
+    /// Parses and runs one `dvh` command line.
+    fn dvh(line: &str) -> Result<String, String> {
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        let mut out = Vec::new();
+        execute(
+            crate::args::parse(&args).expect("valid command line"),
+            &mut out,
+        )?;
+        Ok(String::from_utf8(out).expect("UTF-8 output"))
+    }
 
     #[test]
     fn check_command_is_clean_without_sources() {
-        let out = execute_to_string(Command::Check { source_root: None }).unwrap();
+        let out = dvh("check --no-source").unwrap();
         assert!(out.contains("all invariants hold"), "{out}");
         assert!(out.contains("fig7/nested-dvh"));
         assert!(!out.contains("source lint"));
@@ -488,51 +472,28 @@ mod tests {
     #[test]
     fn check_command_runs_source_lint_on_repo() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let out = execute_to_string(Command::Check {
-            source_root: Some(root.into()),
-        })
-        .unwrap();
+        let out = dvh(&format!("check --source-root {root}")).unwrap();
         assert!(out.contains("source lint"), "{out}");
         assert!(out.contains("all invariants hold"), "{out}");
     }
 
     #[test]
     fn micro_command_produces_table() {
-        let out = execute_to_string(Command::Micro {
-            level: 1,
-            config: CliConfig::Base,
-            iters: 2,
-            csv: false,
-        })
-        .unwrap();
+        let out = dvh("micro --level 1 --iters 2").unwrap();
         assert!(out.contains("Hypercall"));
         assert!(out.contains("L1 base"));
     }
 
     #[test]
     fn micro_csv_has_four_rows() {
-        let out = execute_to_string(Command::Micro {
-            level: 2,
-            config: CliConfig::Dvh,
-            iters: 1,
-            csv: true,
-        })
-        .unwrap();
+        let out = dvh("micro --config dvh --iters 1 --csv").unwrap();
         assert_eq!(out.lines().count(), 5); // header + 4 benchmarks
         assert!(out.contains("programtimer,2,dvh,"));
     }
 
     #[test]
     fn app_csv_round_trips_through_results_parser() {
-        let out = execute_to_string(Command::App {
-            app: AppId::Hackbench,
-            level: 2,
-            config: CliConfig::Base,
-            runs: 2,
-            txns: 40,
-            csv: true,
-        })
-        .unwrap();
+        let out = dvh("app --name hackbench --runs 2 --txns 40 --csv").unwrap();
         let parsed = ResultFile::parse(&out).unwrap();
         assert_eq!(parsed.name, "Hackbench");
         assert_eq!(parsed.runs(), 2);
@@ -541,74 +502,40 @@ mod tests {
 
     #[test]
     fn apps_lists_all_seven() {
-        let out = execute_to_string(Command::Apps {
-            level: 1,
-            config: CliConfig::Base,
-            txns: 40,
-            csv: false,
-        })
-        .unwrap();
-        assert_eq!(out.lines().count(), 7);
+        assert_eq!(dvh("apps --level 1 --txns 40").unwrap().lines().count(), 7);
     }
 
     #[test]
     fn migrate_passthrough_fails_cleanly() {
-        let err = execute_to_string(Command::Migrate {
-            config: CliConfig::Passthrough,
-            with_hypervisor: false,
-        })
-        .unwrap_err();
-        assert!(err.contains("passthrough"));
+        assert!(dvh("migrate --config pt")
+            .unwrap_err()
+            .contains("passthrough"));
     }
 
     #[test]
     fn migrate_dvh_succeeds() {
-        let out = execute_to_string(Command::Migrate {
-            config: CliConfig::Dvh,
-            with_hypervisor: false,
-        })
-        .unwrap();
-        assert!(out.contains("verified: true"));
-    }
-
-    #[test]
-    fn results_requires_files() {
-        assert!(execute_to_string(Command::Results { files: vec![] }).is_err());
+        assert!(dvh("migrate --config dvh")
+            .unwrap()
+            .contains("verified: true"));
     }
 
     #[test]
     fn explain_shows_attribution() {
-        let out = execute_to_string(Command::Explain {
-            op: "timer".into(),
-            level: 2,
-            config: CliConfig::Base,
-        })
-        .unwrap();
+        let out = dvh("explain --op timer").unwrap();
         assert!(out.contains("interventions"));
         assert!(out.contains("MsrWrite"));
     }
 
-    fn trace_cmd(format: TraceFormat) -> Command {
-        Command::Trace {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
-            format,
-        }
-    }
-
     #[test]
     fn trace_lists_events() {
-        let out = execute_to_string(trace_cmd(TraceFormat::Text)).unwrap();
+        let out = dvh("trace").unwrap();
         assert!(out.lines().count() > 10);
         assert!(out.contains("exit L2 MsrWrite"));
     }
 
     #[test]
     fn trace_chrome_round_trips_through_parser() {
-        let out = execute_to_string(trace_cmd(TraceFormat::Chrome)).unwrap();
+        let out = dvh("trace --format chrome").unwrap();
         let doc = dvh_obs::json::parse(out.trim_end()).expect("chrome export must parse");
         assert_eq!(doc.to_json(), out.trim_end());
         let spans = trace_export::chrome_outermost_totals(&doc);
@@ -617,7 +544,7 @@ mod tests {
 
     #[test]
     fn trace_jsonl_lines_parse() {
-        let out = execute_to_string(trace_cmd(TraceFormat::Jsonl)).unwrap();
+        let out = dvh("trace --format jsonl").unwrap();
         assert!(out.lines().count() > 10);
         for line in out.lines() {
             dvh_obs::json::parse(line).expect("every jsonl line must parse");
@@ -626,31 +553,12 @@ mod tests {
 
     #[test]
     fn trace_app_runs_a_benchmark() {
-        let out = execute_to_string(Command::Trace {
-            op: "timer".into(),
-            app: Some(AppId::NetperfRr),
-            txns: 5,
-            level: 2,
-            config: CliConfig::Base,
-            format: TraceFormat::Text,
-        })
-        .unwrap();
-        assert!(out.lines().count() > 50);
+        assert!(dvh("trace --app rr --txns 5").unwrap().lines().count() > 50);
     }
 
     #[test]
     fn profile_op_shows_attribution_table() {
-        let out = execute_to_string(Command::Profile {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
-            top: 10,
-            snapshot: false,
-            format: ProfileFormat::Table,
-        })
-        .unwrap();
+        let out = dvh("profile --op timer").unwrap();
         assert!(out.contains("timer at L2 (base)"), "{out}");
         assert!(out.contains("MsrWrite"), "{out}");
         assert!(out.contains("total"), "{out}");
@@ -662,17 +570,7 @@ mod tests {
 
     #[test]
     fn profile_folded_is_flamegraph_ready() {
-        let out = execute_to_string(Command::Profile {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
-            top: 10,
-            snapshot: false,
-            format: ProfileFormat::Folded,
-        })
-        .unwrap();
+        let out = dvh("profile --format folded").unwrap();
         assert!(!out.is_empty());
         for line in out.lines() {
             // Every line is `path cycles` with a numeric tail and a
@@ -689,106 +587,40 @@ mod tests {
     fn obs_snapshot_self_diff_is_clean() {
         let dir = std::env::temp_dir().join("dvh-obs-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
-        let snap_cmd = || Command::ObsSnapshot {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
-            out: Some(path.to_string_lossy().into_owned()),
-            prom: false,
-        };
-        execute_to_string(snap_cmd()).unwrap();
+        let path = dir.join("snap.json").to_string_lossy().into_owned();
+        dvh(&format!("obs snapshot --out {path}")).unwrap();
         let first = std::fs::read_to_string(&path).unwrap();
-        execute_to_string(snap_cmd()).unwrap();
-        assert_eq!(
-            first,
-            std::fs::read_to_string(&path).unwrap(),
-            "snapshots must be deterministic"
-        );
-        let out = execute_to_string(Command::ObsDiff {
-            baseline: path.to_string_lossy().into_owned(),
-            current: path.to_string_lossy().into_owned(),
-            threshold: 0.25,
-            json: false,
-        })
-        .unwrap();
+        dvh(&format!("obs snapshot --out {path}")).unwrap();
+        let second = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(first, second, "snapshots must be deterministic");
+        let out = dvh(&format!("obs diff {path} {path}")).unwrap();
         assert!(out.contains("0 regression(s)"), "{out}");
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn obs_snapshot_prom_exports_histograms() {
-        let out = execute_to_string(Command::ObsSnapshot {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
-            out: None,
-            prom: true,
-        })
-        .unwrap();
+        let out = dvh("obs snapshot --prom").unwrap();
         assert!(out.contains("# TYPE dvh_exit_cycles histogram"), "{out}");
         assert!(out.contains("le=\"+Inf\""), "{out}");
     }
 
     #[test]
     fn obs_diff_flags_missing_file() {
-        assert!(execute_to_string(Command::ObsDiff {
-            baseline: "/nonexistent/base.json".into(),
-            current: "/nonexistent/cur.json".into(),
-            threshold: 0.25,
-            json: false,
-        })
-        .is_err());
+        assert!(dvh("obs diff /nonexistent/base.json /nonexistent/cur.json").is_err());
     }
 
     #[test]
     fn profile_app_with_snapshot_is_deterministic() {
-        let run = || {
-            execute_to_string(Command::Profile {
-                op: "timer".into(),
-                app: Some(AppId::NetperfRr),
-                txns: 10,
-                level: 2,
-                config: CliConfig::Dvh,
-                top: 5,
-                snapshot: true,
-                format: ProfileFormat::Table,
-            })
-            .unwrap()
-        };
-        let out = run();
+        let line = "profile --app rr --txns 10 --config dvh --top 5 --snapshot";
+        let out = dvh(line).unwrap();
         assert!(out.contains("Netperf RR at L2 (dvh)"), "{out}");
         assert!(out.contains("histogram"), "{out}");
-        assert_eq!(out, run(), "profile output must be deterministic");
-    }
-
-    #[test]
-    fn profile_rejects_unknown_op() {
-        assert!(execute_to_string(Command::Profile {
-            op: "frob".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
-            top: 10,
-            snapshot: false,
-            format: ProfileFormat::Table,
-        })
-        .is_err());
-    }
-
-    #[test]
-    fn explain_rejects_unknown_op() {
-        assert!(execute_to_string(Command::Explain {
-            op: "frob".into(),
-            level: 2,
-            config: CliConfig::Base,
-        })
-        .is_err());
+        assert_eq!(
+            out,
+            dvh(line).unwrap(),
+            "profile output must be deterministic"
+        );
     }
 
     /// A reader that has gone away, as `head` does after its lines.
@@ -806,16 +638,26 @@ mod tests {
 
     #[test]
     fn broken_pipe_ends_quietly_but_other_write_errors_fail() {
+        let help = || Command::Help(None);
         assert_eq!(
-            execute(Command::Help, &mut Closed(io::ErrorKind::BrokenPipe)),
+            execute(help(), &mut Closed(io::ErrorKind::BrokenPipe)),
             Ok(())
         );
-        assert!(execute(Command::Help, &mut Closed(io::ErrorKind::PermissionDenied)).is_err());
+        assert!(execute(help(), &mut Closed(io::ErrorKind::PermissionDenied)).is_err());
     }
 
     #[test]
     fn help_prints_usage() {
-        let out = execute_to_string(Command::Help).unwrap();
-        assert!(out.contains("USAGE"));
+        let out = dvh("help").unwrap();
+        for spec in crate::args::COMMANDS {
+            assert!(
+                out.contains(&format!("\ndvh {} ", spec.name)),
+                "{}",
+                spec.name
+            );
+        }
+        let micro = dvh("micro --help").unwrap();
+        assert!(micro.starts_with("dvh micro [flags]\n"), "{micro}");
+        assert!(!micro.contains("dvh app"), "{micro}");
     }
 }

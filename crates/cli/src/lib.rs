@@ -17,6 +17,12 @@
 //! dvh migrate --config dvh --with-hypervisor
 //! dvh results <csv...>
 //! ```
+//!
+//! [`args::COMMANDS`] is the one table of commands: each row holds a
+//! command's flags with their defaults and help, and builds the typed
+//! [`Command`] that [`commands::execute`] runs. `dvh help`, `dvh
+//! <command> --help` and the one-line parse errors (exit code 2) are
+//! rendered from it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@ fn main() {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", e.hint());
             std::process::exit(2);
         }
     };

@@ -1,8 +1,9 @@
 //! The `dvh` binary rejects out-of-range numeric flags and flags a
-//! subcommand does not know at parse time: exit code 2 and a message
-//! naming the flag, never a panic (exit 101) and never a silent
-//! default. `<command> --help` prints usage, and a reader that closes
-//! the pipe early ends the command quietly.
+//! subcommand does not know at parse time: exit code 2, a one-line
+//! message naming the flag and a one-line hint, never a panic (exit
+//! 101) and never a silent default. `<command> --help` prints that
+//! command's usage, and a reader that closes the pipe early ends the
+//! command quietly.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
@@ -19,13 +20,21 @@ fn dvh(args: &[&str]) -> (i32, String) {
     )
 }
 
-fn assert_rejected(args: &[&str], flag: &str) {
+/// Asserts `args` fail to parse: exit 2, and stderr is exactly two
+/// lines, the error starting `error: {start}` and the usage hint.
+fn assert_parse_error(args: &[&str], start: &str) {
     let (code, stderr) = dvh(args);
     assert_eq!(code, 2, "{args:?}: {stderr}");
-    assert!(
-        stderr.starts_with(&format!("error: {flag} must")),
-        "{args:?}: {stderr}"
-    );
+    let lines: Vec<&str> = stderr.lines().collect();
+    let [error, hint] = lines[..] else {
+        panic!("{args:?}: {stderr}")
+    };
+    assert!(error.starts_with(&format!("error: {start}")), "{stderr}");
+    assert!(hint.starts_with("run 'dvh ") && hint.ends_with("' for usage"));
+}
+
+fn assert_rejected(args: &[&str], flag: &str) {
+    assert_parse_error(args, &format!("{flag} must"));
 }
 
 #[test]
@@ -111,54 +120,66 @@ fn top_zero_is_rejected() {
 
 #[test]
 fn unknown_flags_are_rejected_by_every_subcommand() {
-    for (args, sub) in [
-        (&["micro", "--frob", "1"][..], "micro"),
-        (&["app", "--name", "rr", "--frob"], "app"),
-        (&["apps", "--frob"], "apps"),
-        (&["migrate", "--frob"], "migrate"),
-        (&["results", "--frob"], "results"),
-        (&["explain", "--frob"], "explain"),
-        (&["sweep", "--frob"], "sweep"),
-        (&["trace", "--frob"], "trace"),
-        (&["profile", "--frob"], "profile"),
-        (&["obs", "snapshot", "--frob"], "obs snapshot"),
-        (&["obs", "diff", "a.json", "b.json", "--frob"], "obs diff"),
-        (&["check", "--frob"], "check"),
-    ] {
-        let (code, stderr) = dvh(args);
-        assert_eq!(code, 2, "{args:?}: {stderr}");
-        assert!(
-            stderr.starts_with(&format!("error: unknown flag '--frob' for {sub}\n")),
-            "{args:?}: {stderr}"
+    for spec in dvh_cli::args::COMMANDS {
+        let (sub, args) = (spec.name, spec.name.split(' ').chain(["--frob"]));
+        let (code, stderr) = dvh(&args.collect::<Vec<_>>());
+        assert_eq!(code, 2, "{sub}: {stderr}");
+        let hint = format!("run 'dvh {sub} --help' for usage");
+        assert_eq!(
+            stderr,
+            format!("error: unknown flag '--frob' for {sub}\n{hint}\n")
         );
     }
 }
 
 #[test]
 fn stray_arguments_are_rejected() {
-    let (code, stderr) = dvh(&["micro", "3"]);
-    assert_eq!(code, 2, "{stderr}");
-    assert!(stderr.starts_with("error: unexpected argument '3' for micro"));
+    assert_parse_error(&["micro", "3"], "unexpected argument '3' for micro");
+}
+
+#[test]
+fn contradictions_and_unknown_words_are_rejected_at_parse_time() {
+    for (line, start) in [
+        ("explain --op frob", "unknown op 'frob'"),
+        ("trace --op frob", "unknown op 'frob'"),
+        ("trace --app rr --op timer", "--op and --app exclude"),
+        ("trace --op timer --txns 7", "--txns applies only"),
+        ("profile --txns 7", "--txns applies only"),
+        ("obs snapshot --txns 7", "--txns applies only"),
+        ("micro --level 2 --level 3", "--level given twice"),
+        ("apps --csv --csv", "--csv given twice"),
+        ("check --no-source --source-root /x", "--no-source and"),
+        ("results", "results requires at least one file"),
+        ("frobnicate", "unknown command 'frobnicate'"),
+        ("obs", "obs requires a subcommand"),
+        ("sweep --figure 11", "unknown figure '11'"),
+    ] {
+        assert_parse_error(&line.split(' ').collect::<Vec<_>>(), start);
+    }
+}
+
+/// The help `args` print: exit 0, on stdout.
+fn help_of(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_dvh"))
+        .args(args)
+        .output()
+        .expect("dvh binary runs");
+    assert_eq!(out.status.code(), Some(0), "{args:?}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
 #[test]
 fn subcommand_help_prints_usage_without_running() {
-    for args in [
-        &["sweep", "--help"][..],
-        &["micro", "--help"],
-        &["check", "-h"],
-        &["obs", "snapshot", "--help"],
-        &["obs", "--help"],
-    ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_dvh"))
-            .args(args)
-            .output()
-            .expect("dvh binary runs");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert_eq!(out.status.code(), Some(0), "{args:?}");
-        assert!(stdout.starts_with("dvh — "), "{args:?}: {stdout}");
-        assert!(stdout.contains("USAGE:"), "{args:?}: {stdout}");
+    for spec in dvh_cli::args::COMMANDS {
+        let args: Vec<&str> = spec.name.split(' ').chain(["--help"]).collect();
+        let help = help_of(&args);
+        // Only this command's section.
+        assert!(help.starts_with(&format!("dvh {} ", spec.name)), "{help}");
+        assert!(!help.contains("\ndvh "), "{help}");
     }
+    let obs = help_of(&["obs", "-h"]);
+    assert!(obs.starts_with("dvh obs snapshot ") && obs.contains("\ndvh obs diff "));
+    assert!(!obs.contains("dvh micro"), "{obs}");
 }
 
 #[test]

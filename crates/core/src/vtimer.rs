@@ -22,19 +22,12 @@ use dvh_hypervisor::{Intercept, L0Extension, World};
 /// capability/control bits) is configured via
 /// [`crate::capability::apply_recursive_enable`].
 #[derive(Debug, Default)]
-pub struct VirtualTimers {
-    intercepts: u64,
-}
+pub struct VirtualTimers;
 
 impl VirtualTimers {
     /// Creates the extension.
     pub fn new() -> VirtualTimers {
-        VirtualTimers::default()
-    }
-
-    /// How many timer writes this extension has handled.
-    pub fn intercept_count(&self) -> u64 {
-        self.intercepts
+        VirtualTimers
     }
 }
 
@@ -79,13 +72,11 @@ impl L0Extension for VirtualTimers {
                 // Claim the exit and forward it the short way: the
                 // handler emulates the timer for the nested VM using
                 // the virtual timer the chain below provides it.
-                self.intercepts += 1;
                 w.reflect_to(handler, from_level, cpu, ExitReason::MsrWrite, *qual);
                 return Intercept::Handled;
             }
             return Intercept::NotHandled;
         }
-        self.intercepts += 1;
 
         // Confirm the enable bit in the merged execution controls
         // (one native vmread) and locate the nested state in memory.

@@ -64,11 +64,6 @@ impl Iommu {
         self.domains.remove(&bdf).is_some()
     }
 
-    /// Whether `bdf` has a domain.
-    pub fn is_attached(&self, bdf: Bdf) -> bool {
-        self.domains.contains_key(&bdf)
-    }
-
     /// Maps `n` pages for device `bdf`: IOVA page `iova_pfn` →
     /// output page `out_pfn`.
     ///

@@ -63,7 +63,6 @@ pub struct NicFunction {
 /// use dvh_devices::pci::Bdf;
 ///
 /// let mut nic = Nic::new(Bdf::new(1, 0, 0), 4);
-/// assert_eq!(nic.num_functions(), 5);
 /// nic.transmit(1, Frame::patterned(1500, 0));
 /// assert_eq!(nic.wire().len(), 1);
 /// assert_eq!(nic.tx_frames(), 1);
@@ -102,11 +101,6 @@ impl Nic {
     /// PF PCI identity.
     pub fn pf_pci(&self) -> &PciDevice {
         &self.pf_pci
-    }
-
-    /// Total functions (PF + VFs).
-    pub fn num_functions(&self) -> usize {
-        self.functions.len()
     }
 
     /// The BDF of function `idx` (PF is function 0; VFs get

@@ -9,11 +9,13 @@
 //! through [`dvh_arch::vmx::validate::validate_vmentry`].
 //!
 //! Checking is off by default and costs one branch per entry. Enable
-//! it with [`World::enable_vmentry_checks`]; collected findings are
-//! drained with [`World::take_vmentry_findings`].
+//! it with [`World::enable_vmentry_checks`]; [`World::take_vmentry_findings`]
+//! drains the collected findings together with a static sweep of the
+//! whole hierarchy.
 
 use crate::world::World;
 use dvh_arch::vmx::validate::{validate_vmentry, VmentryViolation};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A VM-entry consistency violation, located in the VMCS hierarchy.
@@ -41,19 +43,29 @@ impl World {
         self.vmentry_checks = true;
     }
 
-    /// Whether VM-entry checking is currently enabled.
-    pub fn vmentry_checks_enabled(&self) -> bool {
-        self.vmentry_checks
-    }
-
-    /// Findings collected so far (without draining them).
-    pub fn vmentry_findings(&self) -> &[VmentryFinding] {
-        &self.vmentry_findings
-    }
-
-    /// Drains and returns all collected findings.
+    /// The VM-entry pass over this world: a static sweep of every VMCS
+    /// in the hierarchy, as hardware would validate it at the next
+    /// entry, then the findings collected while entries ran with
+    /// checking on (drained). The same broken field seen at every entry
+    /// is reported once per (level, cpu, rule, field).
     pub fn take_vmentry_findings(&mut self) -> Vec<VmentryFinding> {
-        std::mem::take(&mut self.vmentry_findings)
+        let (levels, cpus) = (self.config.levels, self.config.leaf_vcpus);
+        let sweep = (0..levels).flat_map(|level| (0..cpus).map(move |cpu| (level, cpu)));
+        let mut findings: Vec<_> = sweep.flat_map(|(l, c)| self.findings_at(l, c)).collect();
+        findings.append(&mut self.vmentry_findings);
+        let mut seen = BTreeSet::new();
+        findings.retain(|f| seen.insert((f.level, f.cpu, f.violation.rule, f.violation.field)));
+        findings
+    }
+
+    /// What entering the VMCS owned by `level` on `cpu` would violate.
+    fn findings_at(&self, level: usize, cpu: usize) -> impl Iterator<Item = VmentryFinding> {
+        let violations = validate_vmentry(self.vmcs(level, cpu), self.dvh_advertised);
+        violations.into_iter().map(move |violation| VmentryFinding {
+            level,
+            cpu,
+            violation,
+        })
     }
 
     /// A simulated VM entry into the VMCS owned by `level` on `cpu`:
@@ -72,14 +84,8 @@ impl World {
     /// Out-of-line checking-enabled path of [`World::on_vmentry`].
     #[inline(never)]
     fn validate_entry(&mut self, level: usize, cpu: usize) {
-        let caps = self.dvh_advertised;
-        let violations = validate_vmentry(self.vmcs(level, cpu), caps);
-        self.vmentry_findings
-            .extend(violations.into_iter().map(|violation| VmentryFinding {
-                level,
-                cpu,
-                violation,
-            }));
+        let found = self.findings_at(level, cpu);
+        self.vmentry_findings.extend(found);
     }
 
     /// L0's native VM entry on `cpu`: charges the entry cost and (when
@@ -89,26 +95,6 @@ impl World {
     pub fn l0_vmentry(&mut self, cpu: usize) {
         self.compute(cpu, self.costs.vmentry_from_root);
         self.on_vmentry(0, cpu);
-    }
-
-    /// Validates every VMCS in the hierarchy as hardware would at the
-    /// next VM entry, without running anything. Used by `dvh check`
-    /// for a whole-world sweep independent of which entries a workload
-    /// happens to exercise.
-    pub fn validate_all_vmcs(&self) -> Vec<VmentryFinding> {
-        let mut out = Vec::new();
-        for level in 0..self.config.levels {
-            for cpu in 0..self.config.leaf_vcpus {
-                for violation in validate_vmentry(self.vmcs(level, cpu), self.dvh_advertised) {
-                    out.push(VmentryFinding {
-                        level,
-                        cpu,
-                        violation,
-                    });
-                }
-            }
-        }
-        out
     }
 }
 
@@ -122,22 +108,31 @@ mod tests {
     #[test]
     fn default_worlds_are_consistent() {
         for levels in 1..=4 {
-            let w = World::new(CostModel::calibrated(), WorldConfig::baseline(levels));
+            let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(levels));
             assert!(
-                w.validate_all_vmcs().is_empty(),
+                w.take_vmentry_findings().is_empty(),
                 "baseline({levels}) hierarchy inconsistent"
             );
-            let w = World::new(CostModel::calibrated(), WorldConfig::dvh(levels));
-            assert!(w.validate_all_vmcs().is_empty());
+            let mut w = World::new(CostModel::calibrated(), WorldConfig::dvh(levels));
+            assert!(w.take_vmentry_findings().is_empty());
         }
+    }
+
+    /// Breaks `field` of the VMCS owned by `level` on cpu 0, runs a
+    /// hypercall, and restores the field, so that only what the entries
+    /// themselves saw can be reported.
+    fn hypercall_with_broken(w: &mut World, level: usize, field: u32) {
+        let saved = w.vmcs(level, 0).read(field);
+        w.vmcs_mut(level, 0).write(field, 0);
+        w.guest_hypercall(0);
+        w.vmcs_mut(level, 0).write(field, saved);
     }
 
     #[test]
     fn checks_off_by_default_and_free() {
         let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
-        w.guest_hypercall(0);
-        assert!(!w.vmentry_checks_enabled());
-        assert!(w.vmentry_findings().is_empty());
+        hypercall_with_broken(&mut w, 0, field::EPT_POINTER);
+        assert!(w.take_vmentry_findings().is_empty());
     }
 
     #[test]
@@ -153,8 +148,7 @@ mod tests {
     fn tampered_ept_pointer_is_caught_at_entry() {
         let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
         w.enable_vmentry_checks();
-        w.vmcs_mut(0, 0).write(field::EPT_POINTER, 0);
-        w.guest_hypercall(0);
+        hypercall_with_broken(&mut w, 0, field::EPT_POINTER);
         let findings = w.take_vmentry_findings();
         assert!(!findings.is_empty());
         let f = &findings[0];
@@ -169,8 +163,7 @@ mod tests {
         // attributed to level 1, caught when L1's vmresume is emulated.
         let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
         w.enable_vmentry_checks();
-        w.vmcs_mut(1, 0).write(field::EPT_POINTER, 0);
-        w.guest_hypercall(0);
+        hypercall_with_broken(&mut w, 1, field::EPT_POINTER);
         let findings = w.take_vmentry_findings();
         assert!(findings.iter().any(|f| f.level == 1));
     }

@@ -88,11 +88,6 @@ impl Ept {
     pub fn table_mut(&mut self) -> &mut PageTable {
         &mut self.table
     }
-
-    /// Number of registered MMIO regions.
-    pub fn mmio_regions(&self) -> usize {
-        self.mmio.len()
-    }
 }
 
 impl fmt::Display for Ept {

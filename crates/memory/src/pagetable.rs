@@ -7,7 +7,6 @@
 //! map) lets the simulator account walk depth the way hardware does:
 //! translating costs one memory reference per touched level.
 
-use crate::addr::PAGE_SHIFT;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -355,11 +354,6 @@ impl PageTable {
 /// full inner walk, minus the final data access itself.
 pub fn nested_walk_refs() -> u32 {
     (LEVELS + 1) * (LEVELS + 1) - 1
-}
-
-/// The byte length covered by `n` pages.
-pub fn pages_to_bytes(n: u64) -> u64 {
-    n << PAGE_SHIFT
 }
 
 #[cfg(test)]

@@ -23,4 +23,4 @@ pub mod runner;
 
 pub use apps::{all_apps, AppId};
 pub use micro::{run_micro, MicroResults};
-pub use runner::{run_app, run_app_smp, MixKind, TxnMix, WorkloadResult};
+pub use runner::{run_app, MixKind, TxnMix, WorkloadResult};

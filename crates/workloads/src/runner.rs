@@ -94,7 +94,7 @@ impl fmt::Display for WorkloadResult {
 }
 
 /// Deterministic fractional-event accumulator.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default)]
 struct Acc(f64);
 
 impl Acc {
@@ -267,101 +267,5 @@ mod tests {
     fn zero_txns_rejected() {
         let mut m = Machine::build(MachineConfig::baseline(1));
         run_app(&mut m, &mix(), 0);
-    }
-}
-
-/// Runs `txns` transactions of `mix` distributed round-robin across
-/// every leaf vCPU, as the paper's multi-core guests do (4 vCPUs, one
-/// netperf/apache worker per core). IPIs target the next vCPU in the
-/// ring. Overhead is the aggregate busy time over the aggregate native
-/// budget.
-pub fn run_app_smp(m: &mut Machine, mix: &TxnMix, txns: u32) -> WorkloadResult {
-    assert!(txns > 0, "need at least one transaction");
-    let vcpus = m.vcpus();
-    let mut accs: Vec<[Acc; 7]> = vec![[Acc::default(); 7]; vcpus];
-    let mut busy = Cycles::ZERO;
-    for i in 0..txns {
-        let cpu = (i as usize) % vcpus;
-        let ipi_dest = (cpu + 1) % vcpus;
-        let send_ipis = ipi_dest != cpu;
-        let a = &mut accs[cpu];
-        let t0 = m.now(cpu);
-        m.compute(cpu, Cycles::new(mix.compute));
-        let pkts = a[0].step(mix.tx_packets);
-        let kicks = a[1].step(mix.tx_kicks);
-        if kicks > 0 {
-            let per_kick = (pkts.max(1) / kicks.max(1)).max(1);
-            for _ in 0..kicks {
-                m.net_tx(cpu, per_kick, mix.tx_bytes);
-            }
-        }
-        let irqs = a[2].step(mix.rx_irqs);
-        let rpkts = a[3].step(mix.rx_packets);
-        if irqs > 0 {
-            let per_irq = (rpkts.max(1) / irqs.max(1)).max(1);
-            for _ in 0..irqs {
-                m.net_rx_burst(cpu, per_irq, mix.rx_bytes);
-            }
-        }
-        if send_ipis {
-            for _ in 0..a[4].step(mix.ipis) {
-                m.send_ipi(cpu, ipi_dest);
-            }
-        }
-        for _ in 0..a[5].step(mix.timers) {
-            m.program_timer(cpu);
-        }
-        for _ in 0..a[6].step(mix.idles) {
-            m.idle_round(cpu);
-        }
-        busy += m.now(cpu) - t0;
-    }
-    let cycles_per_txn = busy.as_u64() as f64 / txns as f64;
-    let native = mix.native_cycles as f64;
-    let overhead = match mix.kind {
-        MixKind::Latency => (native - mix.compute as f64 + cycles_per_txn) / native,
-        MixKind::Throughput => (cycles_per_txn / native).max(1.0),
-    };
-    WorkloadResult {
-        cycles_per_txn,
-        overhead,
-        txns,
-    }
-}
-
-#[cfg(test)]
-mod smp_tests {
-    use super::*;
-    use crate::apps::AppId;
-    use dvh_core::MachineConfig;
-
-    #[test]
-    fn smp_spreads_work_over_all_vcpus() {
-        let mut m = Machine::build(MachineConfig::dvh(2));
-        run_app_smp(&mut m, &AppId::Apache.mix(), 80);
-        for cpu in 0..m.vcpus() {
-            assert!(m.now(cpu).as_u64() > 0, "cpu{cpu} never ran");
-        }
-    }
-
-    #[test]
-    fn smp_overhead_tracks_single_cpu_overhead() {
-        let mix = AppId::Memcached.mix();
-        let mut a = Machine::build(MachineConfig::baseline(2));
-        let single = run_app(&mut a, &mix, 200).overhead;
-        let mut b = Machine::build(MachineConfig::baseline(2));
-        let smp = run_app_smp(&mut b, &mix, 200).overhead;
-        let ratio = smp / single;
-        assert!((0.8..1.25).contains(&ratio), "smp {smp} vs single {single}");
-    }
-
-    #[test]
-    fn smp_is_deterministic() {
-        let mix = AppId::Mysql.mix();
-        let mut a = Machine::build(MachineConfig::dvh(2));
-        let ra = run_app_smp(&mut a, &mix, 60);
-        let mut b = Machine::build(MachineConfig::dvh(2));
-        let rb = run_app_smp(&mut b, &mix, 60);
-        assert_eq!(ra, rb);
     }
 }

@@ -12,10 +12,10 @@ use dvh_arch::costs::CostModel;
 use dvh_arch::vmx::{ctrl, field, ExitReason, ShadowFieldSet};
 use dvh_arch::Cycles;
 use dvh_checker::causal_lint::lint_causal;
+use dvh_checker::harness::vmentry_violations;
 use dvh_checker::harness::{check_machine, exercise, fig7_configs, TRACE_CAPACITY};
 use dvh_checker::source_lint::lint_file_text;
 use dvh_checker::trace_lint::{lint_trace, TraceContext};
-use dvh_checker::vmentry::check_world;
 use dvh_checker::Violation;
 use dvh_core::{DvhFlags, Machine, MachineConfig};
 use dvh_hypervisor::{TraceEvent, World, WorldConfig};
@@ -89,7 +89,7 @@ fn broken_world_fires(tamper: impl FnOnce(&mut World), expect_rule: &str, expect
     tamper(&mut w);
     w.guest_hypercall(0);
     w.guest_program_timer(0, 1 << 30);
-    let vs = check_world(&mut w);
+    let vs = vmentry_violations(&mut w);
     assert!(
         vs.iter()
             .any(|v| v.rule == expect_rule && v.location.contains(&format!("L{expect_level}"))),

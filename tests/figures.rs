@@ -184,13 +184,12 @@ fn figure_5_nested_ipi_with_virtual_ipis() {
 }
 
 /// Every figure scenario above, re-run under the dvh-checker: the
-/// VM-entry checker, the trace linter and the causal pass certify the
-/// exact traces the figure tests assert on (zero invariant violations).
+/// VM-entry checker, the trace linter, the metrics pass and the causal
+/// pass certify the exact traces the figure tests assert on (zero
+/// invariant violations).
 #[test]
 fn figure_traces_are_certified() {
-    use dvh_checker::causal_lint::lint_causal;
-    use dvh_checker::trace_lint::{lint_trace, TraceContext};
-    use dvh_checker::vmentry::check_world;
+    use dvh_checker::harness::certify;
 
     type Scenario = (&'static str, MachineConfig, fn(&mut Machine));
     let scenarios: Vec<Scenario> = vec![
@@ -211,23 +210,7 @@ fn figure_traces_are_certified() {
         }),
     ];
     for (name, config, op) in scenarios {
-        let mut m = Machine::build(config);
-        {
-            let w = m.world_mut();
-            w.enable_tracing(1 << 16);
-            w.enable_vmentry_checks();
-            w.reset_stats();
-        }
-        op(&mut m);
-        let mut violations = check_world(m.world_mut());
-        let w = m.world();
-        violations.extend(lint_trace(w.trace_events(), &TraceContext::for_world(w)));
-        violations.extend(lint_causal(
-            w.trace_events(),
-            w.num_cpus(),
-            w.trace_dropped(),
-            &w.stats,
-        ));
+        let violations = certify(&mut Machine::build(config), op);
         assert!(violations.is_empty(), "{name}: {violations:#?}");
     }
 }

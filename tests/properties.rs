@@ -258,12 +258,10 @@ fn determinism() {
 
 /// Any random operation sequence, on any configuration, at any depth,
 /// leaves the exit engine certified: the VM-entry checker, the trace
-/// linter and the causal pass find zero violations.
+/// linter, the metrics pass and the causal pass find zero violations.
 #[test]
 fn random_workloads_are_certified() {
-    use dvh_checker::causal_lint::lint_causal;
-    use dvh_checker::trace_lint::{lint_trace, TraceContext};
-    use dvh_checker::vmentry::check_world;
+    use dvh_checker::harness::certify;
 
     check(12, |rng| {
         let levels = rng.usize_range(1, 4);
@@ -273,44 +271,30 @@ fn random_workloads_are_certified() {
             _ => MachineConfig::dvh(levels),
         };
         let seq = rng.vec(0, 6, 1, 16);
-        let mut m = Machine::build(config);
-        {
-            let w = m.world_mut();
-            w.enable_tracing(1 << 20);
-            w.enable_vmentry_checks();
-            w.reset_stats();
-        }
-        for &op in &seq {
-            match op {
-                0 => {
-                    m.hypercall(0);
-                }
-                1 => {
-                    m.program_timer(0);
-                }
-                2 => {
-                    m.send_ipi(0, 1);
-                }
-                3 => {
-                    m.net_tx(0, 1, 700);
-                }
-                4 => {
-                    m.device_notify(0);
-                }
-                _ => {
-                    m.idle_round(0);
+        let violations = certify(&mut Machine::build(config), |m| {
+            for &op in &seq {
+                match op {
+                    0 => {
+                        m.hypercall(0);
+                    }
+                    1 => {
+                        m.program_timer(0);
+                    }
+                    2 => {
+                        m.send_ipi(0, 1);
+                    }
+                    3 => {
+                        m.net_tx(0, 1, 700);
+                    }
+                    4 => {
+                        m.device_notify(0);
+                    }
+                    _ => {
+                        m.idle_round(0);
+                    }
                 }
             }
-        }
-        let mut violations = check_world(m.world_mut());
-        let w = m.world();
-        violations.extend(lint_trace(w.trace_events(), &TraceContext::for_world(w)));
-        violations.extend(lint_causal(
-            w.trace_events(),
-            w.num_cpus(),
-            w.trace_dropped(),
-            &w.stats,
-        ));
+        });
         assert!(violations.is_empty(), "{violations:#?}");
     });
 }
