@@ -226,18 +226,23 @@ pub fn check_scenario(s: &Scenario) -> Vec<Violation> {
     s.workload.run(&mut fast);
     s.workload.run(&mut full);
     let mut out = diff_worlds(fast.world(), full.world());
-    // A guest hypervisor at level >= 2 that handled an exit executed
-    // trapping primitives, so summaries must have been recorded;
-    // otherwise the comparison certifies nothing.
-    let deep_handlers = full.world().stats.interventions.iter().any(|(l, _)| l >= 2);
-    if deep_handlers && fast.world().exit_summary_count() == 0 {
-        out.push(violation(
+    out.extend(unexercised(fast.world(), full.world()));
+    out
+}
+
+/// The `summary-exercised` rule. A guest hypervisor (at any level ≥ 1)
+/// that handled an exit ran its world-switch programs, so the run with
+/// summaries (`fast`) must have recorded at least one; otherwise the
+/// comparison with the full recursion (`full`) certifies nothing.
+fn unexercised(fast: &World, full: &World) -> Option<Violation> {
+    let intervened = full.stats.total_interventions() > 0;
+    (intervened && fast.exit_summary_count() == 0).then(|| {
+        violation(
             "summary-exercised",
             "memo".into(),
             "no exit summary was recorded, so the scenario certifies nothing".into(),
-        ));
-    }
-    out
+        )
+    })
 }
 
 /// Runs [`check_scenario`] over every scenario of
@@ -274,6 +279,25 @@ mod tests {
                 .count(),
             2 * RECURSION_LEVELS
         );
+    }
+
+    #[test]
+    fn an_l2_scenario_that_records_nothing_is_vacuous() {
+        let (_, columns) = figure_spec(7).unwrap();
+        let (_, nested) = columns.into_iter().find(|(l, _)| *l == "Nested").unwrap();
+        let run = |summaries: bool| {
+            let mut m = Machine::build(nested.clone());
+            if !summaries {
+                m.world_mut().disable_exit_summaries();
+            }
+            Workload::App(AppId::ALL[0], 2).run(&mut m);
+            m
+        };
+        let (fast, full) = (run(true), run(false));
+        assert!(full.world().stats.interventions.get(1) > 0);
+        assert!(unexercised(fast.world(), full.world()).is_none());
+        let v = unexercised(full.world(), full.world()).expect("vacuous run passed");
+        assert_eq!(v.rule, "summary-exercised");
     }
 
     #[test]

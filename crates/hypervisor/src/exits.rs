@@ -53,7 +53,9 @@ impl World {
         );
         let t0 = self.now(cpu);
         // A guest hypervisor's trapped primitive: its subtree may be
-        // memoized (see `summary.rs`). Leaf exits never are — their
+        // memoized (see `summary.rs`). L1's primitives are each a
+        // single L0 exit, replayed wholesale inside L1's world-switch
+        // program summaries instead. Leaf exits never are — their
         // handling depends on device, timer and interrupt state.
         let summarized = from_level >= 2
             && from_level < self.leaf_level()

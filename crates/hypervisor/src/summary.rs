@@ -1,24 +1,26 @@
 //! Compositional exit summaries: memoized guest-hypervisor primitives.
 //!
 //! A VMX instruction (or trapped MSR/APIC access) executed by a guest
-//! hypervisor at level ≥ 2 traps and is reflected through every level
-//! below it. That subtree is deterministic: its cost and its ledger
-//! rows depend only on the trapping level, the reason and the
-//! field/MSR, never on the values moved. So the first time a
-//! `(cpu, from_level, reason, operand)` subtree runs it is *recorded*:
-//! the clock delta, the `RunStats` delta, and an ordered effect log of
-//! the VMCS stores it made. Every later occurrence is a *hit*: advance
-//! the clock, add the ledger delta, replay the log. The recursion still
-//! produces every simulated cycle and counter; only host time drops.
+//! hypervisor traps and is reflected through every level below it.
+//! That subtree is deterministic: its cost and its ledger rows depend
+//! only on the trapping level, the reason and the field/MSR, never on
+//! the values moved. So the first time a `(cpu, from_level, reason,
+//! operand)` subtree runs it is *recorded*: the clock delta, the
+//! `RunStats` delta, and an ordered effect log of the VMCS stores it
+//! made. Every later occurrence is a *hit*: advance the clock, add the
+//! ledger delta, replay the log. The recursion still produces every
+//! simulated cycle and counter; only host time drops.
 //!
 //! Summaries compose: while a level-k subtree is being recorded, its
 //! level-(k−1) primitives hit their own summaries, whose effects are
 //! appended to the enclosing recording. An L(n) operation therefore
 //! costs O(n) memo applications instead of ~24^n exits. The same
-//! mechanism summarizes a level-≥2 hypervisor's world-switch programs
-//! (`exit_side_program`, `entry_side_program`), each a fixed sequence
-//! of such primitives, so a reflection pays one hit per program rather
-//! than one per primitive.
+//! mechanism summarizes every guest hypervisor's world-switch programs
+//! (`exit_side_program`, `entry_side_program`), L1's included, each a
+//! fixed sequence of such primitives, so a reflection pays one hit per
+//! program rather than one per primitive. An L1 primitive on its own
+//! is a single L0 exit, too cheap to be worth a memo probe, so it is
+//! not keyed outside its programs.
 //!
 //! Anything state-dependent inside a recording *taints* it: the key is
 //! then marked unsummarizable and always takes the full recursion (see
@@ -283,8 +285,10 @@ impl World {
         !(self.summaries.disabled || self.observing || self.vmentry_checks)
     }
 
-    /// Decides how to handle an exit from a guest hypervisor at
-    /// `from_level` (the caller has checked `2 ≤ from_level < leaf`).
+    /// Decides how to handle a primitive trapped from the guest
+    /// hypervisor at `from_level`. [`World::vmexit`] probes only for
+    /// hypervisors nested in another; L1's primitives are summarized
+    /// as part of its world-switch programs.
     #[inline]
     pub(crate) fn summary_probe(
         &mut self,
@@ -312,10 +316,10 @@ impl World {
         }
     }
 
-    /// Runs world-switch program `program` of the hypervisor at `level`
-    /// on `cpu` through its summary. Only programs of guest hypervisors
-    /// at level ≥ 2 are summarized: each is a fixed sequence of their
-    /// trapping primitives, so its summary is the composition of theirs.
+    /// Runs world-switch program `program` of the guest hypervisor at
+    /// `level` ≥ 1 on `cpu` through its summary: each program is a
+    /// fixed sequence of trapping primitives, so its summary is the
+    /// composition of theirs.
     #[inline]
     pub(crate) fn run_program(
         &mut self,
@@ -324,7 +328,7 @@ impl World {
         program: Program,
         body: impl FnOnce(&mut World, usize, usize),
     ) {
-        let probe = if level >= 2 && self.summaries_usable() {
+        let probe = if self.summaries_usable() {
             let outermost = self.exit_depth[cpu] == 0;
             self.lookup(program_key(cpu, level, program, outermost))
         } else {
@@ -540,11 +544,19 @@ impl World {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::WorldConfig;
+    use crate::config::{HvKind, WorldConfig};
     use dvh_arch::costs::CostModel;
 
     fn world(levels: usize) -> World {
-        World::new(CostModel::calibrated(), WorldConfig::baseline(levels))
+        world_of(levels, HvKind::Kvm)
+    }
+
+    fn world_of(levels: usize, guest_hv: HvKind) -> World {
+        let config = WorldConfig {
+            guest_hv,
+            ..WorldConfig::baseline(levels)
+        };
+        World::new(CostModel::calibrated(), config)
     }
 
     /// Everything a summary must reproduce, for one world.
@@ -588,9 +600,14 @@ mod tests {
 
     #[test]
     fn hits_reproduce_the_full_recursion_bit_for_bit() {
-        for levels in 3..=5 {
-            let mut fast = world(levels);
-            let mut slow = world(levels);
+        // Xen guest hypervisors have no VMCS shadowing and run APIC
+        // maintenance on every entry.
+        let worlds = (2..=5)
+            .map(|l| (l, HvKind::Kvm))
+            .chain([(2, HvKind::Xen), (3, HvKind::Xen)]);
+        for (levels, guest_hv) in worlds {
+            let mut fast = world_of(levels, guest_hv);
+            let mut slow = world_of(levels, guest_hv);
             slow.disable_exit_summaries();
             for w in [&mut fast, &mut slow] {
                 for cpu in [0, 1, 0] {
@@ -604,7 +621,7 @@ mod tests {
             }
             assert!(fast.exit_summary_count() > 0);
             assert_eq!(slow.exit_summary_count(), 0);
-            assert_eq!(state(&fast), state(&slow), "L{levels}");
+            assert_eq!(state(&fast), state(&slow), "L{levels} {guest_hv}");
             assert_eq!(fast.timers, slow.timers);
         }
     }
@@ -618,15 +635,25 @@ mod tests {
     }
 
     #[test]
-    fn leaf_and_l1_exits_are_never_keyed() {
+    fn leaf_exits_are_never_keyed() {
+        let drive = |w: &mut World| {
+            w.guest_hypercall(0);
+            w.guest_program_timer(0, 1_000);
+            w.fire_timer(0, false);
+        };
+        let mut w = world(1);
+        drive(&mut w);
+        assert_eq!(w.exit_summary_count(), 0, "L1 has no guest hypervisor");
         let mut w = world(2);
-        w.guest_hypercall(0);
-        w.guest_program_timer(0, 1_000);
-        assert_eq!(
-            w.exit_summary_count(),
-            0,
-            "L2 has no guest hypervisor at level >= 2"
-        );
+        drive(&mut w);
+        assert!(w.exit_summary_count() > 0);
+        let programs: Vec<u64> = [Program::ExitSide, Program::EntrySide]
+            .into_iter()
+            .flat_map(|p| [false, true].map(|outer| program_key(0, 1, p, outer).unwrap()))
+            .collect();
+        for key in w.summaries.entries.keys() {
+            assert!(programs.contains(key), "{key:#x} is not an L1 program");
+        }
     }
 
     #[test]
