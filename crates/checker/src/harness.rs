@@ -271,6 +271,13 @@ pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
         "exit-summary",
         summary,
     );
+    add_source_lint(&mut report, source_root)?;
+    Ok(report)
+}
+
+/// Adds the source lint over `source_root` to `report`; `None` adds
+/// nothing.
+fn add_source_lint(report: &mut Report, source_root: Option<&Path>) -> std::io::Result<()> {
     if let Some(root) = source_root {
         let outcome = lint_sources(root)?;
         report.add(
@@ -283,7 +290,7 @@ pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
             outcome.violations,
         );
     }
-    Ok(report)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -292,6 +299,14 @@ mod tests {
     use dvh_arch::costs::CostModel;
     use dvh_arch::vmx::field;
     use dvh_hypervisor::WorldConfig;
+
+    #[test]
+    fn no_source_root_skips_the_source_lint() {
+        let mut report = Report::new();
+        add_source_lint(&mut report, None).unwrap();
+        assert!(!report.to_string().contains("source lint"), "{report}");
+        assert!(report.is_clean());
+    }
 
     #[test]
     fn clean_world_reports_nothing() {

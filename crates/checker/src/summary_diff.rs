@@ -152,6 +152,7 @@ pub fn diff_worlds(fast: &World, full: &World) -> Vec<Violation> {
             a.burned_idle_cycles == b.burned_idle_cycles,
         ),
         ("cycles_by_reason", a.cycles_by_reason == b.cycles_by_reason),
+        ("outermost_exits", a.outermost_exits == b.outermost_exits),
     ];
     for (name, equal) in ledgers {
         if !equal {

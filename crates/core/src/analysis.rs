@@ -53,7 +53,7 @@ pub fn explain(w: &World) -> Report {
         .map(|(&(level, reason), &total)| CostLine {
             level,
             reason,
-            count: w.stats.exits_with(level, reason),
+            count: w.stats.outermost_exits.get(level, reason),
             total,
         })
         .collect();

@@ -6,10 +6,9 @@ use crate::vipi::VirtualIpis;
 use crate::vp;
 use crate::vtimer::VirtualTimers;
 use dvh_arch::costs::CostModel;
-use dvh_arch::vmx::{ctrl, ExitQualification, ExitReason};
+use dvh_arch::vmx::ctrl;
 use dvh_arch::Cycles;
 use dvh_devices::nic::Frame;
-use dvh_devices::virtio::net::NOTIFY_BAR_OFFSET;
 use dvh_hypervisor::{DvhFlags, HvKind, IoModel, World, WorldConfig};
 
 /// Configuration for a [`Machine`], mirroring the paper's evaluation
@@ -169,31 +168,13 @@ impl Machine {
         self.world.invalidate_mmio_cache();
         let t0 = self.world.now(cpu);
         let n = self.world.leaf_level();
-        match self.world.config.io_model {
-            IoModel::Passthrough => {
-                // Doorbell writes go straight to hardware; only the
-                // store itself costs anything.
-                self.world.compute(cpu, Cycles::new(100));
-            }
-            IoModel::VirtualPassthrough => {
-                let bar = self.world.virtio[0].pci().bar(0).expect("BAR 0").base;
-                self.world.vmexit(
-                    n,
-                    cpu,
-                    ExitReason::EptMisconfig,
-                    ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 1),
-                );
-            }
-            IoModel::Virtio => {
-                let dev = self.world.leaf_device_idx();
-                let bar = self.world.virtio[dev].pci().bar(0).expect("BAR 0").base;
-                self.world.vmexit(
-                    n,
-                    cpu,
-                    ExitReason::EptMisconfig,
-                    ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 1),
-                );
-            }
+        if self.world.config.io_model == IoModel::Passthrough {
+            // Doorbell writes go straight to hardware; only the store
+            // itself costs anything.
+            self.world.compute(cpu, Cycles::new(100));
+        } else {
+            let dev = self.world.leaf_device_idx();
+            self.world.doorbell(n, cpu, dev, 1);
         }
         self.world.now(cpu) - t0
     }

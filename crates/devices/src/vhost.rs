@@ -8,6 +8,9 @@
 //! identical to that using the virtual I/O model; it relays data
 //! between the physical I/O device and (nested) VM address space"
 //! (§4). What changes between models is *who traps*, not this backend.
+//! The chain DMA itself ([`dma_transmit`], [`dma_receive`]) is shared
+//! with physical passthrough, where the device does it through the
+//! IOMMU and no backend is involved.
 
 use crate::nic::{Frame, Nic};
 use crate::virtio::queue::VirtQueue;
@@ -129,6 +132,72 @@ pub fn dma_write(
     Ok(())
 }
 
+/// Drains `q`'s available TX chains: gathers each chain's
+/// device-readable buffers through `xl` straight into a recycled NIC
+/// buffer and transmits it from NIC function `func`. Every chain is
+/// completed to the used ring; `done` sees each one's outcome, the
+/// frame length or the fault that dropped it (a dropped frame never
+/// reaches the wire).
+pub fn dma_transmit(
+    q: &mut VirtQueue,
+    mem: &SparseMemory,
+    xl: &mut dyn DmaTranslate,
+    nic: &mut Nic,
+    func: usize,
+    mut done: impl FnMut(Result<usize, TranslateErr>),
+) {
+    while let Some(chain) = q.pop_avail() {
+        let len = chain.readable_len() as usize;
+        let tx = nic.transmit_with(func, len, |payload| {
+            let mut filled = 0;
+            for d in chain.descs.iter().filter(|d| !d.device_writes) {
+                let n = d.len as usize;
+                dma_read_into(mem, xl, d.addr, &mut payload[filled..filled + n])?;
+                filled += n;
+            }
+            Ok(())
+        });
+        done(tx.map(|()| len));
+        q.push_used(chain.head, 0);
+    }
+}
+
+/// Receives `frame` into `q`'s next available chain: scatters it over
+/// the chain's device-writable buffers through `xl`, marking dirtied
+/// host pages in `dirty`, and completes the chain with the bytes
+/// written. Returns that count, or `None` if the frame is dropped: no
+/// chain is available, the chain is too small, or the DMA faults (the
+/// chain still completes, with what was written before the fault).
+pub fn dma_receive(
+    q: &mut VirtQueue,
+    mem: &mut SparseMemory,
+    xl: &mut dyn DmaTranslate,
+    frame: &Frame,
+    mut dirty: Option<&mut DirtyBitmap>,
+) -> Option<u32> {
+    let chain = q.pop_avail()?;
+    if (chain.writable_len() as usize) < frame.len() {
+        q.push_used(chain.head, 0);
+        return None;
+    }
+    let mut rest: &[u8] = &frame.payload;
+    let mut written = 0u32;
+    for d in chain.descs.iter().filter(|d| d.device_writes) {
+        if rest.is_empty() {
+            break;
+        }
+        let n = rest.len().min(d.len as usize);
+        if dma_write(mem, xl, d.addr, &rest[..n], dirty.as_deref_mut()).is_err() {
+            q.push_used(chain.head, written);
+            return None;
+        }
+        written += n as u32;
+        rest = &rest[n..];
+    }
+    q.push_used(chain.head, written);
+    Some(written)
+}
+
 /// Statistics the backend accumulates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VhostStats {
@@ -174,11 +243,9 @@ impl VhostNet {
         }
     }
 
-    /// Services the TX queue after a doorbell: drains all available
-    /// chains, DMA-reads each packet through `xl` into a recycled NIC
-    /// buffer and transmits it from NIC function `func`, calling
-    /// `sent` with each transmitted frame's length. Completions are
-    /// pushed to the used ring; a chain whose DMA faults is dropped.
+    /// Services the TX queue after a doorbell: [`dma_transmit`] from
+    /// NIC function `func`, counting each chain, and calling `sent`
+    /// with each transmitted frame's length.
     pub fn service_tx(
         &mut self,
         q: &mut VirtQueue,
@@ -188,31 +255,17 @@ impl VhostNet {
         func: usize,
         mut sent: impl FnMut(usize),
     ) {
-        while let Some(chain) = q.pop_avail() {
-            let readable = chain.readable_len() as usize;
-            let tx = nic.transmit_with(func, readable, |payload| {
-                // Gather each descriptor directly into its slice.
-                let mut filled = 0;
-                for d in chain.descs.iter().filter(|d| !d.device_writes) {
-                    let n = d.len as usize;
-                    dma_read_into(mem, xl, d.addr, &mut payload[filled..filled + n])?;
-                    filled += n;
-                }
-                Ok::<(), TranslateErr>(())
-            });
-            if tx.is_ok() {
-                self.stats.tx_bytes += readable as u64;
+        dma_transmit(q, mem, xl, nic, func, |tx| match tx {
+            Ok(len) => {
+                self.stats.tx_bytes += len as u64;
                 self.stats.tx_packets += 1;
-                sent(readable);
-            } else {
-                self.stats.dropped += 1;
+                sent(len);
             }
-            q.push_used(chain.head, 0);
-        }
+            Err(_) => self.stats.dropped += 1,
+        });
     }
 
-    /// Delivers one received frame into the RX queue's next available
-    /// buffer chain through `xl`, dirtying pages in `dirty`.
+    /// Delivers one received frame with [`dma_receive`], counting it.
     ///
     /// Returns `true` if the frame was delivered (caller then decides
     /// interrupt delivery via [`VirtQueue::should_interrupt`]).
@@ -224,34 +277,12 @@ impl VhostNet {
         frame: &Frame,
         dirty: Option<&mut DirtyBitmap>,
     ) -> bool {
-        let Some(chain) = q.pop_avail() else {
+        let Some(written) = dma_receive(q, mem, xl, frame, dirty) else {
             self.stats.dropped += 1;
             return false;
         };
-        if (chain.writable_len() as usize) < frame.len() {
-            self.stats.dropped += 1;
-            q.push_used(chain.head, 0);
-            return false;
-        }
-        let mut rest: &[u8] = &frame.payload;
-        let mut written = 0u32;
-        let mut dirty = dirty;
-        for d in chain.descs.iter().filter(|d| d.device_writes) {
-            if rest.is_empty() {
-                break;
-            }
-            let n = rest.len().min(d.len as usize);
-            if dma_write(mem, xl, d.addr, &rest[..n], dirty.as_deref_mut()).is_err() {
-                self.stats.dropped += 1;
-                q.push_used(chain.head, written);
-                return false;
-            }
-            written += n as u32;
-            rest = &rest[n..];
-        }
         self.stats.rx_bytes += written as u64;
         self.stats.rx_packets += 1;
-        q.push_used(chain.head, written);
         true
     }
 }

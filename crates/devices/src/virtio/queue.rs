@@ -166,6 +166,16 @@ impl VirtQueue {
         Ok(head)
     }
 
+    /// Driver side: exposes the one-descriptor chain `desc`. A full
+    /// ring first harvests every completion, as the datapaths' drivers
+    /// do; a chain that still does not fit is dropped.
+    pub fn add_reclaiming(&mut self, desc: Descriptor) {
+        if self.add_chain(vec![desc]).is_err() {
+            while self.pop_used().is_some() {}
+            let _ = self.add_chain(vec![desc]);
+        }
+    }
+
     /// Driver side: whether the device needs a doorbell kick (there is
     /// available work and the device has not suppressed notification).
     pub fn needs_kick(&self) -> bool {

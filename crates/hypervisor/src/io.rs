@@ -1,28 +1,62 @@
 //! I/O datapaths for the three models of Fig. 2: cascaded virtio,
 //! physical device passthrough, and virtual-passthrough.
 //!
+//! The models differ in three decisions and nothing else:
+//!
+//! * **who emulates the doorbell** — nobody under passthrough (the VF
+//!   takes the write), L0 under virtual-passthrough (the nested VM's
+//!   kick lands on L0's device), the leaf's parent under virtio (whose
+//!   backend re-kicks one level down, hop by hop). Every trapping kick
+//!   is one [`World::doorbell`] exit;
+//! * **who translates DMA** — the physical IOMMU for the VF under
+//!   passthrough (through [`Iommu::device_dma`], which logs faults; no
+//!   vhost backend is involved), the combined shadow I/O table under
+//!   virtual-passthrough, L0's own stage table under virtio. Either way
+//!   the chain moves with the shared [`dma_transmit`] / [`dma_receive`];
+//! * **who injects the interrupt** — the device MSI resolves through
+//!   the innermost vIOMMU: posted (or no vIOMMU at all) reaches the
+//!   leaf directly, otherwise every intermediate hypervisor relays it.
+//!
 //! Bytes really move: the leaf's buffers live in host memory at their
-//! canonical translated addresses, the backend reads/writes them
-//! through the appropriate translation structure (shadow I/O table,
-//! physical IOMMU domain, or L0's own stage table), and frames really
-//! reach the NIC, whose wire keeps the most recent 256 — so
-//! data-integrity tests can check end-to-end payloads while the cost
-//! ledger records who trapped where. Transmit paths DMA straight into
-//! recycled wire buffers: steady-state TX allocates no frame.
+//! canonical translated addresses, and frames really reach the NIC,
+//! whose wire keeps the most recent 256 — so data-integrity tests can
+//! check end-to-end payloads while the cost ledger records who trapped
+//! where. Transmit paths DMA straight into recycled wire buffers:
+//! steady-state TX allocates no frame.
+//!
+//! [`Iommu::device_dma`]: dvh_devices::iommu::Iommu::device_dma
 
 use crate::config::IoModel;
 use crate::runtime::IrqPath;
 use crate::world::{World, LEAF_BUF_BASE_PFN, STAGE_PFN_OFFSET};
 use dvh_arch::vmx::{ExitQualification, ExitReason};
 use dvh_arch::Cycles;
+use dvh_devices::iommu::IrteTarget;
+use dvh_devices::msi::MsiMessage;
 use dvh_devices::nic::Frame;
-use dvh_devices::vhost::DmaTranslate;
+use dvh_devices::vhost::{dma_receive, dma_transmit, DmaTranslate};
 use dvh_devices::virtio::net::NOTIFY_BAR_OFFSET;
 use dvh_devices::virtio::queue::Descriptor;
+use dvh_memory::iommu_pt::{IoTable, ShadowIoTable};
 use dvh_memory::{DirtyBitmap, Gpa};
 
 /// The MSI vector virtio-net RX completion uses.
 pub const RX_VECTOR: u8 = 0x51;
+
+/// Who translates L0's vhost DMA: the combined shadow I/O table under
+/// virtual-passthrough (descriptors hold leaf GPAs), otherwise L0's own
+/// stage table (L0's device serves the L1 VM: descriptors hold L1
+/// GPAs).
+fn l0_dma<'a>(
+    model: IoModel,
+    shadow_io: &'a mut Option<ShadowIoTable>,
+    l0_io_stage: &'a mut IoTable,
+) -> &'a mut dyn DmaTranslate {
+    match model {
+        IoModel::VirtualPassthrough => shadow_io.get_or_insert_with(Default::default),
+        _ => l0_io_stage,
+    }
+}
 
 impl World {
     /// The canonical host PFN backing leaf-GPA page `leaf_pfn` (the
@@ -48,6 +82,19 @@ impl World {
         self.host_mem.read(host, len)
     }
 
+    /// The guest at `from_level` writes queue `queue`'s doorbell in the
+    /// BAR of virtio device `dev`: an MMIO exit that the exit engine
+    /// routes to whoever emulates that device.
+    pub fn doorbell(&mut self, from_level: usize, cpu: usize, dev: usize, queue: u64) {
+        let bar = self.virtio[dev].pci().bar(0).expect("virtio BAR 0").base;
+        self.vmexit(
+            from_level,
+            cpu,
+            ExitReason::EptMisconfig,
+            ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, queue),
+        );
+    }
+
     /// Transmits `packets` frames of `bytes` each from the leaf VM.
     /// Frame payloads are read from the leaf's buffer pool (write them
     /// first with [`World::guest_write_memory`] for integrity checks;
@@ -56,84 +103,31 @@ impl World {
     pub fn guest_net_tx(&mut self, cpu: usize, packets: u32, bytes: u32) -> Cycles {
         // Driver side: ring bookkeeping, runs at native speed.
         self.compute(cpu, Cycles::new(120) * packets as u64);
-        let leaf_dev = self.leaf_device_idx();
+        let dev = self.leaf_device_idx();
         for p in 0..packets {
-            let buf_pfn = LEAF_BUF_BASE_PFN + (p as u64 % 32);
-            let desc = Descriptor {
-                addr: Gpa::from_pfn(buf_pfn),
+            self.virtio[dev].tx.add_reclaiming(Descriptor {
+                addr: Gpa::from_pfn(LEAF_BUF_BASE_PFN + (p as u64 % 32)),
                 len: bytes,
                 device_writes: false,
-            };
-            // Queues are finite; drain completions if full.
-            if self.virtio[leaf_dev].tx.add_chain(vec![desc]).is_err() {
-                while self.virtio[leaf_dev].tx.pop_used().is_some() {}
-                let _ = self.virtio[leaf_dev].tx.add_chain(vec![Descriptor {
-                    addr: Gpa::from_pfn(buf_pfn),
-                    len: bytes,
-                    device_writes: false,
-                }]);
-            }
+            });
         }
-        self.virtio[leaf_dev].tx.kick();
-        match self.config.io_model {
-            IoModel::Passthrough => {
-                // The doorbell write goes straight to the VF: no exit.
-                // The device DMAs the payload out through the physical
-                // IOMMU.
-                let vf = self.nic.function_bdf(1);
-                for _ in 0..packets {
-                    let chain = match self.virtio[leaf_dev].tx.pop_avail() {
-                        Some(c) => c,
-                        None => break,
-                    };
-                    let len = chain.descs.iter().map(|d| d.len as usize).sum();
-                    // Gather each descriptor into a recycled wire
-                    // buffer. A faulting DMA is dropped by the IOMMU;
-                    // the frame never reaches the wire.
-                    let _ = self.nic.transmit_with(1, len, |payload| {
-                        let mut filled = 0;
-                        for d in &chain.descs {
-                            let n = d.len as usize;
-                            let host_pfn = self.phys_iommu.translate(
-                                vf,
-                                d.addr.pfn(),
-                                dvh_memory::Perms::RO,
-                            )?;
-                            self.host_mem.read_into(
-                                Gpa::from_pfn(host_pfn).offset(d.addr.page_offset()),
-                                &mut payload[filled..filled + n],
-                            );
-                            filled += n;
-                        }
-                        Ok::<(), dvh_memory::TranslateErr>(())
-                    });
-                    self.virtio[leaf_dev].tx.push_used(chain.head, 0);
-                }
-            }
-            IoModel::VirtualPassthrough => {
-                // One doorbell exit, straight to L0 (the device is
-                // L0's); the vhost backend drains the whole batch.
-                let bar = self.virtio[0].pci().bar(0).unwrap().base;
-                self.vmexit(
-                    self.leaf_level(),
-                    cpu,
-                    ExitReason::EptMisconfig,
-                    ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 1),
-                );
-            }
-            IoModel::Virtio => {
-                // One doorbell exit to the providing hypervisor; the
-                // cascade forwards hop by hop (each hop reflected as
-                // needed by the exit engine).
-                let owner = self.leaf_level() - 1;
-                let bar = self.virtio_dev(owner).pci().bar(0).unwrap().base;
-                self.vmexit(
-                    self.leaf_level(),
-                    cpu,
-                    ExitReason::EptMisconfig,
-                    ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 1),
-                );
-            }
+        self.virtio[dev].tx.kick();
+        if self.config.io_model == IoModel::Passthrough {
+            // The doorbell write goes straight to the VF: no exit. The
+            // VF DMAs each payload out through the physical IOMMU.
+            let vf = self.nic.function_bdf(1);
+            dma_transmit(
+                &mut self.virtio[dev].tx,
+                &self.host_mem,
+                &mut self.phys_iommu.device_dma(vf),
+                &mut self.nic,
+                1,
+                |_| {},
+            );
+        } else {
+            // One doorbell exit; its emulator's backend drains the
+            // whole batch.
+            self.doorbell(self.leaf_level(), cpu, dev, 1);
         }
         self.now(cpu)
     }
@@ -181,65 +175,25 @@ impl World {
             self.blk.validate(req),
             "blk request outside device geometry"
         );
-        let desc = Descriptor {
+        self.blk.queue.add_reclaiming(Descriptor {
             addr: Gpa::from_pfn(LEAF_BUF_BASE_PFN + 48),
             len: req.len,
             device_writes: !write,
-        };
-        if self.blk.queue.add_chain(vec![desc]).is_err() {
-            while self.blk.queue.pop_used().is_some() {}
-            let _ = self.blk.queue.add_chain(vec![Descriptor {
-                addr: Gpa::from_pfn(LEAF_BUF_BASE_PFN + 48),
-                len: req.len,
-                device_writes: !write,
-            }]);
-        }
+        });
         self.blk.queue.kick();
-        let effective_vp = self.config.io_model == IoModel::VirtualPassthrough;
+        // One doorbell exit from the leaf, on the device it drives: L0's
+        // under virtual-passthrough (the host's blk device is assigned
+        // through the levels, like the NIC), otherwise the cascade's
+        // (also under NIC passthrough: there is no SR-IOV disk).
         self.pending_blk_bytes = Some(bytes as u64);
-        if effective_vp {
-            // The host's blk device is assigned through the levels,
-            // like the NIC: one exit to L0.
-            let bar = self.virtio[0].pci().bar(0).unwrap().base;
-            self.vmexit(
-                self.leaf_level(),
-                cpu,
-                ExitReason::EptMisconfig,
-                ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 2),
-            );
-        } else {
-            // Cascaded virtio (also the passthrough configuration:
-            // there is no SR-IOV disk).
-            let owner = self.leaf_level() - 1;
-            let dev = if self.config.io_model == IoModel::Passthrough {
-                // The blk cascade still exists even though net is
-                // passed through; its doorbell belongs to the owner.
-                owner.min(self.virtio.len() - 1)
-            } else {
-                owner
-            };
-            let bar = self.virtio[dev].pci().bar(0).unwrap().base;
-            if owner == 0 {
-                self.vmexit(
-                    1,
-                    cpu,
-                    ExitReason::EptMisconfig,
-                    ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 2),
-                );
-            } else {
-                self.vmexit(
-                    self.leaf_level(),
-                    cpu,
-                    ExitReason::EptMisconfig,
-                    ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 2),
-                );
-            }
-        }
+        self.doorbell(self.leaf_level(), cpu, self.leaf_device_idx(), 2);
         self.pending_blk_bytes = None;
         // Completion interrupt: direct when the blk device is VP'd
         // with vIOMMU posted interrupts (or at L1), otherwise relayed
         // by each intermediate hypervisor.
-        if self.config.levels >= 2 && !(effective_vp && self.config.dvh.viommu_posted_interrupts) {
+        let direct = self.config.io_model == IoModel::VirtualPassthrough
+            && self.config.dvh.viommu_posted_interrupts;
+        if self.config.levels >= 2 && !direct {
             self.relay_irq_through_chain(cpu);
         }
         let t = self.now(cpu);
@@ -278,27 +232,20 @@ impl World {
             // payload, and submit to the (cache=none) host storage
             // stack.
             if let Some(chain) = self.blk.queue.pop_avail() {
-                let head = chain.head;
-                self.blk.queue.push_used(head, 0);
+                self.blk.queue.push_used(chain.head, 0);
                 self.blk.queue.interrupt_sent();
             }
             self.compute(cpu, self.costs.copy_cost(bytes));
             self.compute(cpu, Cycles::new(800));
             return;
         }
-        self.l0_vhost_service_tx(cpu);
-    }
-
-    /// L0's vhost backend drains the TX queue of its device and puts
-    /// frames on the wire.
-    fn l0_vhost_service_tx(&mut self, cpu: usize) {
-        let xl: &mut dyn DmaTranslate = match self.config.io_model {
-            IoModel::VirtualPassthrough => self.shadow_io.get_or_insert_with(Default::default),
-            // L1's own device: descriptors hold L1 GPAs; translate
-            // through L0's stage table.
-            _ => &mut self.l0_io_stage,
-        };
-        // The vhost copy (floored per frame) plus per-frame backend work.
+        // L0's vhost drains the TX queue and puts frames on the wire:
+        // the copy (floored per frame) plus per-frame backend work.
+        let xl = l0_dma(
+            self.config.io_model,
+            &mut self.shadow_io,
+            &mut self.l0_io_stage,
+        );
         let mut cost = Cycles::ZERO;
         self.vhost[0].service_tx(
             &mut self.virtio[0].tx,
@@ -317,218 +264,149 @@ impl World {
     /// write by `owner`, trapping again.
     pub(crate) fn owner_doorbell(&mut self, owner: usize, cpu: usize) {
         self.taint_summaries();
+        let next = owner - 1;
         if let Some(bytes) = self.pending_blk_bytes {
             // Block cascade hop: copy and re-submit one level down.
             self.compute(cpu, self.costs.copy_cost(bytes));
             self.compute(cpu, Cycles::new(150));
-            let next = owner - 1;
-            let dev = next.min(self.virtio.len() - 1);
-            let bar = self.virtio[dev].pci().bar(0).unwrap().base;
-            self.vmexit(
-                owner,
-                cpu,
-                ExitReason::EptMisconfig,
-                ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 2),
-            );
+            self.doorbell(owner, cpu, next.min(self.virtio.len() - 1), 2);
             return;
         }
         // Drain this level's queue (chains were queued by the level
         // above; the leaf's queue has real entries, intermediate hops
-        // re-add them below).
-        let mut moved: Vec<(u64, u32)> = Vec::new();
+        // re-add them below) and re-queue each buffer one stage down:
+        // addresses shift by one stage offset.
+        let mut moved = false;
         while let Some(chain) = self.virtio_dev_mut(owner).tx.pop_avail() {
+            self.virtio_dev_mut(owner).tx.push_used(chain.head, 0);
             for d in &chain.descs {
-                moved.push((d.addr.pfn(), d.len));
-            }
-            let head = chain.head;
-            self.virtio_dev_mut(owner).tx.push_used(head, 0);
-        }
-        for (_, len) in &moved {
-            // The vhost copy between adjacent address spaces.
-            self.compute(cpu, self.costs.copy_cost(*len as u64));
-            self.compute(cpu, Cycles::new(150));
-        }
-        if moved.is_empty() {
-            return;
-        }
-        // Re-queue one stage down: addresses shift by one stage offset.
-        let next = owner - 1;
-        for (pfn, len) in &moved {
-            let desc = Descriptor {
-                addr: Gpa::from_pfn(pfn + STAGE_PFN_OFFSET),
-                len: *len,
-                device_writes: false,
-            };
-            if self.virtio[next].tx.add_chain(vec![desc]).is_err() {
-                while self.virtio[next].tx.pop_used().is_some() {}
-                let _ = self.virtio[next].tx.add_chain(vec![Descriptor {
-                    addr: Gpa::from_pfn(pfn + STAGE_PFN_OFFSET),
-                    len: *len,
+                // The vhost copy between adjacent address spaces.
+                self.compute(cpu, self.costs.copy_cost(d.len as u64));
+                self.compute(cpu, Cycles::new(150));
+                self.virtio[next].tx.add_reclaiming(Descriptor {
+                    addr: Gpa::from_pfn(d.addr.pfn() + STAGE_PFN_OFFSET),
+                    len: d.len,
                     device_writes: false,
-                }]);
+                });
+                moved = true;
             }
         }
-        self.virtio[next].tx.kick();
-        // Kick the next level's doorbell: an MMIO write executed by
-        // the hypervisor at `owner`, i.e. guest code at level `owner`.
-        let bar = self.virtio[next].pci().bar(0).unwrap().base;
-        self.vmexit(
-            owner,
-            cpu,
-            ExitReason::EptMisconfig,
-            ExitQualification::mmio(bar + NOTIFY_BAR_OFFSET, 1),
-        );
+        if moved {
+            // Kick the next level's doorbell: an MMIO write executed by
+            // the hypervisor at `owner`, i.e. guest code at level
+            // `owner`.
+            self.virtio[next].tx.kick();
+            self.doorbell(owner, cpu, next, 1);
+        }
     }
 
     /// An external packet arrives from the wire for the leaf vCPU on
     /// `dest`. Returns the time at which the leaf sees the RX
     /// interrupt.
     pub fn external_packet_arrival(&mut self, dest: usize, frame: Frame) -> Cycles {
-        let bytes = frame.len() as u64;
-        match self.config.io_model {
-            IoModel::Passthrough => {
-                // Device DMA straight into the leaf buffer via the
-                // physical IOMMU, then a VT-d posted interrupt. No CPU
-                // cost on the DMA side, no interposition (and hence no
-                // dirty tracking — the migration story of §3.6).
-                let vf = self.nic.function_bdf(1);
-                self.post_rx_buffer(dest);
-                let idx = self.leaf_device_idx();
-                let mut q = std::mem::replace(
-                    &mut self.virtio[idx].rx,
-                    dvh_devices::virtio::queue::VirtQueue::new(1),
-                );
-                if let Some(dom) = self.phys_iommu.domain_mut(vf) {
-                    let mut vhost = std::mem::take(&mut self.vhost[idx]);
-                    vhost.deliver_rx(&mut q, &mut self.host_mem, dom, &frame, None);
-                    self.vhost[idx] = vhost;
-                }
-                self.virtio[idx].rx = q;
-                self.nic.receive_dma(1, frame.len());
-                match self.rx_msix_vector(idx) {
-                    Some(v) => {
-                        let t = self.now(dest);
-                        self.deliver_leaf_interrupt(dest, v, t, IrqPath::PostedDirect)
-                    }
-                    None => self.now(dest),
-                }
+        let dev = self.leaf_device_idx();
+        self.post_rx_buffer();
+        if self.config.io_model == IoModel::Passthrough {
+            // The VF DMAs straight into the leaf buffer through the
+            // physical IOMMU: no CPU cost, no interposition (and hence
+            // no dirty tracking — the migration story of §3.6).
+            let vf = self.nic.function_bdf(1);
+            dma_receive(
+                &mut self.virtio[dev].rx,
+                &mut self.host_mem,
+                &mut self.phys_iommu.device_dma(vf),
+                &frame,
+                None,
+            );
+            self.nic.receive_dma(1, frame.len());
+        } else {
+            // L0's vhost copies the frame in.
+            self.compute(dest, self.costs.copy_cost(frame.len() as u64));
+            self.compute(dest, Cycles::new(150));
+            if self.config.levels > 1 && self.config.io_model == IoModel::Virtio {
+                return self.cascade_rx(dest, &frame);
             }
-            IoModel::VirtualPassthrough => {
-                // L0's vhost writes into the leaf buffer through the
-                // shadow I/O table, dirtying pages (interposition is
-                // preserved). Interrupt delivery depends on vIOMMU
-                // posted-interrupt support.
-                self.post_rx_buffer(dest);
-                self.compute(dest, self.costs.copy_cost(bytes));
-                self.compute(dest, Cycles::new(150));
-                let mut host_dirty = DirtyBitmap::new();
-                let mut q = std::mem::replace(
-                    &mut self.virtio[0].rx,
-                    dvh_devices::virtio::queue::VirtQueue::new(1),
-                );
-                let mut shadow = self.shadow_io.take().unwrap_or_default();
-                let mut vhost = std::mem::take(&mut self.vhost[0]);
-                vhost.deliver_rx(
-                    &mut q,
-                    &mut self.host_mem,
-                    &mut shadow,
-                    &frame,
-                    Some(&mut host_dirty),
-                );
-                self.vhost[0] = vhost;
-                self.shadow_io = Some(shadow);
-                self.virtio[0].rx = q;
-                let lvl = self.config.levels as u64;
-                for host_pfn in host_dirty.harvest() {
-                    self.leaf_dirty.mark_pfn(host_pfn - lvl * STAGE_PFN_OFFSET);
-                    self.l1_dirty.mark_pfn(host_pfn - STAGE_PFN_OFFSET);
-                }
-                let Some(vector) = self.rx_msix_vector(0) else {
-                    return self.now(dest);
-                };
-                // Resolve the device MSI through the innermost
-                // vIOMMU's interrupt-remapping tables, as the hardware
-                // (here: L0's emulation of it) would.
-                let bdf = self.virtio[0].pci().bdf();
-                let posted = match self.viommus.last() {
-                    Some(vm) => matches!(
-                        vm.unit().resolve_msi(
-                            bdf,
-                            dvh_devices::msi::MsiMessage::remappable(dest as u32, vector)
-                        ),
-                        dvh_devices::iommu::IrteTarget::Posted { .. }
-                    ),
-                    None => true, // L1: APICv handles it directly
-                };
-                let t = self.now(dest);
-                if posted {
-                    self.deliver_leaf_interrupt(dest, vector, t, IrqPath::PostedDirect)
-                } else {
-                    // Without vIOMMU PI support, each intermediate
-                    // hypervisor relays the MSI (DVH-VP in Fig. 8).
-                    self.relay_irq_through_chain(dest);
-                    let t = self.now(dest);
-                    self.deliver_leaf_interrupt(dest, vector, t, IrqPath::PostedDirect)
-                }
-            }
-            IoModel::Virtio => {
-                // Cascade: L0's vhost fills the L1 device, interrupts
-                // L1; each level's backend copies and re-raises until
-                // the leaf is reached.
-                self.post_rx_buffer(dest);
-                self.compute(dest, self.costs.copy_cost(bytes));
-                self.compute(dest, Cycles::new(150));
-                let n = self.config.levels;
-                if n == 1 {
-                    // Deliver into the leaf's queue for real.
-                    let mut q = std::mem::replace(
-                        &mut self.virtio[0].rx,
-                        dvh_devices::virtio::queue::VirtQueue::new(1),
-                    );
-                    let mut stage = std::mem::take(&mut self.l0_io_stage);
-                    let mut vhost = std::mem::take(&mut self.vhost[0]);
-                    vhost.deliver_rx(&mut q, &mut self.host_mem, &mut stage, &frame, None);
-                    self.vhost[0] = vhost;
-                    self.l0_io_stage = stage;
-                    self.virtio[0].rx = q;
-                    let Some(vector) = self.rx_msix_vector(0) else {
-                        return self.now(dest);
-                    };
-                    let t = self.now(dest);
-                    return self.deliver_leaf_interrupt(dest, vector, t, IrqPath::PostedDirect);
-                }
-                // Materialize the payload at the canonical leaf buffer
-                // so end-to-end integrity holds, then charge the
-                // cascade costs level by level.
-                let host = Gpa::from_pfn(self.leaf_host_pfn(LEAF_BUF_BASE_PFN));
-                self.host_mem.write(host, &frame.payload);
-                self.leaf_dirty.mark_pfn(LEAF_BUF_BASE_PFN);
-                for j in 1..n {
-                    // Kick hypervisor j: the leaf is running on this
-                    // CPU, so the interrupt exits and the chain runs
-                    // hv j's RX softirq.
-                    self.relay(j, dest);
-                    self.vmexit(
-                        self.leaf_level(),
-                        dest,
-                        ExitReason::ExternalInterrupt,
-                        ExitQualification::default(),
-                    );
-                    self.exit_side_program(j, dest);
-                    // vhost copy at level j plus re-raise to level j+1
-                    // via its (emulated) posted-interrupt send.
-                    self.compute(dest, self.costs.copy_cost(bytes));
-                    self.compute(dest, Cycles::new(150));
-                    self.compute(dest, self.costs.icr_emulate);
-                    self.compute(dest, self.costs.pi_desc_update);
-                    let icr = dvh_arch::apic::IcrValue::fixed(RX_VECTOR, dest as u32);
-                    self.hv_wrmsr(j, dest, dvh_arch::msr::IA32_X2APIC_ICR, icr.encode());
-                    self.entry_side_program(j, dest);
-                    self.vmresume_insn(j, dest);
-                }
-                self.now(dest)
+            // Under virtual-passthrough the write goes through the
+            // shadow I/O table and dirties pages (interposition is
+            // preserved).
+            let vp = self.config.io_model == IoModel::VirtualPassthrough;
+            let mut host_dirty = DirtyBitmap::new();
+            let xl = l0_dma(
+                self.config.io_model,
+                &mut self.shadow_io,
+                &mut self.l0_io_stage,
+            );
+            self.vhost[0].deliver_rx(
+                &mut self.virtio[0].rx,
+                &mut self.host_mem,
+                xl,
+                &frame,
+                vp.then_some(&mut host_dirty),
+            );
+            let lvl = self.config.levels as u64;
+            for host_pfn in host_dirty.harvest() {
+                self.leaf_dirty.mark_pfn(host_pfn - lvl * STAGE_PFN_OFFSET);
+                self.l1_dirty.mark_pfn(host_pfn - STAGE_PFN_OFFSET);
             }
         }
+        let Some(vector) = self.rx_msix_vector(dev) else {
+            return self.now(dest);
+        };
+        // Resolve the device MSI through the innermost vIOMMU's
+        // interrupt-remapping tables, as the hardware (here: L0's
+        // emulation of it) would. With no vIOMMU the interrupt is
+        // posted by VT-d (passthrough) or APICv (at L1).
+        let bdf = self.virtio[dev].pci().bdf();
+        let posted = self.viommus.last().is_none_or(|vm| {
+            matches!(
+                vm.unit()
+                    .resolve_msi(bdf, MsiMessage::remappable(dest as u32, vector)),
+                IrteTarget::Posted { .. }
+            )
+        });
+        if !posted {
+            // Without vIOMMU PI support, each intermediate hypervisor
+            // relays the MSI (DVH-VP in Fig. 8).
+            self.relay_irq_through_chain(dest);
+        }
+        let t = self.now(dest);
+        self.deliver_leaf_interrupt(dest, vector, t, IrqPath::PostedDirect)
+    }
+
+    /// Nested virtio RX: L0's vhost fills the L1 device and interrupts
+    /// L1; each level's backend copies and re-raises until the leaf is
+    /// reached.
+    fn cascade_rx(&mut self, dest: usize, frame: &Frame) -> Cycles {
+        let bytes = frame.len() as u64;
+        // Materialize the payload at the canonical leaf buffer so
+        // end-to-end integrity holds, then charge the cascade costs
+        // level by level.
+        let host = Gpa::from_pfn(self.leaf_host_pfn(LEAF_BUF_BASE_PFN));
+        self.host_mem.write(host, &frame.payload);
+        self.leaf_dirty.mark_pfn(LEAF_BUF_BASE_PFN);
+        for j in 1..self.config.levels {
+            // Kick hypervisor j: the leaf is running on this CPU, so
+            // the interrupt exits and the chain runs hv j's RX softirq.
+            self.relay(j, dest);
+            self.vmexit(
+                self.leaf_level(),
+                dest,
+                ExitReason::ExternalInterrupt,
+                ExitQualification::default(),
+            );
+            self.exit_side_program(j, dest);
+            // vhost copy at level j plus re-raise to level j+1 via its
+            // (emulated) posted-interrupt send.
+            self.compute(dest, self.costs.copy_cost(bytes));
+            self.compute(dest, Cycles::new(150));
+            self.compute(dest, self.costs.icr_emulate);
+            self.compute(dest, self.costs.pi_desc_update);
+            let icr = dvh_arch::apic::IcrValue::fixed(RX_VECTOR, dest as u32);
+            self.hv_wrmsr(j, dest, dvh_arch::msr::IA32_X2APIC_ICR, icr.encode());
+            self.entry_side_program(j, dest);
+            self.vmresume_insn(j, dest);
+        }
+        self.now(dest)
     }
 
     /// A coalesced receive burst: `packets` frames of `bytes` each
@@ -572,7 +450,7 @@ impl World {
     }
 
     /// Ensures the leaf's RX queue has a buffer posted.
-    fn post_rx_buffer(&mut self, _cpu: usize) {
+    fn post_rx_buffer(&mut self) {
         let idx = self.leaf_device_idx();
         while self.virtio[idx].rx.pop_used().is_some() {}
         if self.virtio[idx].rx.avail_len() < 4 {

@@ -217,6 +217,9 @@ pub struct RunStats {
     /// the full cost of handling that exit, including every nested
     /// trap it caused. Answers "where did the time go?".
     pub cycles_by_reason: BTreeMap<(usize, ExitReason), Cycles>,
+    /// The outermost exits `cycles_by_reason` attributes, by (level,
+    /// reason): unlike `exits`, no nested exit is counted.
+    pub outermost_exits: ExitLedger,
 }
 
 impl RunStats {
@@ -247,7 +250,10 @@ impl RunStats {
                 reason,
                 spent,
                 ..
-            } => self.attribute(from_level, reason, spent),
+            } => {
+                self.outermost_exits.record(from_level, reason);
+                self.attribute(from_level, reason, spent)
+            }
             TraceEvent::Returned { .. } | TraceEvent::IrqDelivered { .. } => {}
         }
     }
@@ -302,6 +308,7 @@ impl RunStats {
         self.injected_interrupts += other.injected_interrupts;
         self.idle_cycles += other.idle_cycles;
         self.burned_idle_cycles += other.burned_idle_cycles;
+        self.outermost_exits.merge(&other.outermost_exits);
         for (&(level, reason), &c) in &other.cycles_by_reason {
             self.attribute(level, reason, c);
         }

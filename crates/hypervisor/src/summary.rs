@@ -120,9 +120,10 @@ struct Summary {
     exits: Box<[(usize, ExitReason, u64)]>,
     /// Guest-hypervisor interventions, per owner level.
     interventions: Box<[(usize, u64)]>,
-    /// Cycles attributed to outermost exits inside the subtree (only a
-    /// program run outside any exit has any).
-    attributed: Box<[(usize, ExitReason, Cycles)]>,
+    /// Outermost exits inside the subtree and the cycles attributed to
+    /// them, per (level, reason) (only a program run outside any exit
+    /// has any).
+    attributed: Box<[(usize, ExitReason, u64, Cycles)]>,
     /// The subtree's VMCS stores, in order.
     effects: Box<[Effect]>,
 }
@@ -366,7 +367,8 @@ impl World {
         for &(level, n) in &s.interventions {
             self.stats.interventions.add(level, n);
         }
-        for &(level, reason, c) in &s.attributed {
+        for &(level, reason, n, c) in &s.attributed {
+            self.stats.outermost_exits.add(level, reason, n);
             self.stats.attribute(level, reason, c);
         }
         for &e in &s.effects {
@@ -420,14 +422,23 @@ impl World {
                 .map(|(level, n)| (level, n - before.interventions.get(level)))
                 .filter(|&(_, n)| n > 0)
                 .collect();
+            // Every attributed cycle comes with an outermost exit, so
+            // the count delta finds every touched entry.
             let attributed = after
-                .cycles_by_reason
+                .outermost_exits
                 .iter()
-                .map(|(&(level, reason), &c)| {
-                    let was = before.cycles_by_reason.get(&(level, reason));
-                    (level, reason, c - was.copied().unwrap_or(Cycles::ZERO))
+                .map(|((level, reason), n)| {
+                    let key = (level, reason);
+                    let was = before.cycles_by_reason.get(&key).copied();
+                    let c = after.cycles_by_reason[&key] - was.unwrap_or(Cycles::ZERO);
+                    (
+                        level,
+                        reason,
+                        n - before.outermost_exits.get(level, reason),
+                        c,
+                    )
                 })
-                .filter(|&(_, _, c)| c > Cycles::ZERO)
+                .filter(|&(_, _, n, _)| n > 0)
                 .collect();
             let summary = Summary {
                 cycles: self.now(cpu) - rec.t0,

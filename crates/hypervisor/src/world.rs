@@ -523,11 +523,6 @@ impl World {
 
     /// The virtio device provided by the hypervisor at `level`
     /// (bounds-checked here so dispatch paths never index raw).
-    pub fn virtio_dev(&self, level: usize) -> &VirtioNet {
-        &self.virtio[level]
-    }
-
-    /// Mutable access; see [`World::virtio_dev`].
     pub fn virtio_dev_mut(&mut self, level: usize) -> &mut VirtioNet {
         &mut self.virtio[level]
     }

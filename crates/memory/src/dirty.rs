@@ -32,7 +32,6 @@ use std::fmt;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DirtyBitmap {
     pages: BTreeSet<u64>,
-    total_marks: u64,
 }
 
 impl DirtyBitmap {
@@ -44,13 +43,11 @@ impl DirtyBitmap {
     /// Marks the page containing `gpa` dirty.
     pub fn mark(&mut self, gpa: Gpa) {
         self.pages.insert(gpa.pfn());
-        self.total_marks += 1;
     }
 
     /// Marks page frame `pfn` dirty.
     pub fn mark_pfn(&mut self, pfn: u64) {
         self.pages.insert(pfn);
-        self.total_marks += 1;
     }
 
     /// Marks `n` consecutive page frames dirty.
@@ -58,7 +55,6 @@ impl DirtyBitmap {
         for p in first_pfn..first_pfn.saturating_add(n) {
             self.pages.insert(p);
         }
-        self.total_marks += n;
     }
 
     /// Number of currently-dirty pages.
@@ -79,15 +75,9 @@ impl DirtyBitmap {
         out
     }
 
-    /// Total lifetime marks (including duplicates), for rate estimates.
-    pub fn total_marks(&self) -> u64 {
-        self.total_marks
-    }
-
     /// Merges another bitmap's dirty pages into this one.
     pub fn merge(&mut self, other: &DirtyBitmap) {
         self.pages.extend(other.pages.iter().copied());
-        self.total_marks += other.total_marks;
     }
 
     /// Whether no page is dirty.
@@ -143,6 +133,7 @@ mod tests {
         b.mark(Gpa::new(0x2000));
         b.mark(Gpa::new(0x2FFF));
         assert_eq!(b.dirty_count(), 1);
-        assert_eq!(b.total_marks(), 2);
+        assert_eq!(b.harvest(), vec![2]);
+        assert!(b.is_clean());
     }
 }

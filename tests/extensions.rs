@@ -3,7 +3,9 @@
 //! fault handling.
 
 use dvh_core::{Machine, MachineConfig};
+use dvh_hypervisor::world::LEAF_BUF_BASE_PFN;
 use dvh_hypervisor::{IrqPath, TraceEvent};
+use dvh_memory::Gpa;
 use dvh_migration::{migrate_nested_vm, MigrationConfig};
 use dvh_workloads::{run_app, AppId};
 
@@ -273,6 +275,14 @@ fn detached_passthrough_device_stops_transmitting() {
         "DMA from a detached device must fault, not leak data"
     );
     assert!(m.world().phys_iommu.fault_count() >= 2);
+    // Receive DMA faults the same way: the IOMMU logs it, and nothing
+    // lands in the leaf's RX buffer.
+    let rx_buf = Gpa::from_pfn(LEAF_BUF_BASE_PFN + 32);
+    let before = m.world().guest_read_memory(rx_buf, 800);
+    let faults = m.world().phys_iommu.fault_count();
+    m.net_rx(0, 800);
+    assert_eq!(m.world().phys_iommu.fault_count(), faults + 1);
+    assert_eq!(m.world().guest_read_memory(rx_buf, 800), before);
 }
 
 #[test]

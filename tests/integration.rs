@@ -5,6 +5,7 @@
 use dvh_arch::vmx::ExitReason;
 use dvh_core::{migration_cap, Machine, MachineConfig};
 use dvh_devices::nic::{Frame, WIRE_CAPACITY};
+use dvh_devices::vhost::VhostStats;
 use dvh_hypervisor::world::{LEAF_BUF_BASE_PFN, STAGE_PFN_OFFSET};
 use dvh_memory::Gpa;
 use dvh_migration::{migrate_nested_vm, MigrationConfig};
@@ -70,6 +71,27 @@ fn passthrough_rx_counts_real_bytes_and_queues_nothing() {
         vf.rx_queue.len()
     );
     assert_eq!(vf.rx_bytes, n * 800);
+}
+
+#[test]
+fn passthrough_leaves_the_vhost_backend_idle() {
+    // The VF does its own DMA through the physical IOMMU: L0's vhost
+    // backend neither receives nor transmits a frame.
+    for levels in [1, 2] {
+        for app in [AppId::NetperfMaerts, AppId::NetperfRr] {
+            let mut m = Machine::build(MachineConfig::passthrough(levels));
+            run_app(&mut m, &app.mix(), 20);
+            assert!(
+                m.world_mut().nic.function_mut(1).rx_bytes > 0,
+                "{app:?} at L{levels}"
+            );
+            assert_eq!(
+                m.world().vhost[0].stats,
+                VhostStats::default(),
+                "{app:?} at L{levels}"
+            );
+        }
+    }
 }
 
 // ---- Bounded wire ----------------------------------------------------------
