@@ -147,20 +147,19 @@ impl PiDescriptor {
 
     /// Drains all pending vectors in ascending order, clearing the
     /// descriptor, as virtual-interrupt delivery does on VM entry or on
-    /// notification receipt.
-    pub fn drain(&mut self) -> Vec<Vector> {
-        let mut out = Vec::new();
-        for (i, word) in self.pir.iter_mut().enumerate() {
-            let mut w = *word;
-            while w != 0 {
-                let bit = w.trailing_zeros();
-                out.push((i as u32 * 64 + bit) as u8);
-                w &= w - 1;
-            }
-            *word = 0;
-        }
+    /// notification receipt. The iterator owns a copy of the PIR, so
+    /// the descriptor is free again as soon as this returns.
+    pub fn drain(&mut self) -> impl Iterator<Item = Vector> {
+        let pir = std::mem::take(&mut self.pir);
         self.on = false;
-        out
+        (0u32..4).flat_map(move |i| {
+            let mut w = pir[i as usize];
+            std::iter::from_fn(move || {
+                let bit = (w != 0).then(|| w.trailing_zeros())?;
+                w &= w - 1;
+                Some((i * 64 + bit) as Vector)
+            })
+        })
     }
 
     /// Whether any vector is pending.
@@ -235,7 +234,7 @@ mod tests {
         assert!(!pi.post(0x31), "second post while ON should not notify");
         assert!(pi.is_pending(0x30));
         assert!(pi.is_pending(0x31));
-        let drained = pi.drain();
+        let drained: Vec<_> = pi.drain().collect();
         assert_eq!(drained, vec![0x30, 0x31]);
         assert!(!pi.has_pending());
         assert!(pi.post(0x32), "after drain, posting notifies again");
@@ -272,7 +271,7 @@ mod tests {
         pi.post(200);
         pi.post(3);
         pi.post(64);
-        assert_eq!(pi.drain(), vec![3, 64, 200]);
+        assert_eq!(pi.drain().collect::<Vec<_>>(), vec![3, 64, 200]);
     }
 }
 

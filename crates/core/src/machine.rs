@@ -8,7 +8,6 @@ use crate::vtimer::VirtualTimers;
 use dvh_arch::costs::CostModel;
 use dvh_arch::vmx::ctrl;
 use dvh_arch::Cycles;
-use dvh_devices::nic::Frame;
 use dvh_hypervisor::{DvhFlags, HvKind, IoModel, World, WorldConfig};
 
 /// Configuration for a [`Machine`], mirroring the paper's evaluation
@@ -208,8 +207,8 @@ impl Machine {
     /// the receive path (interrupt + delivery).
     pub fn net_rx(&mut self, cpu: usize, bytes: u32) -> Cycles {
         let t0 = self.world.now(cpu);
-        let frame = Frame::patterned(bytes as usize, (bytes % 251) as u8);
-        self.world.external_packet_arrival(cpu, frame);
+        self.world
+            .patterned_packet_arrival(cpu, bytes as usize, (bytes % 251) as u8);
         self.world.now(cpu) - t0
     }
 

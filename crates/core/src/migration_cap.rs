@@ -201,7 +201,7 @@ mod tests {
         let mut w = vp_world();
         enable_dirty_logging(&mut w, 0xA000).unwrap();
         // An RX packet DMA-writes a leaf buffer page.
-        w.external_packet_arrival(0, dvh_devices::nic::Frame::patterned(1400, 3));
+        w.external_packet_arrival(0, &dvh_devices::nic::Frame::patterned(1400, 3));
         let pages = harvest_dirty_pages(&mut w).unwrap();
         assert!(!pages.is_empty(), "device DMA must appear in the log");
         // Second harvest is clean.

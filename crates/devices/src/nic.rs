@@ -18,7 +18,7 @@ pub const WIRE_CAPACITY: usize = 256;
 
 /// An Ethernet frame (payload only; headers are folded into payload
 /// length for cost purposes).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Frame {
     /// Frame bytes.
     pub payload: Vec<u8>,
@@ -27,9 +27,17 @@ pub struct Frame {
 impl Frame {
     /// A frame of `len` patterned bytes (detectable in integrity tests).
     pub fn patterned(len: usize, seed: u8) -> Frame {
-        Frame {
-            payload: (0..len).map(|i| seed.wrapping_add(i as u8)).collect(),
-        }
+        let mut frame = Frame::default();
+        frame.repattern(len, seed);
+        frame
+    }
+
+    /// Turns this frame into [`Frame::patterned`]`(len, seed)`, reusing
+    /// its buffer.
+    pub fn repattern(&mut self, len: usize, seed: u8) {
+        self.payload.clear();
+        self.payload
+            .extend((0..len).map(|i| seed.wrapping_add(i as u8)));
     }
 
     /// Frame length in bytes.

@@ -15,7 +15,7 @@
 use crate::nic::{Frame, Nic};
 use crate::virtio::queue::VirtQueue;
 use dvh_memory::sparse::SparseMemory;
-use dvh_memory::{DirtyBitmap, Gpa, Perms, TranslateErr, PAGE_SIZE};
+use dvh_memory::{Gpa, Perms, TranslateErr, PAGE_SIZE};
 use std::fmt;
 
 /// DMA address translation used by the backend when touching guest
@@ -104,7 +104,7 @@ pub fn dma_read(
 }
 
 /// Writes `data` to device-visible address `addr` through `xl`,
-/// marking dirtied *host* pages in `dirty` if provided.
+/// passing each dirtied *host* page frame to `dirty` if provided.
 ///
 /// # Errors
 ///
@@ -114,7 +114,7 @@ pub fn dma_write(
     xl: &mut dyn DmaTranslate,
     addr: Gpa,
     data: &[u8],
-    mut dirty: Option<&mut DirtyBitmap>,
+    mut dirty: Option<&mut (dyn FnMut(u64) + '_)>,
 ) -> Result<(), TranslateErr> {
     let mut cur = addr.raw();
     let mut rest = data;
@@ -123,8 +123,8 @@ pub fn dma_write(
         let n = rest.len().min((PAGE_SIZE - off) as usize);
         let host_pfn = xl.dma_pfn(cur >> 12, Perms::RW)?;
         mem.write(Gpa::from_pfn(host_pfn).offset(off), &rest[..n]);
-        if let Some(d) = dirty.as_deref_mut() {
-            d.mark_pfn(host_pfn);
+        if let Some(mark) = dirty.as_deref_mut() {
+            mark(host_pfn);
         }
         cur += n as u64;
         rest = &rest[n..];
@@ -150,7 +150,7 @@ pub fn dma_transmit(
         let len = chain.readable_len() as usize;
         let tx = nic.transmit_with(func, len, |payload| {
             let mut filled = 0;
-            for d in chain.descs.iter().filter(|d| !d.device_writes) {
+            for d in chain.descs().iter().filter(|d| !d.device_writes) {
                 let n = d.len as usize;
                 dma_read_into(mem, xl, d.addr, &mut payload[filled..filled + n])?;
                 filled += n;
@@ -163,8 +163,8 @@ pub fn dma_transmit(
 }
 
 /// Receives `frame` into `q`'s next available chain: scatters it over
-/// the chain's device-writable buffers through `xl`, marking dirtied
-/// host pages in `dirty`, and completes the chain with the bytes
+/// the chain's device-writable buffers through `xl`, passing dirtied
+/// host page frames to `dirty`, and completes the chain with the bytes
 /// written. Returns that count, or `None` if the frame is dropped: no
 /// chain is available, the chain is too small, or the DMA faults (the
 /// chain still completes, with what was written before the fault).
@@ -173,7 +173,7 @@ pub fn dma_receive(
     mem: &mut SparseMemory,
     xl: &mut dyn DmaTranslate,
     frame: &Frame,
-    mut dirty: Option<&mut DirtyBitmap>,
+    mut dirty: Option<&mut (dyn FnMut(u64) + '_)>,
 ) -> Option<u32> {
     let chain = q.pop_avail()?;
     if (chain.writable_len() as usize) < frame.len() {
@@ -182,7 +182,7 @@ pub fn dma_receive(
     }
     let mut rest: &[u8] = &frame.payload;
     let mut written = 0u32;
-    for d in chain.descs.iter().filter(|d| d.device_writes) {
+    for d in chain.descs().iter().filter(|d| d.device_writes) {
         if rest.is_empty() {
             break;
         }
@@ -275,7 +275,7 @@ impl VhostNet {
         mem: &mut SparseMemory,
         xl: &mut dyn DmaTranslate,
         frame: &Frame,
-        dirty: Option<&mut DirtyBitmap>,
+        dirty: Option<&mut (dyn FnMut(u64) + '_)>,
     ) -> bool {
         let Some(written) = dma_receive(q, mem, xl, frame, dirty) else {
             self.stats.dropped += 1;
@@ -307,13 +307,14 @@ mod tests {
     use crate::pci::Bdf;
     use crate::virtio::queue::Descriptor;
     use dvh_memory::iommu_pt::IoTable;
+    use dvh_memory::DirtyBitmap;
 
     fn rx_chain(q: &mut VirtQueue, addr: u64, len: u32) -> u16 {
-        q.add_chain(vec![Descriptor {
+        q.add_one(Descriptor {
             addr: Gpa::new(addr),
             len,
             device_writes: true,
-        }])
+        })
         .unwrap()
     }
 
@@ -352,7 +353,8 @@ mod tests {
         let mut vhost = VhostNet::new();
         let mut dirty = DirtyBitmap::new();
         let frame = Frame::patterned(1500, 7);
-        assert!(vhost.deliver_rx(&mut q, &mut mem, &mut xl, &frame, Some(&mut dirty)));
+        let mut mark = |pfn| dirty.mark_pfn(pfn);
+        assert!(vhost.deliver_rx(&mut q, &mut mem, &mut xl, &frame, Some(&mut mark)));
         // Data landed at the *host* frame.
         assert_eq!(mem.read(Gpa::new(0x99_000), 1500), frame.payload);
         assert!(dirty.is_dirty(0x99));

@@ -6,9 +6,15 @@
 //! guest-physical in the address space of whoever owns the device —
 //! which, under virtual-passthrough, is the *nested* VM, with the
 //! (v)IOMMU translating on the device side.
+//!
+//! Steady-state operation allocates nothing: a one-descriptor chain
+//! (every chain the datapaths queue) is stored inline, the descriptor
+//! count charged to each outstanding head lives in a fixed table of
+//! `size` slots, and the used ring is sized for `size` completions up
+//! front.
 
 use dvh_memory::Gpa;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// One buffer descriptor.
@@ -22,19 +28,34 @@ pub struct Descriptor {
     pub device_writes: bool,
 }
 
+/// The descriptors of one chain: a lone descriptor inline, longer
+/// chains on the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Descs {
+    One(Descriptor),
+    Many(Vec<Descriptor>),
+}
+
 /// A chain of descriptors popped from the available ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DescChain {
     /// Head index, echoed back in the used ring.
     pub head: u16,
-    /// The descriptors in chain order.
-    pub descs: Vec<Descriptor>,
+    descs: Descs,
 }
 
 impl DescChain {
+    /// The descriptors in chain order.
+    pub fn descs(&self) -> &[Descriptor] {
+        match &self.descs {
+            Descs::One(d) => std::slice::from_ref(d),
+            Descs::Many(ds) => ds,
+        }
+    }
+
     /// Total bytes across all device-readable descriptors.
     pub fn readable_len(&self) -> u64 {
-        self.descs
+        self.descs()
             .iter()
             .filter(|d| !d.device_writes)
             .map(|d| d.len as u64)
@@ -43,7 +64,7 @@ impl DescChain {
 
     /// Total bytes across all device-writable descriptors.
     pub fn writable_len(&self) -> u64 {
-        self.descs
+        self.descs()
             .iter()
             .filter(|d| d.device_writes)
             .map(|d| d.len as u64)
@@ -60,6 +81,14 @@ pub struct UsedElem {
     pub written: u32,
 }
 
+/// The descriptors charged to one outstanding head; `descs == 0`
+/// marks a free slot.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Charge {
+    head: u16,
+    descs: u16,
+}
+
 /// A split virtqueue.
 ///
 /// # Example
@@ -70,7 +99,7 @@ pub struct UsedElem {
 ///
 /// let mut q = VirtQueue::new(256);
 /// let head = q
-///     .add_chain(vec![Descriptor { addr: Gpa::new(0x1000), len: 1500, device_writes: false }])
+///     .add_one(Descriptor { addr: Gpa::new(0x1000), len: 1500, device_writes: false })
 ///     .unwrap();
 /// assert!(q.needs_kick());
 /// let chain = q.pop_avail().unwrap();
@@ -85,11 +114,15 @@ pub struct VirtQueue {
     used: VecDeque<UsedElem>,
     next_head: u16,
     in_flight: u16,
-    /// Descriptor count charged per in-flight chain, keyed by head, so
-    /// completion releases exactly what [`VirtQueue::add_chain`]
-    /// charged. Outstanding heads are a window of at most `size`
-    /// consecutive values, so reuse cannot collide.
-    chain_lens: BTreeMap<u16, u16>,
+    /// Descriptors charged to each outstanding head (added, not yet
+    /// harvested), in slot `head mod size`, so that completion
+    /// releases exactly what was charged. When chains complete in
+    /// order, as on every datapath, the outstanding heads are at most
+    /// `size` consecutive values and never share a slot.
+    charges: Box<[Charge]>,
+    /// Charges whose slot an older head still held: only out-of-order
+    /// completion leaves a head that far behind.
+    spilled: Vec<Charge>,
     /// Driver-side suppression: device should not send interrupts.
     pub no_interrupt: bool,
     /// Device-side suppression: driver need not kick.
@@ -125,10 +158,13 @@ impl VirtQueue {
         VirtQueue {
             size,
             avail: VecDeque::new(),
-            used: VecDeque::new(),
+            // Completions pile up until the driver harvests them, at
+            // most one per descriptor: sized once, the ring never grows.
+            used: VecDeque::with_capacity(size as usize),
             next_head: 0,
             in_flight: 0,
-            chain_lens: BTreeMap::new(),
+            charges: vec![Charge::default(); size as usize].into_boxed_slice(),
+            spilled: Vec::new(),
             no_interrupt: false,
             no_notify: false,
             kicks: 0,
@@ -151,28 +187,69 @@ impl VirtQueue {
     /// descriptor charge), or does not fit next to the chains already
     /// in flight.
     pub fn add_chain(&mut self, descs: Vec<Descriptor>) -> Result<u16, QueueFull> {
-        let needed = match u16::try_from(descs.len()) {
-            Ok(n) if n <= self.size => n,
-            _ => return Err(QueueFull),
-        };
+        match u16::try_from(descs.len()) {
+            Ok(n) if n <= self.size => self.expose(Descs::Many(descs), n),
+            _ => Err(QueueFull),
+        }
+    }
+
+    /// Driver side: exposes the one-descriptor chain `desc`, stored
+    /// inline.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueueFull`] when every descriptor is in flight.
+    pub fn add_one(&mut self, desc: Descriptor) -> Result<u16, QueueFull> {
+        self.expose(Descs::One(desc), 1)
+    }
+
+    /// Driver side: [`VirtQueue::add_one`], first harvesting every
+    /// completion when the ring is full, as the datapaths' drivers do.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QueueFull`] when the ring is still full: every
+    /// descriptor belongs to a chain the device has not completed, so
+    /// the driver must kick and let the device catch up.
+    pub fn add_reclaiming(&mut self, desc: Descriptor) -> Result<u16, QueueFull> {
+        self.add_one(desc).or_else(|QueueFull| {
+            while self.pop_used().is_some() {}
+            self.add_one(desc)
+        })
+    }
+
+    fn expose(&mut self, descs: Descs, needed: u16) -> Result<u16, QueueFull> {
         if needed == 0 || needed > self.size - self.in_flight {
             return Err(QueueFull);
         }
         let head = self.next_head;
-        self.next_head = self.next_head.wrapping_add(1);
+        self.next_head = head.wrapping_add(1);
         self.in_flight += needed;
-        self.chain_lens.insert(head, needed);
+        let charge = Charge {
+            head,
+            descs: needed,
+        };
+        let slot = &mut self.charges[usize::from(head & (self.size - 1))];
+        if slot.descs == 0 {
+            *slot = charge;
+        } else {
+            self.spilled.push(charge);
+        }
         self.avail.push_back(DescChain { head, descs });
         Ok(head)
     }
 
-    /// Driver side: exposes the one-descriptor chain `desc`. A full
-    /// ring first harvests every completion, as the datapaths' drivers
-    /// do; a chain that still does not fit is dropped.
-    pub fn add_reclaiming(&mut self, desc: Descriptor) {
-        if self.add_chain(vec![desc]).is_err() {
-            while self.pop_used().is_some() {}
-            let _ = self.add_chain(vec![desc]);
+    /// Takes back the descriptors charged to `head`. Heads completed
+    /// via `push_used` without a matching add (not something the
+    /// datapaths do) release one descriptor.
+    fn release(&mut self, head: u16) -> u16 {
+        let slot = &mut self.charges[usize::from(head & (self.size - 1))];
+        if slot.descs != 0 && slot.head == head {
+            return std::mem::take(slot).descs;
+        }
+        match self.spilled.iter().position(|c| c.head == head) {
+            Some(i) => self.spilled.swap_remove(i).descs,
+            None => 1,
         }
     }
 
@@ -212,9 +289,7 @@ impl VirtQueue {
     /// descriptor the completed chain was charged for.
     pub fn pop_used(&mut self) -> Option<UsedElem> {
         let e = self.used.pop_front()?;
-        // Heads completed via push_used without a matching add_chain
-        // (not something the datapaths do) release one descriptor.
-        let released = self.chain_lens.remove(&e.head).unwrap_or(1);
+        let released = self.release(e.head);
         self.in_flight = self.in_flight.saturating_sub(released);
         Some(e)
     }
@@ -333,10 +408,14 @@ mod tests {
 
     #[test]
     fn readable_writable_split() {
-        let c = DescChain {
-            head: 0,
-            descs: vec![desc(0, 10, false), desc(0, 20, true), desc(0, 30, true)],
-        };
+        let mut q = VirtQueue::new(4);
+        q.add_chain(vec![
+            desc(0, 10, false),
+            desc(0, 20, true),
+            desc(0, 30, true),
+        ])
+        .unwrap();
+        let c = q.pop_avail().unwrap();
         assert_eq!(c.readable_len(), 10);
         assert_eq!(c.writable_len(), 50);
     }
@@ -402,6 +481,59 @@ mod tests {
         assert_eq!(q.in_flight(), 0);
         assert!(q.add_chain(vec![desc(0, 1, false); 4]).is_ok());
         assert_eq!(q.in_flight(), 4);
+    }
+
+    #[test]
+    fn one_descriptor_chains_are_stored_inline() {
+        let mut q = VirtQueue::new(4);
+        q.add_one(desc(0x1000, 64, true)).unwrap();
+        let c = q.pop_avail().unwrap();
+        assert!(matches!(c.descs, Descs::One(_)));
+        assert_eq!(c.descs(), [desc(0x1000, 64, true)]);
+    }
+
+    #[test]
+    fn add_reclaiming_harvests_completions_but_not_unserviced_chains() {
+        let mut q = VirtQueue::new(2);
+        q.add_reclaiming(desc(0, 1, false)).unwrap();
+        q.add_reclaiming(desc(0, 1, false)).unwrap();
+        // Both slots hold chains the device has not seen.
+        assert_eq!(q.add_reclaiming(desc(0, 1, false)), Err(QueueFull));
+        while let Some(c) = q.pop_avail() {
+            q.push_used(c.head, 0);
+        }
+        // Completed chains are harvested to make room.
+        assert_eq!(q.add_reclaiming(desc(0, 1, false)), Ok(2));
+        assert_eq!(q.used_len(), 0);
+        assert_eq!(q.in_flight(), 1);
+    }
+
+    #[test]
+    fn a_head_left_behind_by_out_of_order_completion_keeps_its_charge() {
+        let mut q = VirtQueue::new(4);
+        let old = q.add_chain(vec![desc(0, 1, false); 2]).unwrap();
+        q.pop_avail().unwrap();
+        // Heads 1 to 3 complete while head 0 stays with the device...
+        for _ in 0..3 {
+            q.add_one(desc(0, 1, false)).unwrap();
+            let c = q.pop_avail().unwrap();
+            q.push_used(c.head, 0);
+            q.pop_used().unwrap();
+        }
+        // ...so head 4 maps to the slot head 0 still holds.
+        let new = q.add_one(desc(0, 1, false)).unwrap();
+        assert_eq!((old, new), (0, 4));
+        assert_eq!(q.spilled.len(), 1);
+        assert_eq!(q.in_flight(), 3);
+        q.pop_avail().unwrap();
+        q.push_used(new, 0);
+        q.pop_used().unwrap();
+        assert_eq!(q.in_flight(), 2);
+        q.push_used(old, 0);
+        q.pop_used().unwrap();
+        assert_eq!(q.in_flight(), 0);
+        assert!(q.spilled.is_empty());
+        assert!(q.charges.iter().all(|c| c.descs == 0));
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! canonical translated addresses, and frames really reach the NIC,
 //! whose wire keeps the most recent 256 — so data-integrity tests can
 //! check end-to-end payloads while the cost ledger records who trapped
-//! where. Transmit paths DMA straight into recycled wire buffers:
-//! steady-state TX allocates no frame.
+//! where. Transmit paths DMA straight into recycled wire buffers and
+//! receive bursts build their frame in a buffer the world recycles:
+//! steady-state I/O allocates nothing.
 //!
 //! [`Iommu::device_dma`]: dvh_devices::iommu::Iommu::device_dma
 
@@ -38,7 +39,7 @@ use dvh_devices::vhost::{dma_receive, dma_transmit, DmaTranslate};
 use dvh_devices::virtio::net::NOTIFY_BAR_OFFSET;
 use dvh_devices::virtio::queue::Descriptor;
 use dvh_memory::iommu_pt::{IoTable, ShadowIoTable};
-use dvh_memory::{DirtyBitmap, Gpa};
+use dvh_memory::Gpa;
 
 /// The MSI vector virtio-net RX completion uses.
 pub const RX_VECTOR: u8 = 0x51;
@@ -105,12 +106,28 @@ impl World {
         self.compute(cpu, Cycles::new(120) * packets as u64);
         let dev = self.leaf_device_idx();
         for p in 0..packets {
-            self.virtio[dev].tx.add_reclaiming(Descriptor {
+            let desc = Descriptor {
                 addr: Gpa::from_pfn(LEAF_BUF_BASE_PFN + (p as u64 % 32)),
                 len: bytes,
                 device_writes: false,
-            });
+            };
+            if self.virtio[dev].tx.add_reclaiming(desc).is_err() {
+                // Every slot holds a chain the device has not seen:
+                // kick the batch queued so far, as a virtio driver does
+                // on a full ring, and queue this frame after it.
+                self.kick_tx(cpu, dev);
+                self.virtio[dev]
+                    .tx
+                    .add_reclaiming(desc)
+                    .expect("a kick services the whole ring");
+            }
         }
+        self.kick_tx(cpu, dev);
+        self.now(cpu)
+    }
+
+    /// The leaf kicks the TX queue of virtio device `dev`.
+    fn kick_tx(&mut self, cpu: usize, dev: usize) {
         self.virtio[dev].tx.kick();
         if self.config.io_model == IoModel::Passthrough {
             // The doorbell write goes straight to the VF: no exit. The
@@ -129,7 +146,6 @@ impl World {
             // whole batch.
             self.doorbell(self.leaf_level(), cpu, dev, 1);
         }
-        self.now(cpu)
     }
 
     /// Index of the virtio device the leaf VM drives.
@@ -175,11 +191,14 @@ impl World {
             self.blk.validate(req),
             "blk request outside device geometry"
         );
-        self.blk.queue.add_reclaiming(Descriptor {
-            addr: Gpa::from_pfn(LEAF_BUF_BASE_PFN + 48),
-            len: req.len,
-            device_writes: !write,
-        });
+        self.blk
+            .queue
+            .add_reclaiming(Descriptor {
+                addr: Gpa::from_pfn(LEAF_BUF_BASE_PFN + 48),
+                len: req.len,
+                device_writes: !write,
+            })
+            .expect("every earlier request completed at its doorbell");
         self.blk.queue.kick();
         // One doorbell exit from the leaf, on the device it drives: L0's
         // under virtual-passthrough (the host's blk device is assigned
@@ -279,15 +298,18 @@ impl World {
         let mut moved = false;
         while let Some(chain) = self.virtio_dev_mut(owner).tx.pop_avail() {
             self.virtio_dev_mut(owner).tx.push_used(chain.head, 0);
-            for d in &chain.descs {
+            for d in chain.descs() {
                 // The vhost copy between adjacent address spaces.
                 self.compute(cpu, self.costs.copy_cost(d.len as u64));
                 self.compute(cpu, Cycles::new(150));
-                self.virtio[next].tx.add_reclaiming(Descriptor {
-                    addr: Gpa::from_pfn(d.addr.pfn() + STAGE_PFN_OFFSET),
-                    len: d.len,
-                    device_writes: false,
-                });
+                self.virtio[next]
+                    .tx
+                    .add_reclaiming(Descriptor {
+                        addr: Gpa::from_pfn(d.addr.pfn() + STAGE_PFN_OFFSET),
+                        len: d.len,
+                        device_writes: false,
+                    })
+                    .expect("the hop below serviced its last batch, and a batch fits one ring");
                 moved = true;
             }
         }
@@ -303,34 +325,42 @@ impl World {
     /// An external packet arrives from the wire for the leaf vCPU on
     /// `dest`. Returns the time at which the leaf sees the RX
     /// interrupt.
-    pub fn external_packet_arrival(&mut self, dest: usize, frame: Frame) -> Cycles {
+    pub fn external_packet_arrival(&mut self, dest: usize, frame: &Frame) -> Cycles {
         let dev = self.leaf_device_idx();
         self.post_rx_buffer();
         if self.config.io_model == IoModel::Passthrough {
             // The VF DMAs straight into the leaf buffer through the
             // physical IOMMU: no CPU cost, no interposition (and hence
-            // no dirty tracking — the migration story of §3.6).
+            // no dirty tracking — the migration story of §3.6). A frame
+            // the IOMMU faults is dropped, not received.
             let vf = self.nic.function_bdf(1);
-            dma_receive(
+            if let Some(written) = dma_receive(
                 &mut self.virtio[dev].rx,
                 &mut self.host_mem,
                 &mut self.phys_iommu.device_dma(vf),
-                &frame,
+                frame,
                 None,
-            );
-            self.nic.receive_dma(1, frame.len());
+            ) {
+                self.nic.receive_dma(1, written as usize);
+            }
         } else {
             // L0's vhost copies the frame in.
             self.compute(dest, self.costs.copy_cost(frame.len() as u64));
             self.compute(dest, Cycles::new(150));
             if self.config.levels > 1 && self.config.io_model == IoModel::Virtio {
-                return self.cascade_rx(dest, &frame);
+                return self.cascade_rx(dest, frame);
             }
             // Under virtual-passthrough the write goes through the
             // shadow I/O table and dirties pages (interposition is
-            // preserved).
+            // preserved): each host page is logged as the leaf page and
+            // the L1 page it backs.
             let vp = self.config.io_model == IoModel::VirtualPassthrough;
-            let mut host_dirty = DirtyBitmap::new();
+            let lvl = self.config.levels as u64;
+            let (leaf_dirty, l1_dirty) = (&mut self.leaf_dirty, &mut self.l1_dirty);
+            let mut mark = |host_pfn: u64| {
+                leaf_dirty.mark_pfn(host_pfn - lvl * STAGE_PFN_OFFSET);
+                l1_dirty.mark_pfn(host_pfn - STAGE_PFN_OFFSET);
+            };
             let xl = l0_dma(
                 self.config.io_model,
                 &mut self.shadow_io,
@@ -340,14 +370,9 @@ impl World {
                 &mut self.virtio[0].rx,
                 &mut self.host_mem,
                 xl,
-                &frame,
-                vp.then_some(&mut host_dirty),
+                frame,
+                vp.then_some(&mut mark as &mut dyn FnMut(u64)),
             );
-            let lvl = self.config.levels as u64;
-            for host_pfn in host_dirty.harvest() {
-                self.leaf_dirty.mark_pfn(host_pfn - lvl * STAGE_PFN_OFFSET);
-                self.l1_dirty.mark_pfn(host_pfn - STAGE_PFN_OFFSET);
-            }
         }
         let Some(vector) = self.rx_msix_vector(dev) else {
             return self.now(dest);
@@ -429,8 +454,19 @@ impl World {
         let per_packet = self.costs.copy_cost(bytes as u64) + Cycles::new(150);
         self.compute(dest, per_packet * extra * interposing_levels);
         // One full interrupt-bearing delivery.
-        self.external_packet_arrival(dest, Frame::patterned(bytes as usize, 7));
+        self.patterned_packet_arrival(dest, bytes as usize, 7);
         self.now(dest)
+    }
+
+    /// [`World::external_packet_arrival`] of
+    /// [`Frame::patterned`]`(bytes, seed)`, built in a frame buffer the
+    /// world recycles.
+    pub fn patterned_packet_arrival(&mut self, dest: usize, bytes: usize, seed: u8) -> Cycles {
+        let mut frame = std::mem::take(&mut self.rx_frame);
+        frame.repattern(bytes, seed);
+        let t = self.external_packet_arrival(dest, &frame);
+        self.rx_frame = frame;
+        t
     }
 
     /// Resolves the RX completion vector through the leaf device's
@@ -454,11 +490,11 @@ impl World {
         let idx = self.leaf_device_idx();
         while self.virtio[idx].rx.pop_used().is_some() {}
         if self.virtio[idx].rx.avail_len() < 4 {
-            let _ = self.virtio[idx].rx.add_chain(vec![Descriptor {
+            let _ = self.virtio[idx].rx.add_one(Descriptor {
                 addr: Gpa::from_pfn(LEAF_BUF_BASE_PFN + 32),
                 len: 4096,
                 device_writes: true,
-            }]);
+            });
         }
     }
 

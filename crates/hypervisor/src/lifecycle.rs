@@ -52,8 +52,7 @@ impl World {
         self.pi_desc[cpu].sn = false;
         self.compute(cpu, self.costs.vcpu_kick);
         self.l0_vmentry(cpu);
-        let pending = self.pi_desc[cpu].drain();
-        for v in pending {
+        for v in self.pi_desc[cpu].drain() {
             self.lapic[cpu].accept(v);
         }
         self.service_after_resume(cpu);

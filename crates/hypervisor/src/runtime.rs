@@ -58,12 +58,7 @@ impl World {
     /// Appends `level` to the halt chain of `cpu`.
     pub(crate) fn push_halt_level(&mut self, cpu: usize, level: usize) {
         self.taint_summaries();
-        let mut chain = self
-            .halt_chain(cpu)
-            .map(<[usize]>::to_vec)
-            .unwrap_or_default();
-        chain.push(level);
-        self.set_halt_chain(cpu, Some(chain));
+        self.halt_chains[cpu].push(level);
     }
 
     fn set_cpu_idle(&mut self, cpu: usize, s: IdleState) {
@@ -152,10 +147,12 @@ impl World {
     /// and resumes its guest — the multi-level wake cost the paper's
     /// virtual idle eliminates.
     fn wake_chain(&mut self, cpu: usize) {
-        let Some(chain) = self.halt_chain(cpu).map(<[usize]>::to_vec) else {
+        if self.halt_chains[cpu].is_empty() {
             return;
-        };
-        self.set_halt_chain(cpu, None);
+        }
+        // The vCPU runs again from here on; the chain's buffer goes
+        // back once replayed, for the next halt to reuse.
+        let mut chain = std::mem::take(&mut self.halt_chains[cpu]);
         self.set_cpu_idle(cpu, IdleState::Running);
 
         // L0 side: C1 wake latency, scheduler kick.
@@ -164,28 +161,29 @@ impl World {
 
         // Hypervisor levels that blocked, in ascending order (L0 last
         // in the chain; strip it).
-        let mut levels: Vec<usize> = chain.into_iter().filter(|&l| l != 0).collect();
-        levels.sort_unstable();
+        chain.sort_unstable();
+        let levels = &chain[chain.partition_point(|&l| l == 0)..];
 
+        self.hv_vmptrld(0, cpu);
         if levels.is_empty() {
             // The leaf was blocked directly at L0 (L1 VM, or virtual
             // idle): re-enter it straight away.
-            self.hv_vmptrld(0, cpu);
             self.compute(cpu, self.costs.event_injection);
             self.l0_vmentry(cpu);
-            return;
+        } else {
+            // Enter the lowest blocked hypervisor, then let each
+            // blocked level wake its own guest vCPU and resume — with
+            // every resume trapping down the chain.
+            self.l0_vmentry(cpu);
+            for &j in levels {
+                self.compute(cpu, self.costs.vcpu_kick);
+                self.compute(cpu, self.costs.event_injection);
+                self.entry_side_program(j, cpu);
+                self.vmresume_insn(j, cpu);
+            }
         }
-        // Enter the lowest blocked hypervisor, then let each blocked
-        // level wake its own guest vCPU and resume — with every resume
-        // trapping down the chain.
-        self.hv_vmptrld(0, cpu);
-        self.l0_vmentry(cpu);
-        for j in levels {
-            self.compute(cpu, self.costs.vcpu_kick);
-            self.compute(cpu, self.costs.event_injection);
-            self.entry_side_program(j, cpu);
-            self.vmresume_insn(j, cpu);
-        }
+        chain.clear();
+        self.halt_chains[cpu] = chain;
     }
 
     /// The terminal, physical IPI send performed by L0 (for its own

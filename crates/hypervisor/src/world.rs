@@ -28,7 +28,7 @@ use dvh_arch::cpu::{CpuId, PhysCpu};
 use dvh_arch::vmx::{ctrl, field, ShadowFieldSet, Vmcs};
 use dvh_arch::Cycles;
 use dvh_devices::iommu::{Iommu, VirtualIommu};
-use dvh_devices::nic::Nic;
+use dvh_devices::nic::{Frame, Nic};
 use dvh_devices::pci::Bdf;
 use dvh_devices::vhost::VhostNet;
 use dvh_devices::virtio::blk::VirtioBlk;
@@ -74,8 +74,9 @@ pub struct World {
     vmcs: Vec<Vec<Vmcs>>,
     /// Per leaf-vCPU halt chain: hypervisor levels that blocked this
     /// vCPU, outermost (deepest level) first, always ending in 0 when
-    /// the physical CPU actually halted. `None` = running.
-    halt_chain: Vec<Option<Vec<usize>>>,
+    /// the physical CPU actually halted. Empty = running; a wake
+    /// clears the chain but keeps its buffer.
+    pub(crate) halt_chains: Vec<Vec<usize>>,
     /// Per leaf-vCPU posted-interrupt descriptors.
     pub pi_desc: Vec<PiDescriptor>,
     /// Per leaf-vCPU LAPIC timer state (as emulated for the leaf).
@@ -137,6 +138,8 @@ pub struct World {
     /// In-flight block request (bytes), if a blk doorbell chain is
     /// being processed; see `io.rs`.
     pub(crate) pending_blk_bytes: Option<u64>,
+    /// The buffer [`World::patterned_packet_arrival`] builds frames in.
+    pub(crate) rx_frame: Frame,
     /// Use `idle=poll` in the leaf guest instead of `hlt` (the
     /// cycle-wasting alternative §3.4 contrasts with virtual idle).
     pub poll_idle: bool,
@@ -261,7 +264,7 @@ impl World {
             },
             cpus: (0..v as u32).map(|i| PhysCpu::new(CpuId(i))).collect(),
             vmcs,
-            halt_chain: vec![None; v],
+            halt_chains: vec![Vec::new(); v],
             pi_desc: (0..v)
                 .map(|i| PiDescriptor::new(i as u32, PI_NOTIFICATION_VECTOR))
                 .collect(),
@@ -286,6 +289,7 @@ impl World {
             metrics: None,
             observing: false,
             pending_blk_bytes: None,
+            rx_frame: Frame::default(),
             poll_idle: false,
             runnable_sibling_vms: 0,
             paused: vec![false; v],
@@ -618,16 +622,13 @@ impl World {
 
     /// Whether the leaf vCPU on `cpu` is halted.
     pub fn is_halted(&self, cpu: usize) -> bool {
-        self.halt_chain[cpu].is_some()
+        self.halt_chain(cpu).is_some()
     }
 
     /// The halt chain of `cpu`, if halted.
     pub fn halt_chain(&self, cpu: usize) -> Option<&[usize]> {
-        self.halt_chain[cpu].as_deref()
-    }
-
-    pub(crate) fn set_halt_chain(&mut self, cpu: usize, chain: Option<Vec<usize>>) {
-        self.halt_chain[cpu] = chain;
+        let chain = &self.halt_chains[cpu];
+        (!chain.is_empty()).then_some(chain)
     }
 
     // ---- Privileged-operation primitives --------------------------------

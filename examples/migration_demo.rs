@@ -33,7 +33,7 @@ fn main() {
     // ...and device DMA (an RX packet lands in guest memory through
     // the shadow I/O table).
     m.world_mut()
-        .external_packet_arrival(0, Frame::patterned(1400, 9));
+        .external_packet_arrival(0, &Frame::patterned(1400, 9));
 
     println!("Migrating a nested VM with a virtual-passthrough NIC (268 Mb/s)...");
     let mut busy_rounds = 4;

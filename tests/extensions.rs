@@ -198,7 +198,7 @@ fn masked_rx_vector_defers_the_interrupt_until_unmask() {
     m.world_mut().virtio[idx].msix.mask(1);
     let accepted = m.world().lapic[0].accepted_count();
     m.world_mut()
-        .external_packet_arrival(0, Frame::patterned(600, 5));
+        .external_packet_arrival(0, &Frame::patterned(600, 5));
     // Data landed but no interrupt was delivered.
     assert_eq!(m.world().lapic[0].accepted_count(), accepted);
     assert!(m.world().virtio[idx].msix.is_pending(1));
@@ -249,7 +249,7 @@ fn dma_to_an_unmapped_shadow_page_is_dropped_silently() {
 
     let accepted = m.world().lapic[0].accepted_count();
     m.world_mut()
-        .external_packet_arrival(0, Frame::patterned(700, 1));
+        .external_packet_arrival(0, &Frame::patterned(700, 1));
     // The DMA faulted at the (shadow) IOMMU: packet dropped, memory
     // untouched, and the vhost backend recorded the drop.
     assert_eq!(m.world().vhost[0].stats.dropped, 1);

@@ -34,14 +34,19 @@ fn vp_tx_data_flows_end_to_end_through_three_levels() {
 fn vp_rx_dma_lands_in_leaf_memory_and_is_dirty_tracked() {
     let mut m = Machine::build(MachineConfig::dvh(2));
     let frame = Frame::patterned(1200, 0x42);
-    m.world_mut().external_packet_arrival(0, frame.clone());
+    m.world_mut().external_packet_arrival(0, &frame);
     // The RX buffer the device model posts is at leaf PFN base+32.
     let got = m
         .world()
         .guest_read_memory(Gpa::from_pfn(LEAF_BUF_BASE_PFN + 32), 1200);
     assert_eq!(got, frame.payload);
-    // And the DMA was dirty-logged for migration.
+    // And the DMA was dirty-logged for migration, as the leaf page and
+    // as the L1 page backing it.
     assert!(m.world().leaf_dirty.is_dirty(LEAF_BUF_BASE_PFN + 32));
+    assert!(m
+        .world()
+        .l1_dirty
+        .is_dirty(LEAF_BUF_BASE_PFN + 32 + STAGE_PFN_OFFSET));
 }
 
 #[test]
@@ -50,7 +55,7 @@ fn passthrough_rx_is_not_dirty_tracked() {
     // the hypervisor.
     let mut m = Machine::build(MachineConfig::passthrough(2));
     m.world_mut()
-        .external_packet_arrival(0, Frame::patterned(800, 1));
+        .external_packet_arrival(0, &Frame::patterned(800, 1));
     assert!(m.world().leaf_dirty.is_clean());
 }
 
@@ -71,6 +76,19 @@ fn passthrough_rx_counts_real_bytes_and_queues_nothing() {
         vf.rx_queue.len()
     );
     assert_eq!(vf.rx_bytes, n * 800);
+}
+
+#[test]
+fn passthrough_rx_counts_no_bytes_for_a_faulted_frame() {
+    // With the VF detached from the physical IOMMU its receive DMA
+    // faults: the frame is dropped, so the VF has received nothing.
+    let mut m = Machine::build(MachineConfig::passthrough(2));
+    let vf = m.world().nic.function_bdf(1);
+    m.world_mut().phys_iommu.detach(vf);
+    let faults = m.world().phys_iommu.fault_count();
+    m.net_rx(0, 800);
+    assert!(m.world().phys_iommu.fault_count() > faults);
+    assert_eq!(m.world_mut().nic.function_mut(1).rx_bytes, 0);
 }
 
 #[test]
@@ -95,6 +113,22 @@ fn passthrough_leaves_the_vhost_backend_idle() {
 }
 
 // ---- Bounded wire ----------------------------------------------------------
+
+#[test]
+fn a_tx_batch_larger_than_the_ring_reaches_the_wire_whole() {
+    // 300 frames do not fit a 256-descriptor ring: the driver kicks the
+    // batch queued so far when the ring fills, and sends the rest after.
+    for (name, cfg) in [
+        ("L2+PT", MachineConfig::passthrough(2)),
+        ("L2 virtio", MachineConfig::baseline(2)),
+        ("L2 DVH-VP", MachineConfig::dvh_vp(2)),
+    ] {
+        let mut m = Machine::build(cfg);
+        let sent = m.world().nic.tx_frames();
+        m.world_mut().guest_net_tx(0, 300, 100);
+        assert_eq!(m.world().nic.tx_frames(), sent + 300, "{name}");
+    }
+}
 
 #[test]
 fn long_maerts_runs_keep_a_full_ring_and_count_every_frame() {
@@ -272,7 +306,7 @@ fn migrated_nested_vm_memory_is_bit_identical_under_io_load() {
     let report = migrate_nested_vm(m.world_mut(), MigrationConfig::default(), |w| {
         if rounds > 0 {
             rounds -= 1;
-            w.external_packet_arrival(0, Frame::patterned(900, rounds as u8));
+            w.external_packet_arrival(0, &Frame::patterned(900, rounds as u8));
         }
     })
     .unwrap();

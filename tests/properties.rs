@@ -140,7 +140,8 @@ fn dma_dirty_log_is_complete() {
         for (page, len) in &writes {
             let addr = Gpa::from_pfn(*page);
             let data = vec![0xAA; *len];
-            dma_write(&mut mem, &mut xl, addr, &data, Some(&mut dirty)).unwrap();
+            let mut mark = |pfn| dirty.mark_pfn(pfn);
+            dma_write(&mut mem, &mut xl, addr, &data, Some(&mut mark)).unwrap();
             // Every host page the write touched must be logged.
             let pages_touched = (*len as u64).div_ceil(4096) + 1;
             for k in 0..pages_touched {
@@ -409,4 +410,145 @@ fn ept_population_matches_canonical_layout() {
             );
         }
     });
+}
+
+/// The virtqueue design [`VirtQueue`] replaced, kept as its
+/// differential reference: every chain a heap `Vec`, every charge an
+/// entry in a map keyed by head.
+mod reference_queue {
+    use dvh_devices::virtio::queue::{Descriptor, QueueFull, UsedElem};
+    use std::collections::{BTreeMap, VecDeque};
+
+    pub struct RefQueue {
+        size: u16,
+        avail: VecDeque<(u16, Vec<Descriptor>)>,
+        used: VecDeque<UsedElem>,
+        next_head: u16,
+        pub in_flight: u16,
+        chain_lens: BTreeMap<u16, u16>,
+    }
+
+    impl RefQueue {
+        pub fn new(size: u16) -> RefQueue {
+            RefQueue {
+                size,
+                avail: VecDeque::new(),
+                used: VecDeque::new(),
+                next_head: 0,
+                in_flight: 0,
+                chain_lens: BTreeMap::new(),
+            }
+        }
+
+        pub fn add_chain(&mut self, descs: Vec<Descriptor>) -> Result<u16, QueueFull> {
+            let needed = match u16::try_from(descs.len()) {
+                Ok(n) if n <= self.size => n,
+                _ => return Err(QueueFull),
+            };
+            if needed == 0 || needed > self.size - self.in_flight {
+                return Err(QueueFull);
+            }
+            let head = self.next_head;
+            self.next_head = self.next_head.wrapping_add(1);
+            self.in_flight += needed;
+            self.chain_lens.insert(head, needed);
+            self.avail.push_back((head, descs));
+            Ok(head)
+        }
+
+        pub fn add_reclaiming(&mut self, desc: Descriptor) -> Result<u16, QueueFull> {
+            self.add_chain(vec![desc]).or_else(|QueueFull| {
+                while self.pop_used().is_some() {}
+                self.add_chain(vec![desc])
+            })
+        }
+
+        pub fn pop_avail(&mut self) -> Option<(u16, Vec<Descriptor>)> {
+            self.avail.pop_front()
+        }
+
+        pub fn push_used(&mut self, head: u16, written: u32) {
+            self.used.push_back(UsedElem { head, written });
+        }
+
+        pub fn pop_used(&mut self) -> Option<UsedElem> {
+            let e = self.used.pop_front()?;
+            let released = self.chain_lens.remove(&e.head).unwrap_or(1);
+            self.in_flight = self.in_flight.saturating_sub(released);
+            Some(e)
+        }
+
+        pub fn lens(&self) -> (usize, usize) {
+            (self.avail.len(), self.used.len())
+        }
+    }
+}
+
+/// Drives a [`VirtQueue`] of `size` and the reference design through
+/// `ops` random adds (of 0–6 descriptors, by every add method), pops,
+/// completions in random order, and harvests, requiring the same
+/// heads, errors, chains, used elements and occupancy after every
+/// step. Returns how many chains were added.
+fn drive_queue_against_reference(rng: &mut prng::Prng, size: u16, ops: usize) -> u64 {
+    use dvh_devices::virtio::queue::{Descriptor, VirtQueue};
+    fn random_desc(rng: &mut prng::Prng) -> Descriptor {
+        Descriptor {
+            addr: Gpa::new(rng.range(0, 1 << 30)),
+            len: rng.range(1, 9000) as u32,
+            device_writes: rng.range(0, 2) == 1,
+        }
+    }
+    let mut q = VirtQueue::new(size);
+    let mut r = reference_queue::RefQueue::new(size);
+    // Chains the device has popped and not yet completed.
+    let mut held: Vec<u16> = Vec::new();
+    let mut added = 0;
+    for step in 0..ops {
+        match rng.range(0, 10) {
+            0..=3 => {
+                let n = rng.usize_range(0, 7);
+                let descs: Vec<Descriptor> = (0..n).map(|_| random_desc(rng)).collect();
+                let (got, want) = match (n, rng.range(0, 3)) {
+                    (1, 0) => (q.add_one(descs[0]), r.add_chain(descs)),
+                    (1, 1) => (q.add_reclaiming(descs[0]), r.add_reclaiming(descs[0])),
+                    _ => (q.add_chain(descs.clone()), r.add_chain(descs)),
+                };
+                assert_eq!(got, want, "step {step}");
+                added += u64::from(got.is_ok());
+            }
+            4 | 5 => match (q.pop_avail(), r.pop_avail()) {
+                (Some(c), Some((head, descs))) => {
+                    assert_eq!((c.head, c.descs()), (head, &descs[..]), "step {step}");
+                    held.push(c.head);
+                }
+                (c, w) => assert!(c.is_none() && w.is_none(), "step {step}"),
+            },
+            6 | 7 if !held.is_empty() => {
+                let head = held.swap_remove(rng.usize_range(0, held.len()));
+                let written = rng.range(0, 9000) as u32;
+                q.push_used(head, written);
+                r.push_used(head, written);
+            }
+            _ => assert_eq!(q.pop_used(), r.pop_used(), "step {step}"),
+        }
+        assert_eq!(q.in_flight(), r.in_flight, "step {step}");
+        assert_eq!((q.avail_len(), q.used_len()), r.lens(), "step {step}");
+    }
+    added
+}
+
+/// Differential check of the virtqueue against the design it replaced,
+/// with chains of 1–5 descriptors (and invalid lengths), full rings,
+/// out-of-order completion, and heads wrapping past `u16::MAX`.
+#[test]
+fn virtqueue_matches_the_map_and_vec_reference() {
+    check(32, |rng| {
+        let size = 1 << rng.range(0, 6);
+        drive_queue_against_reference(rng, size, 2_000);
+    });
+    let added = drive_queue_against_reference(&mut prng::Prng::new(7), 8, 1_000_000);
+    assert!(
+        added > 65_536,
+        "heads must wrap past u16::MAX: {added} adds"
+    );
 }
