@@ -23,7 +23,7 @@
 //!   from its own text output, sums per root frame to the same root
 //!   totals — what a flamegraph viewer would display conserves too.
 
-use crate::{ledger_conservation, Pass, Violation};
+use crate::{cycle_ledger, ledger_conservation, Pass, Violation};
 use dvh_hypervisor::{RunStats, TraceEvent};
 use dvh_obs::causal::{CausalNode, Forest};
 use std::collections::BTreeMap;
@@ -77,7 +77,8 @@ pub fn lint_causal(
         "causal-roots-conserved",
         "causal forest",
         &forest.root_cycle_totals(),
-        stats,
+        cycle_ledger(stats),
+        "cycles",
         |reason| reason,
     ));
 
@@ -186,12 +187,13 @@ fn lint_folded(forest: &Forest) -> Vec<Violation> {
 mod tests {
     use super::*;
     use dvh_core::{Machine, MachineConfig};
+    use dvh_hypervisor::trace::TRACE_CAPACITY;
 
     fn traced_machine() -> Machine {
         let mut m = Machine::build(MachineConfig::baseline(2));
         {
             let w = m.world_mut();
-            w.enable_tracing(1 << 20);
+            w.enable_tracing(TRACE_CAPACITY);
             w.reset_stats();
         }
         m.hypercall(0);

@@ -9,12 +9,9 @@ use crate::summary_diff::check_exit_summaries;
 use crate::trace_lint::{lint_trace, TraceContext};
 use crate::{Pass, Report, Violation};
 use dvh_core::{Machine, MachineConfig};
+pub use dvh_hypervisor::trace::TRACE_CAPACITY;
 use dvh_hypervisor::World;
 use std::path::Path;
-
-/// Trace capacity used by the harness — large enough that no harness
-/// workload ever truncates (truncation is itself a violation).
-pub const TRACE_CAPACITY: usize = 1 << 20;
 
 /// The paper's Fig. 7 configuration matrix (the default `dvh check`
 /// workload set).

@@ -24,8 +24,9 @@
 //!    indexing in hypervisor dispatch paths.
 //! 4. **Metrics conservation** ([`metrics_lint`]): certifies the
 //!    dvh-obs observability layer against the engine's own ledgers —
-//!    the registry's per-(level, reason) exit cycle totals must equal
-//!    [`dvh_hypervisor::RunStats::cycles_by_reason`] key for key in
+//!    the registry's per-(level, reason) exit cycle totals and exit
+//!    counts must equal [`dvh_hypervisor::RunStats::cycles_by_reason`]
+//!    and [`dvh_hypervisor::RunStats::outermost_exits`] key for key in
 //!    both directions, every histogram must be internally consistent,
 //!    and the serialized Chrome trace export must round-trip with
 //!    outermost span durations summing to the same ledger.
@@ -120,34 +121,44 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Compares per-(level, reason) cycle totals derived by `view` (the
-/// metrics registry, the Chrome export, the causal forest) with the
-/// attribution ledger in both directions: one `rule` violation per key
+/// The attribution ledger's per-(level, reason) cycle totals.
+pub(crate) fn cycle_ledger(
+    stats: &RunStats,
+) -> impl Iterator<Item = ((usize, dvh_arch::vmx::ExitReason), u64)> + '_ {
+    stats
+        .cycles_by_reason
+        .iter()
+        .map(|(&key, c)| (key, c.as_u64()))
+}
+
+/// Compares per-(level, reason) totals of `unit` derived by `view`
+/// (the metrics registry, the Chrome export, the causal forest) with a
+/// `RunStats` ledger in both directions: one `rule` violation per key
 /// whose totals differ, or that only one side has.
 pub(crate) fn ledger_conservation<R: Ord + fmt::Display>(
     pass: Pass,
     rule: &'static str,
     view: &str,
     derived: &BTreeMap<(usize, R), u64>,
-    stats: &RunStats,
+    ledger: impl IntoIterator<Item = ((usize, dvh_arch::vmx::ExitReason), u64)>,
+    unit: &str,
     reason_key: impl Fn(dvh_arch::vmx::ExitReason) -> R,
 ) -> Vec<Violation> {
-    let ledger: BTreeMap<(usize, R), u64> = stats
-        .cycles_by_reason
-        .iter()
-        .map(|(&(level, reason), c)| ((level, reason_key(reason)), c.as_u64()))
+    let ledger: BTreeMap<(usize, R), u64> = ledger
+        .into_iter()
+        .map(|((level, reason), n)| ((level, reason_key(reason)), n))
         .collect();
     let keys: BTreeSet<&(usize, R)> = derived.keys().chain(ledger.keys()).collect();
     let mut out = Vec::new();
     for key in keys {
         let detail = match (derived.get(key), ledger.get(key)) {
             (Some(got), Some(want)) if got == want => continue,
-            (Some(got), Some(want)) => format!("{view} has {got} cycles, ledger says {want}"),
+            (Some(got), Some(want)) => format!("{view} has {got} {unit}, ledger says {want}"),
             (None, Some(want)) => {
-                format!("ledger attributes {want} cycles but the {view} has no entry")
+                format!("ledger attributes {want} {unit} but the {view} has no entry")
             }
             (Some(got), None) => {
-                format!("{view} has {got} cycles for a key the ledger never attributed")
+                format!("{view} has {got} {unit} for a key the ledger never attributed")
             }
             (None, None) => continue,
         };

@@ -13,6 +13,11 @@ use dvh_arch::vmx::ExitReason;
 use dvh_arch::Cycles;
 use std::fmt;
 
+/// Trace buffer capacity of every observed run (the CLI's observed
+/// commands and the checker's workloads): large enough that no checker
+/// workload truncates.
+pub const TRACE_CAPACITY: usize = 1 << 20;
+
 /// One traced event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {

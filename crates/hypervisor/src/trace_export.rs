@@ -26,42 +26,82 @@
 use crate::trace::TraceEvent;
 use dvh_arch::vmx::ExitReason;
 use dvh_obs::causal::CausalNode;
-use dvh_obs::chrome::ChromeTrace;
 use dvh_obs::json::Value;
 use std::collections::BTreeMap;
 
-/// Adds `node` and its subtree as spans on CPU `cpu`'s tracks.
-fn add_spans(t: &mut ChromeTrace, cpu: usize, node: &CausalNode, outermost: bool) {
-    t.span(
-        &format!("exit {}", node.frame()),
-        "exit",
-        cpu,
-        node.level,
-        node.start,
-        node.span(),
-        vec![
-            ("level".to_string(), Value::Int(node.level as i64)),
-            ("reason".to_string(), Value::Str(node.reason.to_string())),
-            ("outermost".to_string(), Value::Bool(outermost)),
-        ],
-    );
+/// A JSON object with the given members, in order.
+fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Obj(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
+
+fn int(n: u64) -> Value {
+    Value::Int(n as i64)
+}
+
+fn text(s: &str) -> Value {
+    Value::Str(s.to_string())
+}
+
+/// A metadata ("M") record naming the track of CPU `pid` (and of
+/// level `tid` within it, when given).
+fn track_name(pid: usize, tid: Option<usize>, name: String) -> Value {
+    let kind = if tid.is_some() {
+        "thread_name"
+    } else {
+        "process_name"
+    };
+    let mut members = vec![
+        ("name", text(kind)),
+        ("ph", text("M")),
+        ("pid", int(pid as u64)),
+    ];
+    members.extend(tid.map(|tid| ("tid", int(tid as u64))));
+    members.push(("args", obj([("name", Value::Str(name))])));
+    obj(members)
+}
+
+/// Adds `node` and its subtree as complete ("X") spans on CPU `cpu`'s
+/// tracks.
+fn add_spans(records: &mut Vec<Value>, cpu: usize, node: &CausalNode, outermost: bool) {
+    records.push(obj([
+        ("name", Value::Str(format!("exit {}", node.frame()))),
+        ("cat", text("exit")),
+        ("ph", text("X")),
+        ("ts", int(node.start)),
+        ("dur", int(node.span())),
+        ("pid", int(cpu as u64)),
+        ("tid", int(node.level as u64)),
+        (
+            "args",
+            obj([
+                ("level", int(node.level as u64)),
+                ("reason", Value::Str(node.reason.to_string())),
+                ("outermost", Value::Bool(outermost)),
+            ]),
+        ),
+    ]));
     for child in &node.children {
-        add_spans(t, cpu, child, false);
+        add_spans(records, cpu, child, false);
     }
 }
 
-/// Converts a trace into a Chrome trace-event document with one
-/// process per simulated CPU and one thread per level.
-pub fn chrome_trace(events: &[TraceEvent], num_cpus: usize, levels: usize) -> ChromeTrace {
-    let mut t = ChromeTrace::new();
+/// Converts a trace into a serialized Chrome trace-event document with
+/// one process per simulated CPU and one thread per level.
+pub fn chrome_json(events: &[TraceEvent], num_cpus: usize, levels: usize) -> String {
+    let mut records = Vec::new();
     for cpu in 0..num_cpus {
-        t.set_process_name(cpu, &format!("cpu{cpu}"));
+        records.push(track_name(cpu, None, format!("cpu{cpu}")));
         for lvl in 1..=levels {
-            t.set_thread_name(cpu, lvl, &format!("L{lvl}"));
+            records.push(track_name(cpu, Some(lvl), format!("L{lvl}")));
         }
     }
     for tree in &causal_forest(events, num_cpus).trees {
-        add_spans(&mut t, tree.cpu, &tree.root, true);
+        add_spans(&mut records, tree.cpu, &tree.root, true);
     }
     for e in events {
         let (name, cat, tid, args) = match e {
@@ -74,7 +114,7 @@ pub fn chrome_trace(events: &[TraceEvent], num_cpus: usize, levels: usize) -> Ch
                 format!("intervene L{hv_level}"),
                 "intervention",
                 *hv_level,
-                vec![("reason".to_string(), Value::Str(reason.to_string()))],
+                vec![("reason", Value::Str(reason.to_string()))],
             ),
             TraceEvent::Relay { hv_level, .. } => {
                 (format!("relay L{hv_level}"), "relay", *hv_level, vec![])
@@ -83,29 +123,35 @@ pub fn chrome_trace(events: &[TraceEvent], num_cpus: usize, levels: usize) -> Ch
                 format!("DVH {mechanism}"),
                 "dvh",
                 0,
-                vec![(
-                    "mechanism".to_string(),
-                    Value::Str((*mechanism).to_string()),
-                )],
+                vec![("mechanism", text(mechanism))],
             ),
             TraceEvent::IrqDelivered { vector, woke, .. } => (
                 format!("irq {vector:#x}"),
                 "irq",
                 0,
                 vec![
-                    ("vector".to_string(), Value::Int(*vector as i64)),
-                    ("woke".to_string(), Value::Bool(*woke)),
+                    ("vector", int((*vector).into())),
+                    ("woke", Value::Bool(*woke)),
                 ],
             ),
         };
-        t.instant(&name, cat, e.cpu(), tid, e.at().as_u64(), args);
+        // An instant ("i") event, scoped to its thread ("s": "t").
+        records.push(obj([
+            ("name", Value::Str(name)),
+            ("cat", text(cat)),
+            ("ph", text("i")),
+            ("s", text("t")),
+            ("ts", int(e.at().as_u64())),
+            ("pid", int(e.cpu() as u64)),
+            ("tid", int(tid as u64)),
+            ("args", obj(args)),
+        ]));
     }
-    t
-}
-
-/// [`chrome_trace`], serialized.
-pub fn chrome_json(events: &[TraceEvent], num_cpus: usize, levels: usize) -> String {
-    chrome_trace(events, num_cpus, levels).to_json()
+    obj([
+        ("traceEvents", Value::Arr(records)),
+        ("displayTimeUnit", text("ns")),
+    ])
+    .to_json()
 }
 
 /// One JSON object per event, one event per line — the
@@ -121,10 +167,9 @@ pub fn jsonl(events: &[TraceEvent]) -> String {
 
 /// A single trace event as a JSON value.
 pub fn event_value(e: &TraceEvent) -> Value {
-    let int = |n: usize| Value::Int(n as i64);
     let exit = |level: usize, reason: ExitReason| {
         vec![
-            ("level", int(level)),
+            ("level", int(level as u64)),
             ("reason", Value::Str(reason.to_string())),
         ]
     };
@@ -136,7 +181,7 @@ pub fn event_value(e: &TraceEvent) -> Value {
             ..
         } => {
             let mut fields = exit(from_level, reason);
-            fields.extend(vmcs_field.map(|f| ("vmcs_field", int(f as usize))));
+            fields.extend(vmcs_field.map(|f| ("vmcs_field", int(f.into()))));
             ("exit", fields)
         }
         TraceEvent::Completed {
@@ -146,7 +191,7 @@ pub fn event_value(e: &TraceEvent) -> Value {
             ..
         } => {
             let mut fields = exit(from_level, reason);
-            fields.push(("spent", Value::Int(spent.as_u64() as i64)));
+            fields.push(("spent", int(spent.as_u64())));
             ("completed", fields)
         }
         TraceEvent::Returned {
@@ -155,31 +200,20 @@ pub fn event_value(e: &TraceEvent) -> Value {
         TraceEvent::Intervention {
             hv_level, reason, ..
         } => ("intervention", exit(hv_level, reason)),
-        TraceEvent::Relay { hv_level, .. } => ("relay", vec![("level", int(hv_level))]),
-        TraceEvent::DvhIntercept { mechanism, .. } => (
-            "dvh",
-            vec![("mechanism", Value::Str(mechanism.to_string()))],
-        ),
+        TraceEvent::Relay { hv_level, .. } => ("relay", vec![("level", int(hv_level as u64))]),
+        TraceEvent::DvhIntercept { mechanism, .. } => ("dvh", vec![("mechanism", text(mechanism))]),
         TraceEvent::IrqDelivered { vector, woke, .. } => (
             "irq",
-            vec![
-                ("vector", int(vector as usize)),
-                ("woke", Value::Bool(woke)),
-            ],
+            vec![("vector", int(vector.into())), ("woke", Value::Bool(woke))],
         ),
     };
     let mut members = vec![
-        ("type", Value::Str(kind.to_string())),
-        ("at", Value::Int(e.at().as_u64() as i64)),
-        ("cpu", int(e.cpu())),
+        ("type", text(kind)),
+        ("at", int(e.at().as_u64())),
+        ("cpu", int(e.cpu() as u64)),
     ];
     members.append(&mut fields);
-    Value::Obj(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
+    obj(members)
 }
 
 /// Rebuilds the causal forest of a trace: one tree per outermost exit,
@@ -254,13 +288,14 @@ pub fn chrome_outermost_totals(doc: &Value) -> BTreeMap<(usize, String), u64> {
 mod tests {
     use super::*;
     use crate::config::WorldConfig;
+    use crate::trace::TRACE_CAPACITY;
     use crate::world::World;
     use dvh_arch::costs::CostModel;
     use dvh_obs::json;
 
     fn traced_world() -> (World, Vec<TraceEvent>) {
         let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
-        w.enable_tracing(1 << 20);
+        w.enable_tracing(TRACE_CAPACITY);
         w.guest_hypercall(0);
         w.guest_hypercall(0);
         let events = w.take_trace();
@@ -274,6 +309,47 @@ mod tests {
         let doc = json::parse(&text).expect("export must parse");
         assert_eq!(doc.to_json(), text, "round trip must be the identity");
         assert!(!doc.get("traceEvents").unwrap().items().unwrap().is_empty());
+    }
+
+    #[test]
+    fn document_round_trips() {
+        let (w, events) = traced_world();
+        let text = chrome_json(&events, w.num_cpus(), w.leaf_level());
+        let doc = json::parse(&text).unwrap();
+        assert_eq!(doc.to_json(), text);
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Value::as_str),
+            Some("ns")
+        );
+        let records = doc.get("traceEvents").unwrap().items().unwrap();
+        // Each record kind carries the members trace viewers read, in a
+        // fixed order.
+        let first = |ph: &str| {
+            records
+                .iter()
+                .find(|r| r.get("ph").and_then(Value::as_str) == Some(ph))
+                .unwrap_or_else(|| panic!("no {ph} record"))
+        };
+        let keys = |r: &Value| match r {
+            Value::Obj(members) => members.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        assert_eq!(keys(first("M")), ["name", "ph", "pid", "args"]);
+        assert_eq!(records[1].get("tid").and_then(Value::as_int), Some(1));
+        let span = first("X");
+        assert_eq!(
+            keys(span),
+            ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"]
+        );
+        assert!(span.get("dur").and_then(Value::as_int) > Some(0));
+        assert_eq!(
+            span.get("args").unwrap().get("outermost"),
+            Some(&Value::Bool(true))
+        );
+        assert_eq!(
+            keys(first("i")),
+            ["name", "cat", "ph", "s", "ts", "pid", "tid", "args"]
+        );
     }
 
     #[test]

@@ -13,15 +13,10 @@
 //!   ([`dvh_arch::cycles::CYCLE_BUCKET_BOUNDS`]). Keys carry the
 //!   (level, reason) structure of the engine's ledgers, and the
 //!   deterministic snapshot serializer means two runs diff cleanly.
-//! * [`chrome`] — a Chrome trace-event (`about:tracing` / Perfetto)
-//!   JSON builder, used by the hypervisor's trace export to lay exit
-//!   multiplication out as nested spans, one track per simulated
-//!   CPU/level.
 //! * [`json`] — a minimal JSON value model with a parser and a
 //!   canonical serializer, so exported traces can be round-tripped and
-//!   verified without external dependencies.
-//! * [`profile`] — top-N (level, reason) → cycles/count/percent tables
-//!   from a registry, the `dvh profile` backend.
+//!   verified without external dependencies. The hypervisor's trace
+//!   export writes its Chrome trace-event documents with it.
 //! * [`causal`] — reconstructs the causal forest of outermost exits
 //!   from trace events: every nested trap becomes a child interval of
 //!   the exit that caused it, which yields emergent per-level exit
@@ -46,12 +41,10 @@
 #![warn(missing_docs)]
 
 pub mod causal;
-pub mod chrome;
 pub mod diff;
 pub mod json;
 pub mod metrics;
 pub mod percentiles;
-pub mod profile;
 pub mod prom;
 
 pub use metrics::{Histogram, MetricKey, MetricsRegistry};

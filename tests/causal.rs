@@ -6,6 +6,7 @@
 //! paper's Table 3 measured on real hardware.
 
 use dvh_core::{Machine, MachineConfig};
+use dvh_hypervisor::trace::TRACE_CAPACITY;
 use dvh_hypervisor::trace_export::causal_forest;
 use dvh_obs::causal::Forest;
 use dvh_obs::diff::{diff, snapshot_value, DiffConfig};
@@ -19,7 +20,7 @@ fn observed(config: MachineConfig, work: impl FnOnce(&mut Machine)) -> (Forest, 
     let mut m = Machine::build(config);
     {
         let w = m.world_mut();
-        w.enable_observability(1 << 20);
+        w.enable_observability(TRACE_CAPACITY);
         w.reset_stats();
     }
     work(&mut m);
