@@ -322,18 +322,15 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// The per-(level, reason) cycle totals of the
-    /// [`names::EXIT_CYCLES`] histograms — shaped exactly like the
-    /// engine's `cycles_by_reason` ledger so the checker can compare
-    /// them entry by entry.
-    pub fn exit_cycle_totals(&self) -> BTreeMap<(usize, ExitReason), Cycles> {
+    /// The per-(level, reason) (exit count, cycle total) of the
+    /// [`names::EXIT_CYCLES`] histograms — keyed like the engine's
+    /// `outermost_exits` and `cycles_by_reason` ledgers so the checker
+    /// can compare them entry by entry.
+    pub fn exit_totals(&self) -> BTreeMap<(usize, ExitReason), (u64, u64)> {
         self.histograms
             .iter()
             .filter(|(k, _)| k.name == names::EXIT_CYCLES)
-            .filter_map(|(k, h)| {
-                let (level, reason) = (k.level?, k.reason?);
-                Some(((level, reason), Cycles::new(h.sum())))
-            })
+            .filter_map(|(k, h)| Some(((k.level?, k.reason?), (h.count(), h.sum()))))
             .collect()
     }
 
@@ -434,9 +431,9 @@ mod tests {
         m.observe_exit(2, ExitReason::Vmcall, Cycles::new(100));
         m.observe_exit(2, ExitReason::Vmcall, Cycles::new(50));
         m.observe_exit(1, ExitReason::Hlt, Cycles::new(7));
-        let totals = m.exit_cycle_totals();
-        assert_eq!(totals[&(2, ExitReason::Vmcall)], Cycles::new(150));
-        assert_eq!(totals[&(1, ExitReason::Hlt)], Cycles::new(7));
+        let totals = m.exit_totals();
+        assert_eq!(totals[&(2, ExitReason::Vmcall)], (2, 150));
+        assert_eq!(totals[&(1, ExitReason::Hlt)], (1, 7));
         assert_eq!(totals.len(), 2);
     }
 
@@ -476,10 +473,7 @@ mod tests {
         b.observe_exit(2, ExitReason::Vmcall, Cycles::new(5));
         b.inc(MetricKey::tagged(names::IRQ_DELIVERIES, "posted"));
         a.merge(&b);
-        assert_eq!(
-            a.exit_cycle_totals()[&(2, ExitReason::Vmcall)],
-            Cycles::new(15)
-        );
+        assert_eq!(a.exit_totals()[&(2, ExitReason::Vmcall)], (2, 15));
         assert_eq!(
             a.counter(&MetricKey::tagged(names::IRQ_DELIVERIES, "posted")),
             2
