@@ -87,11 +87,6 @@ impl Cycles {
     pub fn max(self, other: Cycles) -> Cycles {
         Cycles(self.0.max(other.0))
     }
-
-    /// Whether this is exactly zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
 }
 
 /// Upper bounds (inclusive) of the fixed histogram buckets every
@@ -120,7 +115,7 @@ pub const CYCLE_BUCKET_BOUNDS: [u64; 16] = [
 ];
 
 /// The bucket index a value falls in: the first bound it does not
-/// exceed, or the overflow bucket [`CYCLE_BUCKET_BOUNDS::len`] past the
+/// exceed, or the overflow bucket `CYCLE_BUCKET_BOUNDS.len()` past the
 /// last bound. Total bucket count is `CYCLE_BUCKET_BOUNDS.len() + 1`.
 pub fn cycle_bucket_index(value: u64) -> usize {
     CYCLE_BUCKET_BOUNDS

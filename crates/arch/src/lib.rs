@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod apic;
-pub mod arm;
 pub mod costs;
 pub mod cpu;
 pub mod cycles;

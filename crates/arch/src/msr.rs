@@ -1,87 +1,18 @@
-//! Model-specific register indices and trap classification.
+//! Model-specific register indices the simulated guests write.
+//!
+//! Which accesses trap is decided by the guest primitives and the exit
+//! handlers of `dvh-hypervisor`: with APICv, ICR writes and TSC-deadline
+//! writes always trap, which is precisely why virtual IPIs (§3.3) and
+//! virtual timers (§3.2) matter.
 
-/// x2APIC task-priority register.
-pub const IA32_X2APIC_TPR: u32 = 0x808;
-/// x2APIC end-of-interrupt register.
-pub const IA32_X2APIC_EOI: u32 = 0x80B;
 /// x2APIC interrupt command register (ICR): writing sends an IPI.
 pub const IA32_X2APIC_ICR: u32 = 0x830;
-/// x2APIC LVT timer register.
-pub const IA32_X2APIC_LVT_TIMER: u32 = 0x832;
-/// x2APIC timer initial-count register.
-pub const IA32_X2APIC_TIMER_ICR: u32 = 0x838;
 /// TSC-deadline timer MSR: writing arms the LAPIC timer.
 pub const IA32_TSC_DEADLINE: u32 = 0x6E0;
-/// Time-stamp counter.
-pub const IA32_TSC: u32 = 0x10;
 
-/// VMX basic capability MSR.
-pub const IA32_VMX_BASIC: u32 = 0x480;
-/// VMX processor-based control capability MSR.
-pub const IA32_VMX_PROCBASED_CTLS: u32 = 0x482;
-/// VMX secondary control capability MSR.
-pub const IA32_VMX_PROCBASED_CTLS2: u32 = 0x48B;
 /// DVH virtual-hardware capability MSR (bits in [`crate::vmx::cap`]).
 ///
 /// This is the "one bit in the VMX capability register" of §3.2–3.3:
 /// a guest hypervisor reads this MSR to discover virtual timers,
 /// virtual IPIs, and the VCIMT address register.
 pub const IA32_VMX_DVH_CAP: u32 = 0x4F0;
-
-/// How an MSR access behaves from guest mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MsrAccess {
-    /// Access is satisfied by hardware without an exit (APICv-virtualized
-    /// register, or MSR-bitmap pass-through).
-    PassThrough,
-    /// Access traps to the hypervisor.
-    Trapped,
-}
-
-/// Classifies a `wrmsr` of `msr` from guest mode on hardware with APICv.
-///
-/// The classification matches the paper's premises: EOI and TPR are
-/// virtualized by APICv (no exit); ICR writes and TSC-deadline writes
-/// *always* trap, which is precisely why virtual IPIs (§3.3) and virtual
-/// timers (§3.2) matter.
-pub fn classify_wrmsr(msr: u32) -> MsrAccess {
-    match msr {
-        IA32_X2APIC_TPR | IA32_X2APIC_EOI => MsrAccess::PassThrough,
-        IA32_X2APIC_ICR | IA32_X2APIC_LVT_TIMER | IA32_X2APIC_TIMER_ICR | IA32_TSC_DEADLINE => {
-            MsrAccess::Trapped
-        }
-        _ => MsrAccess::Trapped,
-    }
-}
-
-/// Classifies a `rdmsr` of `msr` from guest mode on hardware with APICv.
-pub fn classify_rdmsr(msr: u32) -> MsrAccess {
-    match msr {
-        IA32_TSC | IA32_X2APIC_TPR => MsrAccess::PassThrough,
-        _ => MsrAccess::Trapped,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn icr_and_deadline_trap() {
-        assert_eq!(classify_wrmsr(IA32_X2APIC_ICR), MsrAccess::Trapped);
-        assert_eq!(classify_wrmsr(IA32_TSC_DEADLINE), MsrAccess::Trapped);
-    }
-
-    #[test]
-    fn apicv_registers_pass_through() {
-        assert_eq!(classify_wrmsr(IA32_X2APIC_EOI), MsrAccess::PassThrough);
-        assert_eq!(classify_wrmsr(IA32_X2APIC_TPR), MsrAccess::PassThrough);
-        assert_eq!(classify_rdmsr(IA32_TSC), MsrAccess::PassThrough);
-    }
-
-    #[test]
-    fn unknown_msrs_trap() {
-        assert_eq!(classify_wrmsr(0xC000_0080), MsrAccess::Trapped);
-        assert_eq!(classify_rdmsr(0xC000_0080), MsrAccess::Trapped);
-    }
-}

@@ -130,7 +130,6 @@ pub struct Vmcs {
     /// for everything the simulator itself does; exists so the public
     /// API still accepts arbitrary encodings.
     overflow: BTreeMap<u32, u64>,
-    launched: bool,
 }
 
 impl Default for Vmcs {
@@ -139,7 +138,6 @@ impl Default for Vmcs {
             values: [0; NUM_SLOTS],
             written: 0,
             overflow: BTreeMap::new(),
-            launched: false,
         }
     }
 }
@@ -192,22 +190,11 @@ impl Vmcs {
         self.read(field) & bits == bits
     }
 
-    /// Whether this VMCS has been launched (vmlaunch vs. vmresume).
-    pub fn launched(&self) -> bool {
-        self.launched
-    }
-
-    /// Marks the VMCS launched.
-    pub fn set_launched(&mut self, launched: bool) {
-        self.launched = launched;
-    }
-
     /// Clears all state, as `vmclear` would.
     pub fn clear(&mut self) {
         self.values = [0; NUM_SLOTS];
         self.written = 0;
         self.overflow.clear();
-        self.launched = false;
     }
 
     /// Number of distinct fields ever written. Used by tests and by the
@@ -270,12 +257,7 @@ where
 
 impl fmt::Display for Vmcs {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Vmcs({} fields, {})",
-            self.len(),
-            if self.launched { "launched" } else { "clear" }
-        )
+        write!(f, "Vmcs({} fields)", self.len())
     }
 }
 
@@ -427,10 +409,8 @@ mod tests {
     fn vmcs_clear_resets_everything() {
         let mut vmcs = Vmcs::new();
         vmcs.write(field::TSC_OFFSET, 42);
-        vmcs.set_launched(true);
         vmcs.clear();
         assert!(vmcs.is_empty());
-        assert!(!vmcs.launched());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # dvh-checker
 //!
 //! Static analysis and invariant verification for the DVH simulator's
-//! exit engine. Four passes, all runnable from `dvh check` and from
+//! exit engine. Six passes, all runnable from `dvh check` and from
 //! the test suite:
 //!
 //! 1. **VM-entry consistency** ([`harness::vmentry_violations`]):
@@ -43,8 +43,10 @@
 //!    two machines must agree bit for bit (ledger, clocks, VMCSs,
 //!    timers, halt chains).
 //!
-//! The [`harness`] module ties the first two passes to representative
-//! workloads (the paper's Fig. 7 configurations) for `dvh check`.
+//! The [`harness`] module runs passes 1, 2, 4 and 5 over representative
+//! workloads (the paper's Fig. 7 configurations), then the exit-summary
+//! differential and, given a checkout, the source lint: together that
+//! is `dvh check`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

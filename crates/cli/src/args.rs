@@ -294,8 +294,9 @@ pub enum Command {
         /// Output format.
         format: TraceFormat,
     },
-    /// Profile cycle attribution: top-N (level, reason) rows from the
-    /// dvh-obs metrics registry.
+    /// Profile cycle attribution of an observed run: top-N (level,
+    /// reason) rows from its `RunStats` ledger, then the latency
+    /// percentiles and multiplication factors the observation adds.
     Profile {
         /// What to profile.
         target: Target,

@@ -31,36 +31,44 @@ impl std::error::Error for ResultError {}
 impl ResultFile {
     /// Parses the artifact-style format: a name line, then CSV rows
     /// (one column per run). Lines starting with `-` or `#` are
-    /// decoration and skipped.
+    /// decoration and skipped. The name is the first other line unless
+    /// that line starts with a digit; every line after it is a row.
     ///
     /// # Errors
     ///
-    /// Fails on ragged rows or non-numeric cells.
+    /// Fails on ragged rows or on any row with a non-numeric cell,
+    /// naming the line.
     pub fn parse(text: &str) -> Result<ResultFile, ResultError> {
         let mut name = String::new();
         let mut samples: Vec<Vec<f64>> = Vec::new();
-        for line in text.lines() {
+        let mut in_rows = false;
+        for (n, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('-') || line.starts_with('#') {
                 continue;
             }
-            if line.chars().next().is_some_and(|c| c.is_ascii_digit()) {
-                let row: Result<Vec<f64>, _> =
-                    line.split(',').map(|c| c.trim().parse::<f64>()).collect();
-                let row = row.map_err(|e| ResultError(format!("bad cell in '{line}': {e}")))?;
-                if let Some(first) = samples.first() {
-                    if first.len() != row.len() {
-                        return Err(ResultError(format!(
-                            "ragged rows: expected {} runs, line '{line}' has {}",
-                            first.len(),
-                            row.len()
-                        )));
-                    }
+            if !in_rows {
+                in_rows = true;
+                if !line.starts_with(|c: char| c.is_ascii_digit()) {
+                    name = line.to_string();
+                    continue;
                 }
-                samples.push(row);
-            } else if name.is_empty() {
-                name = line.to_string();
             }
+            let row: Result<Vec<f64>, _> =
+                line.split(',').map(|c| c.trim().parse::<f64>()).collect();
+            let row =
+                row.map_err(|e| ResultError(format!("line {}: bad cell in '{line}': {e}", n + 1)))?;
+            if let Some(first) = samples.first() {
+                if first.len() != row.len() {
+                    return Err(ResultError(format!(
+                        "line {}: ragged rows: expected {} runs, '{line}' has {}",
+                        n + 1,
+                        first.len(),
+                        row.len()
+                    )));
+                }
+            }
+            samples.push(row);
         }
         if samples.is_empty() {
             return Err(ResultError("no data rows found".into()));
@@ -158,7 +166,17 @@ netperf-stream
 
     #[test]
     fn ragged_rows_rejected() {
-        assert!(ResultFile::parse("x\n1,2\n1,2,3\n").is_err());
+        let err = ResultFile::parse("x\n1,2\n1,2,3\n").unwrap_err();
+        assert!(err.0.starts_with("line 3: "), "{err}");
+    }
+
+    #[test]
+    fn non_numeric_rows_rejected() {
+        let err = ResultFile::parse("Hackbench\n1.0,2.0\nx,3.0\n").unwrap_err();
+        assert!(err.0.starts_with("line 3: "), "{err}");
+        // A row that does not start with a digit is still a row.
+        let r = ResultFile::parse("Hackbench\n1.0,2.0\n.5,3.0\n").unwrap();
+        assert_eq!(r.samples, vec![vec![1.0, 2.0], vec![0.5, 3.0]]);
     }
 
     #[test]

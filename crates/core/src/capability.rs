@@ -8,13 +8,8 @@
 //! feature for its nested VM **only if every deeper hypervisor enabled
 //! it too** — the enable bits of all guest hypervisors AND together.
 
-use dvh_arch::vmx::{cap, ctrl, field};
+use dvh_arch::vmx::{ctrl, field};
 use dvh_hypervisor::World;
-
-/// The DVH capability word the host hypervisor advertises.
-pub fn advertised_capabilities() -> u64 {
-    cap::VIRTUAL_TIMER | cap::VIRTUAL_IPI | cap::VCIMTAR
-}
 
 /// Per-hypervisor enablement policy for one DVH feature.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,6 +94,7 @@ pub fn enable_virtual_idle(w: &mut World) {
 mod tests {
     use super::*;
     use dvh_arch::costs::CostModel;
+    use dvh_arch::vmx::cap;
     use dvh_hypervisor::WorldConfig;
 
     fn world(levels: usize) -> World {
@@ -107,7 +103,7 @@ mod tests {
 
     #[test]
     fn capabilities_advertise_all_three_bits() {
-        let c = advertised_capabilities();
+        let c = world(2).dvh_advertised;
         assert_ne!(c & cap::VIRTUAL_TIMER, 0);
         assert_ne!(c & cap::VIRTUAL_IPI, 0);
         assert_ne!(c & cap::VCIMTAR, 0);

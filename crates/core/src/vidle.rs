@@ -14,41 +14,14 @@
 //! the substrate hypervisor.
 //!
 //! Unlike disabling `hlt` exits everywhere or `idle=poll`, the CPU
-//! really halts: cycles are *saved*, not burned ([`should_enable`]
-//! discusses the scheduling caveat).
+//! really halts: cycles are *saved*, not burned.
+//!
+//! §3.4 enables virtual idle only when the guest hypervisor has no
+//! other runnable nested VM on the vCPU, since it could otherwise
+//! schedule that VM on idle. Every simulated vCPU runs exactly one
+//! nested VM, so `Machine::build` always enables it.
 
 use dvh_hypervisor::World;
-
-/// The scheduling policy of §3.4: virtual idle should be enabled only
-/// when the guest hypervisor has no other runnable nested VM on the
-/// vCPU. If it does, returning to the guest hypervisor on idle lets it
-/// schedule that other nested VM; handing the idle to L0 would stall
-/// it.
-pub fn should_enable(runnable_nested_vms_on_cpu: usize) -> bool {
-    runnable_nested_vms_on_cpu <= 1
-}
-
-/// Applies the §3.4 policy to `w`: virtual idle is enabled only when
-/// the guest hypervisor has no other runnable nested VM to schedule
-/// (see [`should_enable`]); otherwise guest hypervisors keep their
-/// `hlt` intercepts so they can run the sibling VM on idle.
-pub fn apply_idle_policy(w: &mut World) -> bool {
-    if should_enable(w.runnable_sibling_vms as usize + 1) {
-        crate::capability::enable_virtual_idle(w);
-        true
-    } else {
-        // Restore the intercepts (idempotent if never cleared).
-        for k in 1..w.config.levels {
-            for cpu in 0..w.num_cpus() {
-                w.vmcs_mut(k, cpu).set_bits(
-                    dvh_arch::vmx::field::CPU_BASED_EXEC_CONTROLS,
-                    dvh_arch::vmx::ctrl::cpu::HLT_EXITING,
-                );
-            }
-        }
-        false
-    }
-}
 
 /// Measures the halt-to-wake latency for the leaf VM on `cpu`: the
 /// vCPU halts, an event arrives immediately, and the vCPU resumes.
@@ -117,30 +90,6 @@ mod tests {
         let later = halted_at + dvh_arch::Cycles::new(1_000_000);
         w.deliver_leaf_interrupt(0, 0x60, later, dvh_hypervisor::IrqPath::PostedDirect);
         assert!(w.stats.idle_cycles.as_u64() >= 1_000_000);
-    }
-
-    #[test]
-    fn scheduling_policy() {
-        assert!(should_enable(0));
-        assert!(should_enable(1));
-        assert!(!should_enable(2));
-    }
-
-    #[test]
-    fn policy_disables_vidle_with_sibling_vms() {
-        let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
-        w.runnable_sibling_vms = 1;
-        assert!(!apply_idle_policy(&mut w));
-        // The guest hypervisor keeps its hlt intercept: halting the
-        // nested VM returns control to it so it can run the sibling.
-        w.guest_hlt(0);
-        assert!(w.stats.total_interventions() > 0);
-
-        let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
-        w.runnable_sibling_vms = 0;
-        assert!(apply_idle_policy(&mut w));
-        w.guest_hlt(0);
-        assert_eq!(w.stats.total_interventions(), 0);
     }
 
     #[test]

@@ -78,17 +78,9 @@ pub fn assign(w: &mut World) -> Result<Assignment, AssignError> {
     if w.config.io_model != IoModel::VirtualPassthrough {
         return Err(AssignError::WrongIoModel(w.config.io_model));
     }
-    // §3.1: the device must look like hardware to be assignable by an
-    // unmodified passthrough framework. Probe it the way a guest
-    // hypervisor's PCI layer actually would: through the rendered
-    // configuration-space bytes.
+    // §3.1: the device must look like hardware (a memory BAR and
+    // MSI-X) to be assignable by an unmodified passthrough framework.
     if !w.virtio[0].pci().is_assignable() {
-        return Err(AssignError::NotAssignable);
-    }
-    let mut cs = dvh_devices::pci_config::ConfigSpace::render(w.virtio[0].pci());
-    let has_msix = cs.walk_capabilities().iter().any(|(id, _)| *id == 0x11);
-    let bar0 = cs.size_bar(0);
-    if !has_msix || bar0 == 0 {
         return Err(AssignError::NotAssignable);
     }
     let hops = w.config.levels.saturating_sub(1);
@@ -152,6 +144,14 @@ mod tests {
         let leaf = dvh_hypervisor::world::LEAF_BUF_BASE_PFN;
         let host = w.shadow_io.as_ref().unwrap().lookup(leaf).unwrap().0;
         assert_eq!(host, w.leaf_host_pfn(leaf));
+    }
+
+    #[test]
+    fn non_assignable_device_is_refused() {
+        let mut w = vp_world(2);
+        let bdf = w.virtio[0].pci().bdf();
+        *w.virtio[0].pci_mut() = dvh_devices::PciDevice::new(bdf, 0x1AF4, 0x1041);
+        assert_eq!(assign(&mut w), Err(AssignError::NotAssignable));
     }
 
     #[test]

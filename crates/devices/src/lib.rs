@@ -29,7 +29,6 @@ pub mod msi;
 pub mod msix;
 pub mod nic;
 pub mod pci;
-pub mod pci_config;
 pub mod vhost;
 pub mod virtio;
 

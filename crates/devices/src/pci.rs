@@ -125,8 +125,6 @@ pub struct PciDevice {
     pub device: u16,
     bars: [Option<Bar>; 6],
     caps: Vec<Capability>,
-    /// Bus-master enable: device may DMA only when set.
-    pub bus_master: bool,
 }
 
 /// A base address register (memory BAR).
@@ -147,7 +145,6 @@ impl PciDevice {
             device,
             bars: [None; 6],
             caps: Vec::new(),
-            bus_master: false,
         }
     }
 

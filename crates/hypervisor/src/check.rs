@@ -4,7 +4,7 @@
 //! §26) and refuses inconsistent entries. The simulator models entries
 //! as cycle charges, so the equivalent is a *check hook*: every path
 //! that simulates a VM entry funnels through [`World::l0_vmentry`] (for
-//! L0's native entries) or [`World::on_vmentry`] (for emulated nested
+//! L0's native entries) or `World::on_vmentry` (for emulated nested
 //! entries), and when checking is enabled each entered VMCS is run
 //! through [`dvh_arch::vmx::validate::validate_vmentry`].
 //!

@@ -148,7 +148,9 @@ impl WorldConfig {
         }
     }
 
-    /// Validates internal consistency.
+    /// Validates internal consistency. DVH flags on a plain (L1) VM are
+    /// accepted as inert (§3: "For non-nested virtualization, DVH
+    /// provides no real benefit").
     ///
     /// # Errors
     ///
@@ -159,11 +161,6 @@ impl WorldConfig {
         }
         if self.leaf_vcpus == 0 {
             return Err("the leaf VM needs at least one vCPU".into());
-        }
-        if self.dvh.any() && self.levels < 2 && self.dvh != DvhFlags::NONE {
-            // DVH is defined for nested VMs; for a plain VM it is inert
-            // but harmless. Not an error, per §3: "For non-nested
-            // virtualization, DVH provides no real benefit".
         }
         if self.guest_hv == HvKind::Xen
             && (self.dvh.virtual_timers || self.dvh.virtual_ipis || self.dvh.virtual_idle)

@@ -107,11 +107,11 @@ impl World {
     /// Translates a leaf GPA to a host PFN by walking every stage —
     /// must agree with the canonical [`World::leaf_host_pfn`] for
     /// mapped pages. Used by tests as a consistency oracle.
-    pub fn walk_leaf_to_host(&mut self, leaf_pfn: u64) -> Option<u64> {
+    pub fn walk_leaf_to_host(&self, leaf_pfn: u64) -> Option<u64> {
         let n = self.config.levels;
         let mut pfn = leaf_pfn;
         for k in (0..n).rev() {
-            pfn = self.epts[k].table_mut().translate(pfn, Perms::RO).ok()?.pfn;
+            pfn = self.epts[k].table().translate(pfn, Perms::RO).ok()?.pfn;
         }
         Some(pfn)
     }

@@ -2,7 +2,7 @@
 //! engine does, for debugging, visualization, and fine-grained tests.
 //!
 //! A [`TraceEvent`] is also the unit of accounting: the engine states
-//! each fact once, through [`World::record`], which folds it into the
+//! each fact once, through `World::record`, which folds it into the
 //! `RunStats` ledger and, while observing, into the metrics registry
 //! and the trace buffer. Tracing is off by default (zero overhead
 //! beyond a branch); enable it with [`World::enable_tracing`] and

@@ -143,10 +143,6 @@ pub struct World {
     /// Use `idle=poll` in the leaf guest instead of `hlt` (the
     /// cycle-wasting alternative §3.4 contrasts with virtual idle).
     pub poll_idle: bool,
-    /// How many *other* runnable nested VMs the deepest guest
-    /// hypervisor has on each vCPU (drives the §3.4 scheduling policy:
-    /// virtual idle should only be enabled when there are none).
-    pub runnable_sibling_vms: u32,
     /// Per leaf-vCPU pause state (migration stop-and-copy).
     pub(crate) paused: Vec<bool>,
     /// Per-CPU exit-handling nesting depth (0 = guest code running):
@@ -291,7 +287,6 @@ impl World {
             pending_blk_bytes: None,
             rx_frame: Frame::default(),
             poll_idle: false,
-            runnable_sibling_vms: 0,
             paused: vec![false; v],
             exit_depth: vec![0; v],
             dvh_advertised: dvh_arch::vmx::cap::VIRTUAL_TIMER
@@ -588,8 +583,8 @@ impl World {
 
     /// Feeds the registry a measurement no ledger holds (intervention
     /// latency, interrupt deliveries, pre-copy rounds); ledger facts go
-    /// through [`World::record`] instead. The disabled path is a single
-    /// inlined branch on [`World::observing`]; the closure only ever
+    /// through `World::record` instead. The disabled path is a single
+    /// inlined branch on `World::observing`; the closure only ever
     /// captures plain copies (levels, reasons, cycle deltas), so with
     /// nothing observing the optimizer deletes the capture setup at
     /// every call site.

@@ -17,7 +17,6 @@ use std::fmt;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoTable {
     table: PageTable,
-    epoch: u64,
 }
 
 impl IoTable {
@@ -30,16 +29,11 @@ impl IoTable {
     /// next address space down (`out_pfn`).
     pub fn map(&mut self, iova_pfn: u64, out_pfn: u64, n: u64, perms: Perms) {
         self.table.map_range(iova_pfn, out_pfn, n, perms);
-        self.epoch += 1;
     }
 
     /// Unmaps one page. Returns `true` if a mapping was removed.
     pub fn unmap(&mut self, iova_pfn: u64) -> bool {
-        let removed = self.table.unmap(iova_pfn).is_some();
-        if removed {
-            self.epoch += 1;
-        }
-        removed
+        self.table.unmap(iova_pfn).is_some()
     }
 
     /// Translates one page for an access with `req` permissions.
@@ -47,14 +41,8 @@ impl IoTable {
     /// # Errors
     ///
     /// Propagates the underlying [`TranslateErr`].
-    pub fn translate(&mut self, iova_pfn: u64, req: Perms) -> Result<Translation, TranslateErr> {
+    pub fn translate(&self, iova_pfn: u64, req: Perms) -> Result<Translation, TranslateErr> {
         self.table.translate(iova_pfn, req)
-    }
-
-    /// Monotonic modification counter: bumped on every map/unmap, used
-    /// by shadow tables to detect staleness.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The underlying radix table.
@@ -92,7 +80,6 @@ impl IoTable {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShadowIoTable {
     combined: PageTable,
-    stage_epochs: Vec<u64>,
 }
 
 impl ShadowIoTable {
@@ -102,12 +89,8 @@ impl ShadowIoTable {
     /// on them, which is the correct behaviour).
     pub fn build(stages: &[&IoTable]) -> ShadowIoTable {
         let mut combined = PageTable::new();
-        let stage_epochs = stages.iter().map(|s| s.epoch()).collect();
         if stages.is_empty() {
-            return ShadowIoTable {
-                combined,
-                stage_epochs,
-            };
+            return ShadowIoTable { combined };
         }
         for (iova, entry) in stages[0].table().iter() {
             let mut pfn = entry.pfn;
@@ -129,22 +112,7 @@ impl ShadowIoTable {
                 combined.map(iova, pfn, perms);
             }
         }
-        ShadowIoTable {
-            combined,
-            stage_epochs,
-        }
-    }
-
-    /// Whether the shadow is stale with respect to the given stages
-    /// (any stage modified since [`ShadowIoTable::build`]).
-    pub fn is_stale(&self, stages: &[&IoTable]) -> bool {
-        if stages.len() != self.stage_epochs.len() {
-            return true;
-        }
-        stages
-            .iter()
-            .zip(&self.stage_epochs)
-            .any(|(s, &e)| s.epoch() != e)
+        ShadowIoTable { combined }
     }
 
     /// Looks up a device-visible PFN, returning `(host_pfn, perms)`.
@@ -152,12 +120,12 @@ impl ShadowIoTable {
         self.combined.lookup(iova_pfn).map(|e| (e.pfn, e.perms))
     }
 
-    /// Translates with permission check and A/D updates, like hardware.
+    /// Translates with a permission check, like hardware.
     ///
     /// # Errors
     ///
     /// Propagates the underlying [`TranslateErr`].
-    pub fn translate(&mut self, iova_pfn: u64, req: Perms) -> Result<Translation, TranslateErr> {
+    pub fn translate(&self, iova_pfn: u64, req: Perms) -> Result<Translation, TranslateErr> {
         self.combined.translate(iova_pfn, req)
     }
 
@@ -169,12 +137,7 @@ impl ShadowIoTable {
 
 impl fmt::Display for ShadowIoTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ShadowIoTable({} pages, {} stages)",
-            self.combined.mapped_pages(),
-            self.stage_epochs.len()
-        )
+        write!(f, "ShadowIoTable({} pages)", self.combined.mapped_pages())
     }
 }
 
@@ -192,7 +155,7 @@ mod tests {
 
     #[test]
     fn composition_equals_sequential_translation() {
-        let (mut inner, mut outer) = two_stage();
+        let (inner, outer) = two_stage();
         let shadow = ShadowIoTable::build(&[&inner, &outer]);
         for p in 0x100..0x104u64 {
             let mid = inner.translate(p, Perms::RO).unwrap().pfn;
@@ -223,15 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn staleness_detected() {
-        let (mut inner, outer) = two_stage();
-        let shadow = ShadowIoTable::build(&[&inner, &outer]);
-        assert!(!shadow.is_stale(&[&inner, &outer]));
-        inner.map(0x300, 0x400, 1, Perms::RW);
-        assert!(shadow.is_stale(&[&inner, &outer]));
-    }
-
-    #[test]
     fn three_stage_chain_composes() {
         // L3 GPA -> L2 GPA -> L1 GPA -> HPA (recursive virtual-passthrough).
         let mut a = IoTable::new();
@@ -248,16 +202,5 @@ mod tests {
     fn empty_chain_is_empty() {
         let shadow = ShadowIoTable::build(&[]);
         assert_eq!(shadow.mapped_pages(), 0);
-    }
-
-    #[test]
-    fn unmap_bumps_epoch_only_when_present() {
-        let mut t = IoTable::new();
-        t.map(5, 6, 1, Perms::RW);
-        let e = t.epoch();
-        assert!(!t.unmap(99));
-        assert_eq!(t.epoch(), e);
-        assert!(t.unmap(5));
-        assert_eq!(t.epoch(), e + 1);
     }
 }

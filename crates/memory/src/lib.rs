@@ -2,7 +2,7 @@
 //!
 //! Memory-system substrate for the DVH nested-virtualization simulator:
 //! address types, multi-level page tables (EPT and IOMMU flavours),
-//! per-VM address spaces, dirty-page tracking, and the shadow I/O
+//! dirty-page tracking, sparse backing memory, and the shadow I/O
 //! page-table composition that recursive virtual-passthrough relies on
 //! (Fig. 6 of the paper).
 //!
@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod addr;
-pub mod addr_space;
 pub mod dirty;
 pub mod ept;
 pub mod iommu_pt;

@@ -82,10 +82,6 @@ pub struct Entry {
     pub pfn: u64,
     /// Permissions.
     pub perms: Perms,
-    /// Accessed flag (set by walks).
-    pub accessed: bool,
-    /// Dirty flag (set by write walks).
-    pub dirty: bool,
 }
 
 /// A successful translation.
@@ -185,8 +181,6 @@ impl PageTable {
                         Node::Leaf(Entry {
                             pfn: pfn_out,
                             perms,
-                            accessed: false,
-                            dirty: false,
                         }),
                     );
                     if !matches!(prev, Some(Node::Leaf(_))) {
@@ -249,21 +243,21 @@ impl PageTable {
     }
 
     /// Translates input page `pfn_in` for an access requiring `req`
-    /// permissions, setting accessed (and dirty, for writes) flags.
+    /// permissions, counting the radix levels the walk touched.
     ///
     /// # Errors
     ///
     /// [`TranslateErr::NotMapped`] if the walk finds no entry;
     /// [`TranslateErr::Protection`] if the entry exists but denies the
     /// requested access.
-    pub fn translate(&mut self, pfn_in: u64, req: Perms) -> Result<Translation, TranslateErr> {
+    pub fn translate(&self, pfn_in: u64, req: Perms) -> Result<Translation, TranslateErr> {
         let idx = indices(pfn_in);
-        let mut node = &mut self.root;
+        let mut node = &self.root;
         let mut refs = 0u32;
         for &i in idx.iter() {
             refs += 1;
             match node {
-                Node::Table(t) => match t.get_mut(&i) {
+                Node::Table(t) => match t.get(&i) {
                     Some(n) => node = n,
                     None => return Err(TranslateErr::NotMapped { level: refs }),
                 },
@@ -276,10 +270,6 @@ impl PageTable {
                 if !e.perms.allows(req) {
                     return Err(TranslateErr::Protection { have: e.perms });
                 }
-                e.accessed = true;
-                if req.w {
-                    e.dirty = true;
-                }
                 Ok(Translation {
                     pfn: e.pfn,
                     perms: e.perms,
@@ -290,7 +280,7 @@ impl PageTable {
         }
     }
 
-    /// Looks up `pfn_in` without touching accessed/dirty flags.
+    /// Looks up `pfn_in`'s leaf entry.
     pub fn lookup(&self, pfn_in: u64) -> Option<Entry> {
         let idx = indices(pfn_in);
         let mut node = &self.root;
@@ -304,18 +294,6 @@ impl PageTable {
         match node {
             Node::Leaf(e) => Some(*e),
             _ => None,
-        }
-    }
-
-    /// Changes the permissions of an existing mapping. Returns `false`
-    /// if the page is not mapped. Used by pre-copy migration to
-    /// write-protect pages.
-    pub fn protect(&mut self, pfn_in: u64, perms: Perms) -> bool {
-        if let Some(e) = self.lookup(pfn_in) {
-            self.map(pfn_in, e.pfn, perms);
-            true
-        } else {
-            false
         }
     }
 
@@ -348,14 +326,6 @@ impl PageTable {
     }
 }
 
-/// Returns the page-shift-adjusted number of memory references a
-/// hardware *nested* walk of `outer` under `inner` would take: each of
-/// the `LEVELS+1` outer references (4 levels + final access) requires a
-/// full inner walk, minus the final data access itself.
-pub fn nested_walk_refs() -> u32 {
-    (LEVELS + 1) * (LEVELS + 1) - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,7 +341,7 @@ mod tests {
 
     #[test]
     fn unmapped_translation_fails() {
-        let mut pt = PageTable::new();
+        let pt = PageTable::new();
         assert!(matches!(
             pt.translate(5, Perms::RO),
             Err(TranslateErr::NotMapped { .. })
@@ -387,17 +357,6 @@ mod tests {
             pt.translate(7, Perms::RW),
             Err(TranslateErr::Protection { .. })
         ));
-    }
-
-    #[test]
-    fn dirty_set_only_on_write() {
-        let mut pt = PageTable::new();
-        pt.map(1, 2, Perms::RW);
-        pt.translate(1, Perms::RO).unwrap();
-        assert!(!pt.lookup(1).unwrap().dirty);
-        assert!(pt.lookup(1).unwrap().accessed);
-        pt.translate(1, Perms::RW).unwrap();
-        assert!(pt.lookup(1).unwrap().dirty);
     }
 
     #[test]
@@ -431,18 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn protect_changes_perms() {
-        let mut pt = PageTable::new();
-        pt.map(1, 2, Perms::RW);
-        assert!(pt.protect(1, Perms::RO));
-        assert!(matches!(
-            pt.translate(1, Perms::RW),
-            Err(TranslateErr::Protection { .. })
-        ));
-        assert!(!pt.protect(99, Perms::RO));
-    }
-
-    #[test]
     fn iter_lists_mappings_in_order() {
         let mut pt = PageTable::new();
         pt.map(30, 3, Perms::RW);
@@ -463,11 +410,6 @@ mod tests {
     fn perms_display() {
         assert_eq!(Perms::RW.to_string(), "rw-");
         assert_eq!(Perms::RO.to_string(), "r--");
-    }
-
-    #[test]
-    fn nested_walk_is_24() {
-        assert_eq!(nested_walk_refs(), 24);
     }
 
     #[test]

@@ -224,10 +224,7 @@ fn figure_6_single_combined_lookup() {
     let m = Machine::build(MachineConfig::dvh_vp(4));
     let shadow = m.world().shadow_io.as_ref().unwrap();
     let leaf = dvh_hypervisor::world::LEAF_BUF_BASE_PFN;
-    let t = {
-        let mut s = shadow.clone();
-        s.translate(leaf, dvh_memory::Perms::RW).unwrap()
-    };
+    let t = shadow.translate(leaf, dvh_memory::Perms::RW).unwrap();
     // One 4-level radix walk, not 4 stage walks of 4 levels each.
     assert_eq!(t.walk_refs, 4);
     assert_eq!(t.pfn, m.world().leaf_host_pfn(leaf));

@@ -351,18 +351,6 @@ fn lapic_accept_dispatch_eoi_conservation() {
     });
 }
 
-/// SGI encode/decode round-trips for all valid INTIDs/targets.
-#[test]
-fn sgi_round_trip() {
-    use dvh_arch::arm::SgiValue;
-    for intid in 0u8..=15 {
-        for target in 0u32..64 {
-            let sgi = SgiValue::new(intid, target);
-            assert_eq!(SgiValue::decode(sgi.encode()), sgi);
-        }
-    }
-}
-
 /// Interrupt conservation across pause/resume: no vector delivered
 /// while paused is ever lost, regardless of how many arrive.
 #[test]
