@@ -4,7 +4,7 @@
 
 use crate::causal_lint::lint_causal;
 use crate::metrics_lint::{lint_chrome_export, lint_metrics};
-use crate::source_lint::lint_sources;
+use crate::source_lint::{lint_sources, SourceLintOutcome};
 use crate::summary_diff::check_exit_summaries;
 use crate::trace_lint::{lint_trace, TraceContext};
 use crate::{Pass, Report, Violation};
@@ -237,6 +237,9 @@ pub const SUMMARY_MICRO_MAX_LEVEL: usize = 5;
 /// root; `None` skips the source pass, e.g. when running from an
 /// installed binary with no checkout around).
 pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
+    // The source lint runs first, so a missing source tree fails at
+    // once instead of after every other pass; its line still comes last.
+    let lint = source_root.map(lint_sources).transpose()?;
     let mut report = Report::new();
     for (name, config) in fig7_configs() {
         let violations = check_machine(config);
@@ -268,15 +271,14 @@ pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
         "exit-summary",
         summary,
     );
-    add_source_lint(&mut report, source_root)?;
+    add_source_lint(&mut report, lint);
     Ok(report)
 }
 
-/// Adds the source lint over `source_root` to `report`; `None` adds
-/// nothing.
-fn add_source_lint(report: &mut Report, source_root: Option<&Path>) -> std::io::Result<()> {
-    if let Some(root) = source_root {
-        let outcome = lint_sources(root)?;
+/// Adds the source lint's `outcome` to `report`; `None` (no source
+/// root) adds nothing.
+fn add_source_lint(report: &mut Report, outcome: Option<SourceLintOutcome>) {
+    if let Some(outcome) = outcome {
         report.add(
             format!(
                 "source lint: {} files, {} violation(s)",
@@ -287,7 +289,6 @@ fn add_source_lint(report: &mut Report, source_root: Option<&Path>) -> std::io::
             outcome.violations,
         );
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -300,9 +301,18 @@ mod tests {
     #[test]
     fn no_source_root_skips_the_source_lint() {
         let mut report = Report::new();
-        add_source_lint(&mut report, None).unwrap();
+        add_source_lint(&mut report, None);
         assert!(!report.to_string().contains("source lint"), "{report}");
         assert!(report.is_clean());
+    }
+
+    #[test]
+    fn a_missing_source_tree_is_named() {
+        let root = std::env::temp_dir().join(format!("dvh-no-tree-{}", std::process::id()));
+        let err = run_all(Some(&root)).expect_err("no crates/ under the root");
+        assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
+        let crates = root.join("crates").display().to_string();
+        assert!(err.to_string().starts_with(&crates), "{err}");
     }
 
     #[test]

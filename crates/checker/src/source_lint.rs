@@ -51,11 +51,17 @@ pub struct SourceLintOutcome {
     pub violations: Vec<Violation>,
 }
 
-/// Lints every `crates/*/src/**/*.rs` under `repo_root`.
+/// Lints every `crates/*/src/**/*.rs` under `repo_root`. A
+/// `repo_root` without a readable `crates/` fails with an error that
+/// names that directory.
 pub fn lint_sources(repo_root: &Path) -> io::Result<SourceLintOutcome> {
     let mut files = Vec::new();
     let crates_dir = repo_root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
+    let entries = fs::read_dir(&crates_dir).map_err(|e| {
+        let path = std::path::absolute(&crates_dir).unwrap_or(crates_dir.clone());
+        io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+    })?;
+    for entry in entries {
         let src = entry?.path().join("src");
         if src.is_dir() {
             collect_rs_files(&src, &mut files)?;

@@ -302,6 +302,61 @@ mod tests {
     }
 
     #[test]
+    fn reflection_summaries_agree_after_every_op() {
+        // A replay that goes wrong and is later overwritten by a full
+        // run leaves no trace in the final state, so the worlds are
+        // compared after every single operation.
+        type Op = fn(&mut Machine);
+        let ops: [(&str, Op); 7] = [
+            ("hypercall", |m| {
+                m.hypercall(0);
+            }),
+            ("program_timer", |m| {
+                m.program_timer(0);
+            }),
+            ("send_ipi", |m| {
+                m.send_ipi(0, 1);
+            }),
+            ("idle_round", |m| {
+                m.idle_round(0);
+            }),
+            ("net_tx", |m| {
+                m.net_tx(0, 4, 1500);
+            }),
+            ("net_rx_burst", |m| {
+                m.net_rx_burst(0, 8, 1500);
+            }),
+            ("blk_io", |m| {
+                m.blk_io(0, 4096, true);
+            }),
+        ];
+        let configs = [
+            ("baseline(2)", MachineConfig::baseline(2)),
+            ("baseline(3)", MachineConfig::baseline(3)),
+            ("passthrough(2)", MachineConfig::passthrough(2)),
+            ("dvh_vp(3)", MachineConfig::dvh_vp(3)),
+            (
+                "xen baseline(2)",
+                MachineConfig::baseline(2).with_xen_guest(),
+            ),
+        ];
+        for (label, config) in configs {
+            let mut fast = Machine::build(config.clone());
+            let mut full = Machine::build(config);
+            full.world_mut().disable_exit_summaries();
+            for round in 1..=3 {
+                for (op, run) in ops {
+                    run(&mut fast);
+                    run(&mut full);
+                    let vs = diff_worlds(fast.world(), full.world());
+                    assert!(vs.is_empty(), "{label} {op} #{round}: {vs:?}");
+                }
+            }
+            assert!(fast.world().exit_summary_count() > 0, "{label}");
+        }
+    }
+
+    #[test]
     fn a_divergent_vmcs_is_reported() {
         let mut a = Machine::build(MachineConfig::baseline(3));
         let b = Machine::build(MachineConfig::baseline(3));

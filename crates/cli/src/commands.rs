@@ -326,8 +326,11 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
         }
         Command::Check { source_root } => {
             let root = source_root.map(std::path::PathBuf::from);
-            let report = dvh_checker::harness::run_all(root.as_deref())
-                .map_err(|e| format!("source lint failed: {e}"))?;
+            let report = dvh_checker::harness::run_all(root.as_deref()).map_err(|e| {
+                format!(
+                    "source lint failed: {e}; pass --source-root DIR (a checkout) or --no-source"
+                )
+            })?;
             w(out, report.to_string())?;
             if report.is_clean() {
                 Ok(())

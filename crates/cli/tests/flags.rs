@@ -208,3 +208,31 @@ fn the_deepest_accepted_level_runs() {
     let (code, stderr) = dvh(&["micro", "--level", &level, "--iters", "1"]);
     assert_eq!(code, 0, "{stderr}");
 }
+
+#[test]
+fn check_outside_a_checkout_names_the_missing_path() {
+    // From a directory with no `crates/`, the default `--source-root .`
+    // has nothing to lint: fail naming the path, instead of running
+    // every pass and then discarding their results.
+    let dir = std::env::temp_dir().join(format!("dvh-no-checkout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    // The working directory as the binary sees it, symlinks resolved.
+    let cwd = std::fs::canonicalize(&dir).expect("temp dir resolves");
+    let out = Command::new(env!("CARGO_BIN_EXE_dvh"))
+        .arg("check")
+        .current_dir(&cwd)
+        .output()
+        .expect("dvh binary runs");
+    std::fs::remove_dir_all(&dir).expect("temp dir removed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let [line] = stderr.lines().collect::<Vec<_>>()[..] else {
+        panic!("{stderr}")
+    };
+    assert!(
+        line.contains(&cwd.join("crates").display().to_string()),
+        "{line}"
+    );
+    assert!(line.contains("--source-root DIR") && line.contains("--no-source"));
+    assert!(out.stdout.is_empty());
+}

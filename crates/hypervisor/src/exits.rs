@@ -16,7 +16,7 @@
 //!    the recursion.
 
 use crate::config::IoModel;
-use crate::summary::{Probe, Program};
+use crate::summary::{forward_key, Probe, Program};
 use crate::trace::TraceEvent;
 use crate::world::World;
 use dvh_arch::apic::IcrValue;
@@ -55,8 +55,10 @@ impl World {
         // A guest hypervisor's trapped primitive: its subtree may be
         // memoized (see `summary.rs`). L1's primitives are each a
         // single L0 exit, replayed wholesale inside L1's world-switch
-        // program summaries instead. Leaf exits never are — their
-        // handling depends on device, timer and interrupt state.
+        // program summaries instead. A leaf exit is not keyed here: its
+        // owner's reason handler depends on device, timer and
+        // interrupt state, so only the forward and resume chains
+        // around that handler are summarized (`reflect_to`).
         let summarized = from_level >= 2
             && from_level < self.leaf_level()
             && self.summarized_exit(from_level, cpu, reason, &qual);
@@ -384,7 +386,8 @@ impl World {
     /// EPT violations (owned by whichever hypervisor's stage misses
     /// the page) and by DVH extensions implementing §3.5's partial
     /// recursive enablement, where a timer access is forwarded only as
-    /// far as the first hypervisor below a disabled level.
+    /// far as the first hypervisor below a disabled level. Called only
+    /// while handling the exit it reflects, never outside an exit.
     pub fn reflect_to(
         &mut self,
         owner: usize,
@@ -415,6 +418,33 @@ impl World {
             None
         };
 
+        // The forward chain and the resume chain depend only on the
+        // levels and the reason, so each may be one summary hit; the
+        // owner's handler between them always runs in full.
+        self.run_keyed(
+            cpu,
+            |_| forward_key(cpu, owner, from_level, reason, &qual),
+            |w| w.forward_chain(owner, cpu, reason, &qual),
+        );
+        let flow = self.owner_reason_handler(owner, cpu, from_level, reason, &qual);
+        if flow == HandlerFlow::Resume {
+            self.resume_program(owner, cpu);
+        }
+        if let Some(t0) = obs_t0 {
+            let spent = self.now(cpu) - t0;
+            self.observe(|m| m.observe_intervention(owner, spent));
+        }
+    }
+
+    /// Carries an exit up to its owning hypervisor at `owner`, up to
+    /// and including the owner's exit-side program.
+    fn forward_chain(
+        &mut self,
+        owner: usize,
+        cpu: usize,
+        reason: ExitReason,
+        qual: &ExitQualification,
+    ) {
         // L0's native reflect step: decide the exit is not ours, build
         // the synthetic exit state in vmcs12, switch to vmcs01, enter L1.
         self.compute(cpu, self.costs.nested_exit_triage);
@@ -427,7 +457,7 @@ impl World {
             self.hv_vmread(0, cpu, f);
         }
         self.compute(cpu, self.costs.nested_reflect_build);
-        self.write_synthetic_exit(1, cpu, reason, &qual);
+        self.write_synthetic_exit(1, cpu, reason, qual);
         self.hv_vmptrld(0, cpu);
         self.l0_vmentry(cpu);
 
@@ -438,22 +468,12 @@ impl World {
             self.exit_side_program(j, cpu);
             self.compute(cpu, self.costs.nested_exit_triage);
             self.compute(cpu, self.costs.nested_reflect_build);
-            self.write_synthetic_exit(j + 1, cpu, reason, &qual);
-            self.entry_side_program(j, cpu);
-            self.vmresume_insn(j, cpu);
+            self.write_synthetic_exit(j + 1, cpu, reason, qual);
+            self.resume_program(j, cpu);
         }
 
-        // The owner handles the exit for its nested VM.
+        // The owner takes the exit for its nested VM.
         self.exit_side_program(owner, cpu);
-        let flow = self.owner_reason_handler(owner, cpu, from_level, reason, &qual);
-        if flow == HandlerFlow::Resume {
-            self.entry_side_program(owner, cpu);
-            self.vmresume_insn(owner, cpu);
-        }
-        if let Some(t0) = obs_t0 {
-            let spent = self.now(cpu) - t0;
-            self.observe(|m| m.observe_intervention(owner, spent));
-        }
     }
 
     /// Writes synthetic exit state into the VMCS the hypervisor at
@@ -499,6 +519,17 @@ impl World {
         }
     }
 
+    /// The hypervisor at `level` ≥ 1 re-enters its guest: its
+    /// entry-side world-switch program, then its `vmresume`.
+    pub(crate) fn resume_program(&mut self, level: usize, cpu: usize) {
+        self.run_program(level, cpu, Program::Resume, World::resume_body);
+    }
+
+    fn resume_body(&mut self, level: usize, cpu: usize) {
+        self.entry_side_program(level, cpu);
+        self.vmresume_insn(level, cpu);
+    }
+
     /// The exit-side world-switch program of the hypervisor at
     /// `level` ≥ 1 (see [`crate::profile::HvProfile`]).
     pub(crate) fn exit_side_program(&mut self, level: usize, cpu: usize) {
@@ -529,12 +560,9 @@ impl World {
     }
 
     /// The entry-side world-switch program of the hypervisor at
-    /// `level` ≥ 1.
-    pub(crate) fn entry_side_program(&mut self, level: usize, cpu: usize) {
-        self.run_program(level, cpu, Program::EntrySide, World::entry_side_body);
-    }
-
-    fn entry_side_body(&mut self, level: usize, cpu: usize) {
+    /// `level` ≥ 1. Always followed by its `vmresume`, so it is
+    /// summarized only as part of [`World::resume_program`].
+    fn entry_side_program(&mut self, level: usize, cpu: usize) {
         // Index iteration for the same reentrancy reason as
         // `exit_side_program`: no per-exit clone of the field lists.
         #[allow(clippy::needless_range_loop)]

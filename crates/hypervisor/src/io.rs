@@ -428,8 +428,7 @@ impl World {
             self.compute(dest, self.costs.pi_desc_update);
             let icr = dvh_arch::apic::IcrValue::fixed(RX_VECTOR, dest as u32);
             self.hv_wrmsr(j, dest, dvh_arch::msr::IA32_X2APIC_ICR, icr.encode());
-            self.entry_side_program(j, dest);
-            self.vmresume_insn(j, dest);
+            self.resume_program(j, dest);
         }
         self.now(dest)
     }

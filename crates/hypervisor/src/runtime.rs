@@ -178,8 +178,7 @@ impl World {
             for &j in levels {
                 self.compute(cpu, self.costs.vcpu_kick);
                 self.compute(cpu, self.costs.event_injection);
-                self.entry_side_program(j, cpu);
-                self.vmresume_insn(j, cpu);
+                self.resume_program(j, cpu);
             }
         }
         chain.clear();
@@ -233,8 +232,7 @@ impl World {
                 self.exit_side_program(j, cpu);
                 self.compute(cpu, self.costs.hrtimer_program);
                 self.compute(cpu, self.costs.event_injection);
-                self.entry_side_program(j, cpu);
-                self.vmresume_insn(j, cpu);
+                self.resume_program(j, cpu);
             }
         }
         let t = self.now(cpu);

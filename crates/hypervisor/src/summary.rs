@@ -1,4 +1,5 @@
-//! Compositional exit summaries: memoized guest-hypervisor primitives.
+//! Compositional exit summaries: memoized guest-hypervisor primitives
+//! and reflection chains.
 //!
 //! A VMX instruction (or trapped MSR/APIC access) executed by a guest
 //! hypervisor traps and is reflected through every level below it.
@@ -16,11 +17,20 @@
 //! appended to the enclosing recording. An L(n) operation therefore
 //! costs O(n) memo applications instead of ~24^n exits. The same
 //! mechanism summarizes every guest hypervisor's world-switch programs
-//! (`exit_side_program`, `entry_side_program`), L1's included, each a
-//! fixed sequence of such primitives, so a reflection pays one hit per
-//! program rather than one per primitive. An L1 primitive on its own
+//! (`exit_side_program`, and `resume_program`: `entry_side_program`
+//! followed by `vmresume`), L1's included, each a fixed sequence of
+//! such primitives, so a reflection pays one hit per program rather
+//! than one per primitive. An L1 primitive on its own
 //! is a single L0 exit, too cheap to be worth a memo probe, so it is
 //! not keyed outside its programs.
+//!
+//! A reflected exit is summarized around its owner's reason handler.
+//! The *forward* chain (L0's reflect step, the forwarding through every
+//! intermediate hypervisor, the owner's exit-side program) and the
+//! *resume* chain (the owner's entry-side program and its `vmresume`)
+//! depend only on the levels and the reason, so each is one hit. The
+//! handler in between always runs in full: it is where the state lives
+//! (timer arming, IPIs, halt chains, doorbells, EPT population).
 //!
 //! Anything state-dependent inside a recording *taints* it: the key is
 //! then marked unsummarizable and always takes the full recursion (see
@@ -197,18 +207,29 @@ impl SummaryMemo {
     }
 }
 
-/// A guest hypervisor's world-switch program (see
-/// [`crate::profile::HvProfile`]): a fixed sequence of trapping
-/// primitives, summarized as their composition.
+/// A fixed sequence of a guest hypervisor's trapping primitives,
+/// summarized as their composition: its world-switch programs (see
+/// [`crate::profile::HvProfile`]), the entry side always followed by
+/// the hypervisor's `vmresume`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Program {
     /// `exit_side_program`.
     ExitSide,
-    /// `entry_side_program`.
-    EntrySide,
+    /// `resume_program`: `entry_side_program`, then `vmresume`.
+    Resume,
 }
 
-/// What [`World::vmexit`] or a world-switch program should do.
+// Memo-key tags. A primitive's key is tagged with its exit reason
+// number (< 64); the summarized chains take tags above every reason.
+
+/// The forward chain of a reflected exit (see [`forward_key`]).
+const TAG_FORWARD: u16 = 0xFC;
+/// [`Program::Resume`].
+const TAG_RESUME: u16 = 0xFD;
+/// [`Program::ExitSide`].
+const TAG_EXIT_SIDE: u16 = 0xFE;
+
+/// What [`World::vmexit`] or a summarized chain should do.
 pub(crate) enum Probe {
     /// Run the full recursion, recording nothing.
     Full,
@@ -247,7 +268,7 @@ fn key(cpu: usize, from_level: usize, reason: ExitReason, qual: &ExitQualificati
 }
 
 /// Packs a memo key; `tag` is an exit reason number (< 64) or one of
-/// the program tags above it.
+/// the `TAG_*` constants above it.
 fn pack(cpu: usize, level: usize, tag: u16, operand: u32) -> Option<u64> {
     if cpu >= 1 << 16 || level >= 1 << 8 || tag >= 1 << 8 {
         return None;
@@ -262,10 +283,32 @@ fn pack(cpu: usize, level: usize, tag: u16, operand: u32) -> Option<u64> {
 /// an exit.
 fn program_key(cpu: usize, level: usize, program: Program, outermost: bool) -> Option<u64> {
     let tag = match program {
-        Program::ExitSide => 0xFE,
-        Program::EntrySide => 0xFF,
+        Program::ExitSide => TAG_EXIT_SIDE,
+        Program::Resume => TAG_RESUME,
     };
     pack(cpu, level, tag, u32::from(outermost))
+}
+
+/// The memo key of the forward chain that carries an exit from
+/// `from_level` up to its owning hypervisor at `owner` on `cpu`: L0's
+/// reflect step, the forwarding through levels `1..owner` and the
+/// owner's exit-side program. The chain stores the reason and the
+/// qualification's raw and guest-physical words into synthetic exit
+/// state, so, as for [`key`], only exits that leave those words zero
+/// are keyed. The chain only runs inside the exit it reflects, never
+/// outermost, so unlike [`program_key`] the key has no `outermost` bit.
+pub(crate) fn forward_key(
+    cpu: usize,
+    owner: usize,
+    from_level: usize,
+    reason: ExitReason,
+    qual: &ExitQualification,
+) -> Option<u64> {
+    if qual.raw != 0 || qual.guest_physical != 0 {
+        return None;
+    }
+    let operand = (from_level as u32) << 8 | u32::from(reason.number());
+    pack(cpu, owner, TAG_FORWARD, operand)
 }
 
 impl World {
@@ -329,13 +372,29 @@ impl World {
         program: Program,
         body: impl FnOnce(&mut World, usize, usize),
     ) {
+        self.run_keyed(
+            cpu,
+            |outermost| program_key(cpu, level, program, outermost),
+            |w| body(w, level, cpu),
+        );
+    }
+
+    /// Runs `body` on `cpu` through the summary keyed `key(outermost)`
+    /// (`None`: not summarizable), where `outermost` tells whether
+    /// `body` runs outside any exit.
+    #[inline]
+    pub(crate) fn run_keyed(
+        &mut self,
+        cpu: usize,
+        key: impl FnOnce(bool) -> Option<u64>,
+        body: impl FnOnce(&mut World),
+    ) {
         let probe = if self.summaries_usable() {
-            let outermost = self.exit_depth[cpu] == 0;
-            self.lookup(program_key(cpu, level, program, outermost))
+            self.lookup(key(self.exit_depth[cpu] == 0))
         } else {
             Probe::Full
         };
-        self.run_probe(probe, cpu, |w| body(w, level, cpu));
+        self.run_probe(probe, cpu, body);
     }
 
     /// Carries out `probe` on `cpu`: applies the summary on a hit, or
@@ -645,6 +704,11 @@ mod tests {
         assert_eq!(w.exit_summary_count(), 0);
     }
 
+    /// The (level, tag) fields of a packed memo key.
+    fn level_and_tag(key: u64) -> (usize, u16) {
+        (((key >> 40) & 0xFF) as usize, ((key >> 32) & 0xFF) as u16)
+    }
+
     #[test]
     fn leaf_exits_are_never_keyed() {
         let drive = |w: &mut World| {
@@ -655,15 +719,61 @@ mod tests {
         let mut w = world(1);
         drive(&mut w);
         assert_eq!(w.exit_summary_count(), 0, "L1 has no guest hypervisor");
+        // At L2 only L1's programs and the chains that forward exits to
+        // L1 and resume from it are keyed, never the handler between.
         let mut w = world(2);
         drive(&mut w);
         assert!(w.exit_summary_count() > 0);
-        let programs: Vec<u64> = [Program::ExitSide, Program::EntrySide]
+        let programs: Vec<u64> = [Program::ExitSide, Program::Resume]
             .into_iter()
             .flat_map(|p| [false, true].map(|outer| program_key(0, 1, p, outer).unwrap()))
             .collect();
-        for key in w.summaries.entries.keys() {
-            assert!(programs.contains(key), "{key:#x} is not an L1 program");
+        let keys: Vec<u64> = w.summaries.entries.keys().copied().collect();
+        for &key in &keys {
+            let forward_to_l1 = level_and_tag(key) == (1, TAG_FORWARD);
+            assert!(
+                programs.contains(&key) || forward_to_l1,
+                "{key:#x} is not an L1 program or chain"
+            );
+        }
+        for tag in [TAG_FORWARD, TAG_RESUME] {
+            assert!(keys.iter().any(|&k| level_and_tag(k) == (1, tag)));
+        }
+        // Deeper, guest-hypervisor primitives are keyed, but none
+        // raised by the leaf.
+        for levels in [3, 4] {
+            let mut w = world(levels);
+            drive(&mut w);
+            for &key in w.summaries.entries.keys() {
+                let (level, tag) = level_and_tag(key);
+                assert!(
+                    tag >= TAG_FORWARD || level < levels,
+                    "L{levels}: {key:#x} keys a leaf exit"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reflected_exit_handlers_run_every_time() {
+        for levels in [2, 3] {
+            let mut fast = world(levels);
+            let mut slow = world(levels);
+            slow.disable_exit_summaries();
+            for w in [&mut fast, &mut slow] {
+                for i in 1..=20 {
+                    let deadline = 10_000 + 7 * i;
+                    w.guest_program_timer(0, deadline);
+                    assert_eq!(w.timers[0].deadline, Some(deadline), "L{levels}");
+                }
+                for _ in 0..20 {
+                    w.send_ipi_to_idle(0, 1);
+                    assert!(!w.is_halted(1), "L{levels}: the IPI did not wake cpu1");
+                }
+            }
+            assert!(fast.exit_summary_count() > 0);
+            assert_eq!(state(&fast), state(&slow), "L{levels}");
+            assert_eq!(fast.timers, slow.timers, "L{levels}");
         }
     }
 
