@@ -128,9 +128,7 @@ impl fmt::Display for ExitReason {
 /// plus the auxiliary read-only fields.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExitQualification {
-    /// The raw qualification value (meaning depends on the reason).
-    pub raw: u64,
-    /// Guest-physical address, for EPT and APIC-access exits.
+    /// Guest-physical address, for MMIO (EPT misconfig) exits.
     pub guest_physical: u64,
     /// MSR index, for MSR exits.
     pub msr: u32,
@@ -138,8 +136,6 @@ pub struct ExitQualification {
     pub msr_value: u64,
     /// VMCS field encoding, for `vmread`/`vmwrite` exits.
     pub vmcs_field: u32,
-    /// Value being written, for `vmwrite` exits.
-    pub vmcs_value: u64,
 }
 
 impl ExitQualification {
@@ -161,17 +157,8 @@ impl ExitQualification {
         }
     }
 
-    /// A qualification for a `vmwrite` exit.
-    pub fn vmwrite(field: u32, value: u64) -> ExitQualification {
-        ExitQualification {
-            vmcs_field: field,
-            vmcs_value: value,
-            ..ExitQualification::default()
-        }
-    }
-
-    /// A qualification for a `vmread` exit.
-    pub fn vmread(field: u32) -> ExitQualification {
+    /// A qualification for a `vmread` or `vmwrite` exit of `field`.
+    pub fn vmcs(field: u32) -> ExitQualification {
         ExitQualification {
             vmcs_field: field,
             ..ExitQualification::default()

@@ -16,7 +16,7 @@
 //!    the recursion.
 
 use crate::config::IoModel;
-use crate::summary::{forward_key, Probe, Program};
+use crate::summary::{forward_key, key, program_key, TAG_EXIT_SIDE, TAG_RESUME};
 use crate::trace::TraceEvent;
 use crate::world::World;
 use dvh_arch::apic::IcrValue;
@@ -59,10 +59,9 @@ impl World {
         // owner's reason handler depends on device, timer and
         // interrupt state, so only the forward and resume chains
         // around that handler are summarized (`reflect_to`).
-        let summarized = from_level >= 2
-            && from_level < self.leaf_level()
-            && self.summarized_exit(from_level, cpu, reason, &qual);
-        if !summarized {
+        if from_level >= 2 && from_level < self.leaf_level() {
+            self.summarized_exit(from_level, cpu, reason, qual);
+        } else {
             self.vmexit_nested(from_level, cpu, reason, qual);
         }
         // Close the exit's interval: an outermost exit completes with
@@ -87,26 +86,21 @@ impl World {
         });
     }
 
-    /// Handles a guest-hypervisor primitive through its exit summary:
-    /// applies it on a hit, or runs and records the full recursion on
-    /// the first occurrence. Returns `false` when the exit must take
-    /// the plain full recursion instead.
+    /// Handles a guest-hypervisor primitive through its exit summary
+    /// (kept out of line so that `vmexit` stays small).
     #[inline(never)]
     fn summarized_exit(
         &mut self,
         from_level: usize,
         cpu: usize,
         reason: ExitReason,
-        qual: &ExitQualification,
-    ) -> bool {
-        let probe = self.summary_probe(from_level, cpu, reason, qual);
-        if matches!(probe, Probe::Full) {
-            return false;
-        }
-        self.run_probe(probe, cpu, |w| {
-            w.vmexit_nested(from_level, cpu, reason, *qual)
-        });
-        true
+        qual: ExitQualification,
+    ) {
+        self.run_keyed(
+            cpu,
+            |_| key(cpu, from_level, reason, &qual),
+            |w| w.vmexit_nested(from_level, cpu, reason, qual),
+        );
     }
 
     /// Runs the handling of one exit one nesting level deeper.
@@ -144,18 +138,6 @@ impl World {
         self.compute(cpu, self.costs.vmexit_to_root);
         self.compute(cpu, self.costs.l0_dispatch);
 
-        // EPT violations are owned by whichever hypervisor's stage is
-        // missing the page (encoded in the qualification by the fault
-        // path), not necessarily the VM's immediate parent.
-        if reason == ExitReason::EptViolation {
-            let stage = qual.raw as usize;
-            if stage == 0 || from_level == 1 {
-                self.l0_handle(cpu, from_level, reason, &qual);
-            } else {
-                self.reflect_to(stage, from_level, cpu, reason, qual);
-            }
-            return;
-        }
         // Exits from L0's own guest are always L0's business.
         if from_level == 1 {
             self.l0_handle(cpu, from_level, reason, &qual);
@@ -269,14 +251,6 @@ impl World {
                 self.l0_halt_vcpu(cpu, from_level);
                 HandlerFlow::Halted
             }
-            ExitReason::EptViolation => {
-                let leaf_pfn = qual.guest_physical >> 12;
-                self.populate_stage(0, cpu, leaf_pfn);
-                // The faulting instruction re-executes: enter without
-                // advancing RIP.
-                self.l0_vmentry(cpu);
-                return;
-            }
             ExitReason::EptMisconfig => {
                 self.l0_doorbell(cpu, from_level, qual);
                 HandlerFlow::Resume
@@ -303,8 +277,7 @@ impl World {
                 // vmcs02 and launch it (KVM's prepare_vmcs02).
                 self.compute(cpu, self.costs.vmcs02_merge);
                 for f in field::VMCS12_DIRTY_FIELDS {
-                    let v = self.vmcs(from_level, cpu).read(*f);
-                    self.hv_vmwrite_trap(0, cpu, *f, v);
+                    self.hv_vmwrite_trap(0, cpu, *f);
                     self.vmcs_copy(0, from_level, cpu, *f);
                 }
                 // The merge is where hardware's VM-entry checks run on
@@ -325,7 +298,7 @@ impl World {
             _ => HandlerFlow::Resume,
         };
         if flow == HandlerFlow::Resume {
-            self.hv_vmwrite_trap(0, cpu, field::GUEST_RIP, 0);
+            self.hv_vmwrite_trap(0, cpu, field::GUEST_RIP);
             self.vmcs_set(0, cpu, field::GUEST_RIP, 0);
             self.l0_vmentry(cpu);
         }
@@ -382,12 +355,11 @@ impl World {
         self.reflect_to(from_level - 1, from_level, cpu, reason, qual);
     }
 
-    /// Reflects an exit to an explicit owning hypervisor — used for
-    /// EPT violations (owned by whichever hypervisor's stage misses
-    /// the page) and by DVH extensions implementing §3.5's partial
-    /// recursive enablement, where a timer access is forwarded only as
-    /// far as the first hypervisor below a disabled level. Called only
-    /// while handling the exit it reflects, never outside an exit.
+    /// Reflects an exit to an explicit owning hypervisor — used by DVH
+    /// extensions implementing §3.5's partial recursive enablement,
+    /// where a timer access is forwarded only as far as the first
+    /// hypervisor below a disabled level. Called only while handling
+    /// the exit it reflects, never outside an exit.
     pub fn reflect_to(
         &mut self,
         owner: usize,
@@ -478,7 +450,9 @@ impl World {
 
     /// Writes synthetic exit state into the VMCS the hypervisor at
     /// `reader_level` will read (its "vmcs12"). In-memory stores for
-    /// the writer; the read cost is charged when the reader reads.
+    /// the writer; the read cost is charged when the reader reads. No
+    /// modeled exit carries a qualification word, so the exit
+    /// qualification is always 0 (the store still sets its written-bit).
     fn write_synthetic_exit(
         &mut self,
         reader_level: usize,
@@ -488,7 +462,7 @@ impl World {
     ) {
         for (f, value) in [
             (field::VM_EXIT_REASON, reason.number() as u64),
-            (field::EXIT_QUALIFICATION, qual.raw),
+            (field::EXIT_QUALIFICATION, 0),
             (field::GUEST_PHYSICAL_ADDRESS, qual.guest_physical),
         ] {
             self.vmcs_set(reader_level, cpu, f, value);
@@ -522,18 +496,24 @@ impl World {
     /// The hypervisor at `level` ≥ 1 re-enters its guest: its
     /// entry-side world-switch program, then its `vmresume`.
     pub(crate) fn resume_program(&mut self, level: usize, cpu: usize) {
-        self.run_program(level, cpu, Program::Resume, World::resume_body);
-    }
-
-    fn resume_body(&mut self, level: usize, cpu: usize) {
-        self.entry_side_program(level, cpu);
-        self.vmresume_insn(level, cpu);
+        self.run_keyed(
+            cpu,
+            |outermost| program_key(cpu, level, TAG_RESUME, outermost),
+            |w| {
+                w.entry_side_program(level, cpu);
+                w.vmresume_insn(level, cpu);
+            },
+        );
     }
 
     /// The exit-side world-switch program of the hypervisor at
     /// `level` ≥ 1 (see [`crate::profile::HvProfile`]).
     pub(crate) fn exit_side_program(&mut self, level: usize, cpu: usize) {
-        self.run_program(level, cpu, Program::ExitSide, World::exit_side_body);
+        self.run_keyed(
+            cpu,
+            |outermost| program_key(cpu, level, TAG_EXIT_SIDE, outermost),
+            |w| w.exit_side_body(level, cpu),
+        );
     }
 
     fn exit_side_body(&mut self, level: usize, cpu: usize) {
@@ -605,7 +585,7 @@ impl World {
     /// recording run on this CPU already set the written-bit).
     fn write_back(&mut self, level: usize, cpu: usize, f: u32) {
         let v = self.vmcs(level, cpu).read(f);
-        self.hv_vmwrite_trap(level, cpu, f, v);
+        self.hv_vmwrite_trap(level, cpu, f);
         self.vmcs_store(level, cpu).write(f, v);
     }
 
@@ -671,14 +651,6 @@ impl World {
                 self.vmexit(owner, cpu, ExitReason::Hlt, ExitQualification::default());
                 HandlerFlow::Halted
             }
-            ExitReason::EptViolation => {
-                // The owner's EPT stage lacks the page: populate it
-                // (its own TLB invalidation traps), then resume; the
-                // faulting access re-executes, so no RIP advance.
-                let leaf_pfn = qual.guest_physical >> 12;
-                self.populate_stage(owner, cpu, leaf_pfn);
-                HandlerFlow::Resume
-            }
             ExitReason::EptMisconfig => {
                 // The nested VM kicked the doorbell of the virtio
                 // device this owner provides (cascade model). MMIO
@@ -719,8 +691,7 @@ impl World {
                 // owner.
                 self.compute(cpu, self.costs.vmcs02_merge);
                 for f in field::VMCS12_DIRTY_FIELDS {
-                    let v = self.vmcs(from_level, cpu).read(*f);
-                    self.hv_vmwrite_trap(owner, cpu, *f, v);
+                    self.hv_vmwrite_trap(owner, cpu, *f);
                     self.vmcs_copy(owner, from_level, cpu, *f);
                 }
                 self.on_vmentry(from_level, cpu);
@@ -742,9 +713,7 @@ impl World {
 
     /// Advances the exiting guest's RIP past the emulated instruction.
     fn advance_guest_rip(&mut self, owner: usize, cpu: usize) {
-        let rip = self.vmcs(owner, cpu).read(field::GUEST_RIP);
-        let next = rip.wrapping_add(crate::summary::RIP_ADVANCE);
-        self.hv_vmwrite_trap(owner, cpu, field::GUEST_RIP, next);
+        self.hv_vmwrite_trap(owner, cpu, field::GUEST_RIP);
         self.vmcs_add_rip(owner, cpu);
     }
 

@@ -46,7 +46,6 @@ pub mod extension;
 mod guest;
 mod io;
 mod lifecycle;
-mod memory_virt;
 pub mod profile;
 mod runtime;
 pub mod stats;

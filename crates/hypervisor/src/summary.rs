@@ -30,7 +30,10 @@
 //! *resume* chain (the owner's entry-side program and its `vmresume`)
 //! depend only on the levels and the reason, so each is one hit. The
 //! handler in between always runs in full: it is where the state lives
-//! (timer arming, IPIs, halt chains, doorbells, EPT population).
+//! (timer arming, IPIs, halt chains, doorbells).
+//!
+//! Every summarized subtree, primitive, program or chain, goes through
+//! one entry point, [`World::run_keyed`].
 //!
 //! Anything state-dependent inside a recording *taints* it: the key is
 //! then marked unsummarizable and always takes the full recursion (see
@@ -39,7 +42,7 @@
 //! artifact is produced by the full recursion, exactly as before.
 
 use crate::stats::RunStats;
-use crate::world::World;
+use crate::world::{CpuVmcs, World};
 use dvh_arch::msr;
 use dvh_arch::vmx::{field, ExitQualification, ExitReason};
 use dvh_arch::Cycles;
@@ -47,7 +50,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// How far `advance_guest_rip` moves RIP past an emulated instruction.
-pub(crate) const RIP_ADVANCE: u64 = 3;
+const RIP_ADVANCE: u64 = 3;
 
 /// One VMCS store made inside a summarized subtree, on the subtree's
 /// CPU. Replaying the log in order reproduces every value and every
@@ -80,6 +83,27 @@ impl Effect {
             Effect::Set { .. } => None,
             Effect::AddRip { level, .. } => Some((level, field::GUEST_RIP)),
             Effect::Copy { src, field, .. } => Some((src, field)),
+        }
+    }
+
+    /// Performs this store on the VMCSs of one CPU.
+    #[inline(always)]
+    fn apply(self, vmcs: &mut CpuVmcs) {
+        match self {
+            Effect::Set {
+                level,
+                field: f,
+                value,
+            } => vmcs.level(level as usize).write(f, value),
+            Effect::AddRip { level, delta } => {
+                let m = vmcs.level(level as usize);
+                let rip = m.read(field::GUEST_RIP);
+                m.write(field::GUEST_RIP, rip.wrapping_add(delta));
+            }
+            Effect::Copy { dst, src, field: f } => {
+                let v = vmcs.level(src as usize).read(f);
+                vmcs.level(dst as usize).write(f, v);
+            }
         }
     }
 }
@@ -122,7 +146,7 @@ fn compact(log: &[Effect]) -> Vec<Effect> {
 }
 
 /// A recorded subtree.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Summary {
     /// Simulated cycles the subtree spends on its CPU.
     cycles: Cycles,
@@ -207,47 +231,31 @@ impl SummaryMemo {
     }
 }
 
-/// A fixed sequence of a guest hypervisor's trapping primitives,
-/// summarized as their composition: its world-switch programs (see
-/// [`crate::profile::HvProfile`]), the entry side always followed by
-/// the hypervisor's `vmresume`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Program {
-    /// `exit_side_program`.
-    ExitSide,
-    /// `resume_program`: `entry_side_program`, then `vmresume`.
-    Resume,
-}
-
 // Memo-key tags. A primitive's key is tagged with its exit reason
 // number (< 64); the summarized chains take tags above every reason.
 
 /// The forward chain of a reflected exit (see [`forward_key`]).
 const TAG_FORWARD: u16 = 0xFC;
-/// [`Program::Resume`].
-const TAG_RESUME: u16 = 0xFD;
-/// [`Program::ExitSide`].
-const TAG_EXIT_SIDE: u16 = 0xFE;
-
-/// What [`World::vmexit`] or a summarized chain should do.
-pub(crate) enum Probe {
-    /// Run the full recursion, recording nothing.
-    Full,
-    /// Run the full recursion and record it under this key.
-    Record(u64),
-    /// Apply the summary at this index instead of recursing.
-    Hit(usize),
-}
+/// `resume_program`: a hypervisor's entry-side world-switch program,
+/// then its `vmresume`.
+pub(crate) const TAG_RESUME: u16 = 0xFD;
+/// `exit_side_program`: a hypervisor's exit-side world-switch program.
+pub(crate) const TAG_EXIT_SIDE: u16 = 0xFE;
 
 /// The memo key of a guest-hypervisor primitive, or `None` when the
 /// exit's subtree is not cost-invariant. Only reasons whose handling
 /// depends on nothing but (level, reason, field/MSR) qualify: the VMX
 /// instructions, MSR reads, MSR writes other than the ICR (which sends
-/// an IPI), and trap-like APIC writes. The qualification's raw and
-/// guest-physical words are stored verbatim into synthetic exit state,
-/// so only exits that leave them zero are keyed.
-fn key(cpu: usize, from_level: usize, reason: ExitReason, qual: &ExitQualification) -> Option<u64> {
-    if qual.raw != 0 || qual.guest_physical != 0 {
+/// an IPI), and trap-like APIC writes. The qualification's
+/// guest-physical word is stored verbatim into synthetic exit state,
+/// so only exits that leave it zero are keyed.
+pub(crate) fn key(
+    cpu: usize,
+    from_level: usize,
+    reason: ExitReason,
+    qual: &ExitQualification,
+) -> Option<u64> {
+    if qual.guest_physical != 0 {
         return None;
     }
     let operand = match reason {
@@ -276,16 +284,12 @@ fn pack(cpu: usize, level: usize, tag: u16, operand: u32) -> Option<u64> {
     Some((cpu as u64) << 48 | (level as u64) << 40 | u64::from(tag) << 32 | u64::from(operand))
 }
 
-/// The memo key of world-switch program `program` of the hypervisor at
-/// `level` on `cpu`. A program run outside any exit (`outermost`: a
-/// timer or interrupt relay) attributes cycles to each of its
-/// primitives, so it is keyed apart from the same program run inside
-/// an exit.
-fn program_key(cpu: usize, level: usize, program: Program, outermost: bool) -> Option<u64> {
-    let tag = match program {
-        Program::ExitSide => TAG_EXIT_SIDE,
-        Program::Resume => TAG_RESUME,
-    };
+/// The memo key of the world-switch program tagged `tag`
+/// ([`TAG_EXIT_SIDE`] or [`TAG_RESUME`]) of the hypervisor at `level`
+/// on `cpu`. A program run outside any exit (`outermost`: a timer or
+/// interrupt relay) attributes cycles to each of its primitives, so it
+/// is keyed apart from the same program run inside an exit.
+pub(crate) fn program_key(cpu: usize, level: usize, tag: u16, outermost: bool) -> Option<u64> {
     pack(cpu, level, tag, u32::from(outermost))
 }
 
@@ -293,10 +297,10 @@ fn program_key(cpu: usize, level: usize, program: Program, outermost: bool) -> O
 /// `from_level` up to its owning hypervisor at `owner` on `cpu`: L0's
 /// reflect step, the forwarding through levels `1..owner` and the
 /// owner's exit-side program. The chain stores the reason and the
-/// qualification's raw and guest-physical words into synthetic exit
-/// state, so, as for [`key`], only exits that leave those words zero
-/// are keyed. The chain only runs inside the exit it reflects, never
-/// outermost, so unlike [`program_key`] the key has no `outermost` bit.
+/// qualification's guest-physical word into synthetic exit state, so,
+/// as for [`key`], only exits that leave that word zero are keyed. The
+/// chain only runs inside the exit it reflects, never outermost, so
+/// unlike [`program_key`] the key has no `outermost` bit.
 pub(crate) fn forward_key(
     cpu: usize,
     owner: usize,
@@ -304,7 +308,7 @@ pub(crate) fn forward_key(
     reason: ExitReason,
     qual: &ExitQualification,
 ) -> Option<u64> {
-    if qual.raw != 0 || qual.guest_physical != 0 {
+    if qual.guest_physical != 0 {
         return None;
     }
     let operand = (from_level as u32) << 8 | u32::from(reason.number());
@@ -329,59 +333,13 @@ impl World {
         !(self.summaries.disabled || self.observing || self.vmentry_checks)
     }
 
-    /// Decides how to handle a primitive trapped from the guest
-    /// hypervisor at `from_level`. [`World::vmexit`] probes only for
-    /// hypervisors nested in another; L1's primitives are summarized
-    /// as part of its world-switch programs.
-    #[inline]
-    pub(crate) fn summary_probe(
-        &mut self,
-        from_level: usize,
-        cpu: usize,
-        reason: ExitReason,
-        qual: &ExitQualification,
-    ) -> Probe {
-        if !self.summaries_usable() {
-            return Probe::Full;
-        }
-        self.lookup(key(cpu, from_level, reason, qual))
-    }
-
-    /// The memo's answer for `key` (`None`: not summarizable).
-    #[inline]
-    fn lookup(&self, key: Option<u64>) -> Probe {
-        let Some(key) = key else {
-            return Probe::Full;
-        };
-        match self.summaries.entries.get(&key) {
-            Some(Entry::Ready(idx)) => Probe::Hit(*idx),
-            Some(Entry::Unsummarizable) => Probe::Full,
-            None => Probe::Record(key),
-        }
-    }
-
-    /// Runs world-switch program `program` of the guest hypervisor at
-    /// `level` ≥ 1 on `cpu` through its summary: each program is a
-    /// fixed sequence of trapping primitives, so its summary is the
-    /// composition of theirs.
-    #[inline]
-    pub(crate) fn run_program(
-        &mut self,
-        level: usize,
-        cpu: usize,
-        program: Program,
-        body: impl FnOnce(&mut World, usize, usize),
-    ) {
-        self.run_keyed(
-            cpu,
-            |outermost| program_key(cpu, level, program, outermost),
-            |w| body(w, level, cpu),
-        );
-    }
-
-    /// Runs `body` on `cpu` through the summary keyed `key(outermost)`
-    /// (`None`: not summarizable), where `outermost` tells whether
-    /// `body` runs outside any exit.
+    /// Runs `body` on `cpu` through the summary keyed `key(outermost)`,
+    /// where `outermost` tells whether `body` runs outside any exit:
+    /// applies the summary on a hit, records `body` on a miss, and runs
+    /// it in full, recording nothing, when the key is `None`, marked
+    /// unsummarizable, or summaries are unusable. The one entry point to
+    /// the memo: primitives, world-switch programs and forward chains
+    /// all come through here.
     #[inline]
     pub(crate) fn run_keyed(
         &mut self,
@@ -389,22 +347,18 @@ impl World {
         key: impl FnOnce(bool) -> Option<u64>,
         body: impl FnOnce(&mut World),
     ) {
-        let probe = if self.summaries_usable() {
-            self.lookup(key(self.exit_depth[cpu] == 0))
+        let key = if self.summaries_usable() {
+            key(self.exit_depth[cpu] == 0)
         } else {
-            Probe::Full
+            None
         };
-        self.run_probe(probe, cpu, body);
-    }
-
-    /// Carries out `probe` on `cpu`: applies the summary on a hit, or
-    /// runs `body` in full, recording it on a miss.
-    #[inline]
-    pub(crate) fn run_probe(&mut self, probe: Probe, cpu: usize, body: impl FnOnce(&mut World)) {
-        match probe {
-            Probe::Full => body(self),
-            Probe::Hit(idx) => self.apply_summary(idx, cpu),
-            Probe::Record(key) => {
+        let Some(key) = key else {
+            return body(self);
+        };
+        match self.summaries.entries.get(&key) {
+            Some(&Entry::Ready(idx)) => self.apply_summary(idx, cpu),
+            Some(Entry::Unsummarizable) => body(self),
+            None => {
                 self.begin_summary(key, cpu);
                 body(self);
                 self.end_summary(cpu);
@@ -413,34 +367,33 @@ impl World {
     }
 
     /// Applies summary `idx` on `cpu`: the clock delta, the ledger
-    /// delta, and the effect log. Allocation-free unless an enclosing
-    /// recording is collecting the effects.
-    pub(crate) fn apply_summary(&mut self, idx: usize, cpu: usize) {
-        // Move the summary out so the world can be mutated while it is
-        // read; moving `Vec` headers allocates nothing.
-        let s = std::mem::take(&mut self.summaries.summaries[idx]);
-        self.compute(cpu, s.cycles);
+    /// delta, and the effect log, reading the summary in place.
+    /// Allocation-free unless an enclosing recording is collecting the
+    /// effects.
+    fn apply_summary(&mut self, idx: usize, cpu: usize) {
+        let (memo, clock, stats, mut vmcs) = self.replay_parts(cpu);
+        let s = &memo.summaries[idx];
+        clock.advance(s.cycles);
         for &(level, reason, n) in &s.exits {
-            self.stats.exits.add(level, reason, n);
+            stats.exits.add(level, reason, n);
         }
         for &(level, n) in &s.interventions {
-            self.stats.interventions.add(level, n);
+            stats.interventions.add(level, n);
         }
         for &(level, reason, n, c) in &s.attributed {
-            self.stats.outermost_exits.add(level, reason, n);
-            self.stats.attribute(level, reason, c);
+            stats.outermost_exits.add(level, reason, n);
+            stats.attribute(level, reason, c);
         }
         for &e in &s.effects {
-            self.apply_effect(cpu, e);
+            e.apply(&mut vmcs);
         }
-        if self.summaries.recording() {
-            self.summaries.log.extend_from_slice(&s.effects);
+        if memo.recording() {
+            memo.log.extend_from_slice(&s.effects);
         }
-        self.summaries.summaries[idx] = s;
     }
 
     /// Starts recording the subtree of the exit keyed `key` on `cpu`.
-    pub(crate) fn begin_summary(&mut self, key: u64, cpu: usize) {
+    fn begin_summary(&mut self, key: u64, cpu: usize) {
         let rec = Recording {
             key,
             t0: self.now(cpu),
@@ -454,7 +407,7 @@ impl World {
     /// Finishes the innermost recording and stores its summary, or
     /// marks its key unsummarizable if it was tainted or touched a
     /// ledger a summary cannot replay.
-    pub(crate) fn end_summary(&mut self, cpu: usize) {
+    fn end_summary(&mut self, cpu: usize) {
         let rec = self
             .summaries
             .stack
@@ -519,9 +472,9 @@ impl World {
 
     /// Marks every active recording unsummarizable: the subtree did
     /// something that depends on, or changes, state the effect log
-    /// cannot describe (EPT population, IPIs and interrupt delivery,
-    /// halt chains, doorbells, DVH interception, timer arming, or an
-    /// untracked VMCS store). One predicted branch when not recording.
+    /// cannot describe (IPIs and interrupt delivery, halt chains,
+    /// doorbells, DVH interception, timer arming, or an untracked VMCS
+    /// store). One predicted branch when not recording.
     #[inline(always)]
     pub(crate) fn taint_summaries(&mut self) {
         if self.summaries.recording() {
@@ -579,28 +532,9 @@ impl World {
     /// of the logged stores above).
     #[inline(never)]
     fn log_effect(&mut self, cpu: usize, e: Effect) {
-        self.summaries.log.push(e);
-        self.apply_effect(cpu, e);
-    }
-
-    #[inline(always)]
-    fn apply_effect(&mut self, cpu: usize, e: Effect) {
-        match e {
-            Effect::Set {
-                level,
-                field: f,
-                value,
-            } => self.vmcs_store(level as usize, cpu).write(f, value),
-            Effect::AddRip { level, delta } => {
-                let m = self.vmcs_store(level as usize, cpu);
-                let rip = m.read(field::GUEST_RIP);
-                m.write(field::GUEST_RIP, rip.wrapping_add(delta));
-            }
-            Effect::Copy { dst, src, field: f } => {
-                let v = self.vmcs(src as usize, cpu).read(f);
-                self.vmcs_store(dst as usize, cpu).write(f, v);
-            }
-        }
+        let (memo, _, _, mut vmcs) = self.replay_parts(cpu);
+        memo.log.push(e);
+        e.apply(&mut vmcs);
     }
 
     /// Number of replayable exit summaries recorded so far (tainted
@@ -724,9 +658,9 @@ mod tests {
         let mut w = world(2);
         drive(&mut w);
         assert!(w.exit_summary_count() > 0);
-        let programs: Vec<u64> = [Program::ExitSide, Program::Resume]
+        let programs: Vec<u64> = [TAG_EXIT_SIDE, TAG_RESUME]
             .into_iter()
-            .flat_map(|p| [false, true].map(|outer| program_key(0, 1, p, outer).unwrap()))
+            .flat_map(|tag| [false, true].map(|outer| program_key(0, 1, tag, outer).unwrap()))
             .collect();
         let keys: Vec<u64> = w.summaries.entries.keys().copied().collect();
         for &key in &keys {
@@ -787,6 +721,17 @@ mod tests {
         );
         let tsc = ExitQualification::msr_write(msr::IA32_TSC_DEADLINE, 9);
         assert!(key(0, 2, ExitReason::MsrWrite, &tsc).is_some());
+        // Synthetic exit state carries the guest-physical word verbatim,
+        // so an exit that sets it (an MMIO doorbell) is keyed neither as
+        // a primitive nor as a forward chain, whatever its reason.
+        let mmio = ExitQualification::mmio(0xFEB0_0000, 1);
+        let plain = ExitQualification::default();
+        for reason in [ExitReason::ApicWrite, ExitReason::EptMisconfig] {
+            assert_eq!(key(0, 2, reason, &mmio), None, "{reason}");
+            assert_eq!(forward_key(0, 1, 2, reason, &mmio), None, "{reason}");
+            assert!(forward_key(0, 1, 2, reason, &plain).is_some(), "{reason}");
+        }
+        assert!(key(0, 2, ExitReason::ApicWrite, &plain).is_some());
     }
 
     #[test]

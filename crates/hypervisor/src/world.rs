@@ -17,10 +17,11 @@
 //! that recursion lives in `exits.rs` and is where exit multiplication
 //! comes from.
 
-use crate::config::{HvKind, IoModel, WorldConfig};
+use crate::config::{HvKind, IoModel, WorldConfig, MAX_LEVELS};
 use crate::extension::L0Extension;
 use crate::profile::HvProfile;
 use crate::stats::RunStats;
+use crate::summary::SummaryMemo;
 use crate::trace::Tracer;
 use dvh_arch::apic::{LapicState, LapicTimer, PiDescriptor};
 use dvh_arch::costs::CostModel;
@@ -33,7 +34,6 @@ use dvh_devices::pci::Bdf;
 use dvh_devices::vhost::VhostNet;
 use dvh_devices::virtio::blk::VirtioBlk;
 use dvh_devices::virtio::net::VirtioNet;
-use dvh_memory::ept::Ept;
 use dvh_memory::iommu_pt::{IoTable, ShadowIoTable};
 use dvh_memory::sparse::SparseMemory;
 use dvh_memory::{DirtyBitmap, Perms};
@@ -116,10 +116,6 @@ pub struct World {
     pub shadow_io: Option<ShadowIoTable>,
     /// The physical IOMMU (passthrough model).
     pub phys_iommu: Iommu,
-    /// Extended page tables: `epts[k]` is the stage built by the
-    /// hypervisor at level `k` for the VM at level `k+1` (lazy; see
-    /// `memory_virt.rs`).
-    pub epts: Vec<Ept>,
     pub(crate) extensions: Vec<Box<dyn L0Extension>>,
     /// Whether L0 has cached the nested doorbell GPA resolution (KVM's
     /// MMIO fast path): the first nested doorbell pays the full nested
@@ -162,7 +158,21 @@ pub struct World {
     pub(crate) vmentry_findings: Vec<crate::check::VmentryFinding>,
     /// Memoized guest-hypervisor primitives (see `summary.rs`); built
     /// lazily by the first occurrence of each primitive.
-    pub(crate) summaries: Box<crate::summary::SummaryMemo>,
+    pub(crate) summaries: Box<SummaryMemo>,
+}
+
+/// Every level's VMCS on one CPU (see [`World::replay_parts`]).
+pub(crate) struct CpuVmcs<'a> {
+    vmcs: &'a mut [Vec<Vmcs>],
+    cpu: usize,
+}
+
+impl CpuVmcs<'_> {
+    /// The VMCS the hypervisor at `level` keeps for this CPU.
+    #[inline(always)]
+    pub(crate) fn level(&mut self, level: usize) -> &mut Vmcs {
+        &mut self.vmcs[level][self.cpu]
+    }
 }
 
 impl World {
@@ -278,7 +288,6 @@ impl World {
             l0_io_stage: IoTable::new(),
             shadow_io: None,
             phys_iommu: Iommu::new(),
-            epts: (0..n).map(|_| Ept::new()).collect(),
             extensions: Vec::new(),
             mmio_doorbell_cached: false,
             tracer: None,
@@ -520,16 +529,27 @@ impl World {
         &mut self.vmcs[owner][cpu]
     }
 
+    /// What an exit-summary hit on `cpu` writes (that CPU's clock, the
+    /// ledger and every level's VMCS on it), borrowed apart from the
+    /// memo so that the hit reads its summary in place.
+    #[inline(always)]
+    pub(crate) fn replay_parts(
+        &mut self,
+        cpu: usize,
+    ) -> (&mut SummaryMemo, &mut PhysCpu, &mut RunStats, CpuVmcs<'_>) {
+        let (clock, vmcs) = (&mut self.cpus[cpu], &mut self.vmcs);
+        (
+            &mut self.summaries,
+            clock,
+            &mut self.stats,
+            CpuVmcs { vmcs, cpu },
+        )
+    }
+
     /// The virtio device provided by the hypervisor at `level`
     /// (bounds-checked here so dispatch paths never index raw).
     pub fn virtio_dev_mut(&mut self, level: usize) -> &mut VirtioNet {
         &mut self.virtio[level]
-    }
-
-    /// The EPT stage built by the hypervisor at `stage` for the VM at
-    /// `stage + 1`.
-    pub fn ept_stage_mut(&mut self, stage: usize) -> &mut Ept {
-        &mut self.epts[stage]
     }
 
     /// The set of vmcs12 fields L0 shadows for L1 (empty when VMCS
@@ -607,11 +627,11 @@ impl World {
             return;
         };
         for (lvl, dev) in self.virtio.iter().enumerate() {
-            dev.rx.export_metrics(reg, virtio_queue_tag(lvl, true));
-            dev.tx.export_metrics(reg, virtio_queue_tag(lvl, false));
+            dev.rx.export_metrics(reg, RX_TAGS[lvl]);
+            dev.tx.export_metrics(reg, TX_TAGS[lvl]);
         }
         for (lvl, vh) in self.vhost.iter().enumerate() {
-            vh.export_metrics(reg, vhost_tag(lvl));
+            vh.export_metrics(reg, VHOST_TAGS[lvl]);
         }
     }
 
@@ -644,7 +664,7 @@ impl World {
                 level,
                 cpu,
                 dvh_arch::vmx::ExitReason::Vmread,
-                dvh_arch::vmx::ExitQualification::vmread(f),
+                dvh_arch::vmx::ExitQualification::vmcs(f),
             );
         }
         self.vmcs[level][cpu].read(f)
@@ -653,7 +673,7 @@ impl World {
     /// `vmwrite` of `f = v` by the hypervisor at `level`.
     #[inline]
     pub fn hv_vmwrite(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
-        self.hv_vmwrite_trap(level, cpu, f, v);
+        self.hv_vmwrite_trap(level, cpu, f);
         // The exit engine's own vmwrites store through `vmcs_store`;
         // this one is outside any exit-summary effect log.
         self.taint_summaries();
@@ -661,10 +681,10 @@ impl World {
     }
 
     /// The instruction half of [`World::hv_vmwrite`]: charges the
-    /// `vmwrite` (native, shadowed, or trapped and reflected) without
-    /// storing the value; the caller stores it.
+    /// `vmwrite` of `f` (native, shadowed, or trapped and reflected)
+    /// without storing a value; the caller stores it.
     #[inline]
-    pub(crate) fn hv_vmwrite_trap(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
+    pub(crate) fn hv_vmwrite_trap(&mut self, level: usize, cpu: usize, f: u32) {
         if level == 0 {
             self.compute(cpu, self.costs.vmwrite);
         } else if level == 1 && self.profile.uses_shadowing && self.shadow.covers_write(f) {
@@ -674,7 +694,7 @@ impl World {
                 level,
                 cpu,
                 dvh_arch::vmx::ExitReason::Vmwrite,
-                dvh_arch::vmx::ExitQualification::vmwrite(f, v),
+                dvh_arch::vmx::ExitQualification::vmcs(f),
             );
         }
     }
@@ -753,35 +773,23 @@ impl std::fmt::Debug for World {
     }
 }
 
-/// Static metric tag for the virtio device provided by the hypervisor
-/// at `level` (metric tags are `&'static str`; levels beyond the
-/// modeled maximum share a catch-all tag).
-fn virtio_queue_tag(level: usize, rx: bool) -> &'static str {
-    match (level, rx) {
-        (0, true) => "l0-rx",
-        (0, false) => "l0-tx",
-        (1, true) => "l1-rx",
-        (1, false) => "l1-tx",
-        (2, true) => "l2-rx",
-        (2, false) => "l2-tx",
-        (3, true) => "l3-rx",
-        (3, false) => "l3-tx",
-        (_, true) => "ln-rx",
-        (_, false) => "ln-tx",
-    }
+/// Static metric tags `l0-<kind>` through `l10-<kind>`, one per level
+/// that can provide a device (metric tags are `&'static str`).
+macro_rules! level_tags {
+    ($kind:literal) => {
+        level_tags!($kind; 0 1 2 3 4 5 6 7 8 9 10)
+    };
+    ($kind:literal; $($level:literal)*) => {
+        [$(concat!("l", $level, "-", $kind)),*]
+    };
 }
 
-/// Static metric tag for the vhost backend at `level`; see
-/// [`virtio_queue_tag`].
-fn vhost_tag(level: usize) -> &'static str {
-    match level {
-        0 => "l0-vhost",
-        1 => "l1-vhost",
-        2 => "l2-vhost",
-        3 => "l3-vhost",
-        _ => "ln-vhost",
-    }
-}
+/// Metric tags of the virtio RX queue provided by each level.
+const RX_TAGS: [&str; MAX_LEVELS] = level_tags!("rx");
+/// Metric tags of the virtio TX queue provided by each level.
+const TX_TAGS: [&str; MAX_LEVELS] = level_tags!("tx");
+/// Metric tags of the vhost backend at each level.
+const VHOST_TAGS: [&str; MAX_LEVELS] = level_tags!("vhost");
 
 #[cfg(test)]
 mod tests {
@@ -850,6 +858,27 @@ mod tests {
             s.lookup(LEAF_BUF_BASE_PFN).unwrap().0,
             LEAF_BUF_BASE_PFN + 2 * STAGE_PFN_OFFSET
         );
+    }
+
+    #[test]
+    fn every_level_exports_device_metrics_under_its_own_tag() {
+        use dvh_obs::{metrics::names, MetricKey};
+        let mut w = world(6);
+        w.enable_metrics();
+        for (k, dev) in w.virtio.iter_mut().enumerate() {
+            for _ in 0..=k {
+                dev.tx.kick();
+            }
+        }
+        w.export_device_metrics();
+        let reg = w.metrics().unwrap();
+        for (k, tag) in TX_TAGS.into_iter().take(6).enumerate() {
+            let key = MetricKey::tagged(names::VIRTQUEUE_KICKS, tag);
+            assert_eq!(reg.counter(&key), k as u64 + 1, "{key}");
+        }
+        // The first four levels keep the tags committed baselines use.
+        assert_eq!(RX_TAGS[3], "l3-rx");
+        assert_eq!(VHOST_TAGS[MAX_LEVELS - 1], "l10-vhost");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Extended page tables: second-stage translation from guest-physical
 //! to (next lower level's) physical addresses.
 //!
-//! One `Ept` per virtualization level maps that level's RAM. Whether an
-//! access is MMIO is decided by the hypervisor, not here (see
-//! `World::gpa_is_l0_device`); everything this table does not map
-//! faults as an `EptViolation`.
+//! An `Ept` maps one virtualization level's RAM; everything it does not
+//! map faults as an EPT violation. The simulated machine keeps none:
+//! its VMs run with their memory mapped, so no exit path walks or
+//! populates an EPT. The table is timed on its own by hostbench's
+//! `memory.ept_*` layer metrics.
 
 use crate::addr::{Gpa, Hpa};
 use crate::pagetable::{PageTable, Perms, TranslateErr, Translation};

@@ -168,26 +168,6 @@ fn interrupts_arriving_during_migration_blackout_survive() {
     assert_eq!(m.world().lapic[0].accepted_count(), accepted_before + 1);
 }
 
-// ---- EPT warm-up -----------------------------------------------------------------
-
-#[test]
-fn nested_warmup_costs_disappear_at_steady_state() {
-    let mut m = Machine::build(MachineConfig::baseline(3));
-    let t0 = m.now(0);
-    m.world_mut().guest_touch_page(0, 0x900);
-    let warm = (m.now(0) - t0).as_u64();
-    let t1 = m.now(0);
-    for _ in 0..10 {
-        m.world_mut().guest_touch_page(0, 0x900);
-    }
-    let steady = (m.now(0) - t1).as_u64();
-    assert!(
-        warm > 1000 * steady / 10,
-        "warmup {warm} vs steady-per-touch {}",
-        steady / 10
-    );
-}
-
 // ---- MSI-X masking ----------------------------------------------------------------
 
 #[test]

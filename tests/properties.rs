@@ -379,27 +379,6 @@ fn pause_resume_conserves_interrupts() {
     });
 }
 
-/// EPT population is complete and canonical for arbitrary pages at any
-/// depth.
-#[test]
-fn ept_population_matches_canonical_layout() {
-    check(10, |rng| {
-        let levels = rng.usize_range(1, 4);
-        let pages = rng.vec(0, 5_000, 1, 10);
-        let mut m = Machine::build(MachineConfig::baseline(levels));
-        for p in &pages {
-            m.world_mut().guest_touch_page(0, *p);
-        }
-        for p in &pages {
-            assert!(m.world().leaf_page_mapped(*p));
-            assert_eq!(
-                m.world_mut().walk_leaf_to_host(*p),
-                Some(*p + levels as u64 * dvh_hypervisor::world::STAGE_PFN_OFFSET)
-            );
-        }
-    });
-}
-
 /// The virtqueue design [`VirtQueue`] replaced, kept as its
 /// differential reference: every chain a heap `Vec`, every charge an
 /// entry in a map keyed by head.
