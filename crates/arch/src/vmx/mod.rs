@@ -153,7 +153,7 @@ impl Vmcs {
     #[inline(always)]
     pub fn read(&self, field: u32) -> u64 {
         match slot_of(field) {
-            Some(slot) => self.values[slot],
+            Some(slot) => self.read_slot(slot),
             None => self.overflow.get(&field).copied().unwrap_or(0),
         }
     }
@@ -162,14 +162,33 @@ impl Vmcs {
     #[inline(always)]
     pub fn write(&mut self, field: u32, value: u64) {
         match slot_of(field) {
-            Some(slot) => {
-                self.values[slot] = value;
-                self.written |= 1 << slot;
-            }
+            Some(slot) => self.write_slot(slot, value),
             None => {
                 self.overflow.insert(field, value);
             }
         }
+    }
+
+    /// Reads the field whose dense slot is `slot` (see [`slot_of`]),
+    /// for callers that resolved the encoding once in advance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= NUM_SLOTS`.
+    #[inline(always)]
+    pub fn read_slot(&self, slot: usize) -> u64 {
+        self.values[slot]
+    }
+
+    /// Writes the field whose dense slot is `slot` (see [`slot_of`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= NUM_SLOTS`.
+    #[inline(always)]
+    pub fn write_slot(&mut self, slot: usize, value: u64) {
+        self.values[slot] = value;
+        self.written |= 1 << slot;
     }
 
     /// Sets `bits` in a control field (read-modify-write OR).

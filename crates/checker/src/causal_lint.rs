@@ -222,15 +222,8 @@ mod tests {
         let mut m = traced_machine();
         let w = m.world_mut();
         let mut stats = w.stats.clone();
-        let ((level, reason), _) = stats
-            .cycles_by_reason
-            .iter()
-            .next()
-            .map(|(k, v)| (*k, *v))
-            .expect("some exits");
-        stats
-            .cycles_by_reason
-            .insert((level, reason), dvh_arch::Cycles::new(1));
+        let ((level, reason), _) = stats.cycles_by_reason.iter().next().expect("some exits");
+        *stats.cycles_by_reason.get_mut(level, reason) = dvh_arch::Cycles::new(1);
         let violations = lint_causal(w.trace_events(), w.num_cpus(), w.trace_dropped(), &stats);
         assert!(
             violations

@@ -130,7 +130,7 @@ pub(crate) fn cycle_ledger(
     stats
         .cycles_by_reason
         .iter()
-        .map(|(&key, c)| (key, c.as_u64()))
+        .map(|(key, c)| (key, c.as_u64()))
 }
 
 /// Compares per-(level, reason) totals of `unit` derived by `view`

@@ -164,7 +164,7 @@ mod tests {
             && v.detail.contains("never attributed")));
         // ...and drift on a key both sides know about.
         let ((level, reason), _) = stats.cycles_by_reason.iter().next().expect("some exits");
-        reg.observe_exit(*level, *reason, Cycles::new(1));
+        reg.observe_exit(level, reason, Cycles::new(1));
         let drifted = lint_metrics(&reg, &stats);
         assert!(drifted.len() > phantom.len());
     }
@@ -178,7 +178,7 @@ mod tests {
         // A zero-cycle observation moves one histogram's count and not
         // its sum: only the count rule can see it.
         let ((level, reason), _) = stats.cycles_by_reason.iter().next().expect("some exits");
-        reg.observe_exit(*level, *reason, Cycles::ZERO);
+        reg.observe_exit(level, reason, Cycles::ZERO);
         let drifted = lint_metrics(&reg, &stats);
         assert_eq!(drifted.len(), 1, "{drifted:?}");
         assert_eq!(drifted[0].rule, "exit-counts-conserved");

@@ -38,7 +38,7 @@ pub fn attribution(stats: &RunStats) -> Vec<Attribution> {
     let mut rows: Vec<Attribution> = stats
         .cycles_by_reason
         .iter()
-        .map(|(&(level, reason), c)| {
+        .map(|((level, reason), c)| {
             let (count, cycles) = (stats.outermost_exits.get(level, reason), c.as_u64());
             Attribution {
                 level,
@@ -54,7 +54,7 @@ pub fn attribution(stats: &RunStats) -> Vec<Attribution> {
             }
         })
         .collect();
-    // Stable: the map yields (level, reason) order, which ties keep.
+    // Stable: the ledger yields (level, reason) order, which ties keep.
     rows.sort_by_key(|r| std::cmp::Reverse(r.cycles));
     rows
 }
@@ -212,7 +212,7 @@ mod tests {
         let mut s = RunStats::new();
         for &(level, reason, spent) in exits {
             s.outermost_exits.record(level, reason);
-            *s.cycles_by_reason.entry((level, reason)).or_default() += Cycles::new(spent);
+            s.cycles_by_reason.add(level, reason, Cycles::new(spent));
         }
         s
     }

@@ -142,9 +142,10 @@ impl Nic {
     }
 
     /// Transmits a `len`-byte frame from function `idx` whose payload
-    /// `fill` writes into a zeroed, recycled buffer (the device's DMA
-    /// read). If `fill` fails the frame is dropped: nothing reaches the
-    /// wire and no frame is evicted.
+    /// `fill` writes into a recycled buffer (the device's DMA read).
+    /// The buffer still holds an evicted frame's bytes: `fill` must
+    /// write all `len` of them. If `fill` fails the frame is dropped:
+    /// nothing reaches the wire and no frame is evicted.
     ///
     /// # Errors
     ///
@@ -160,7 +161,6 @@ impl Nic {
         fill: impl FnOnce(&mut [u8]) -> Result<(), E>,
     ) -> Result<(), E> {
         let mut payload = std::mem::take(&mut self.spare);
-        payload.clear();
         payload.resize(len, 0);
         if let Err(e) = fill(&mut payload) {
             self.spare = payload;
@@ -280,16 +280,16 @@ mod tests {
         for _ in 0..=WIRE_CAPACITY {
             nic.transmit(0, Frame::patterned(1500, 0xAA));
         }
+        // The recycled buffer is cut to the new frame's length, and a
+        // fill that writes all of it leaves nothing of the old frame.
         nic.transmit_with(0, 200, |buf| {
-            assert!(buf.iter().all(|&b| b == 0), "buffer must arrive zeroed");
-            buf[..100].fill(7);
+            assert_eq!(buf.len(), 200);
+            buf.fill(7);
             Ok::<(), ()>(())
         })
         .unwrap();
         let last = nic.wire().back().unwrap();
-        assert_eq!(last.len(), 200);
-        assert!(last.payload[..100].iter().all(|&b| b == 7));
-        assert!(last.payload[100..].iter().all(|&b| b == 0));
+        assert_eq!(last.payload, [7; 200]);
     }
 
     #[test]

@@ -155,6 +155,8 @@ pub fn dma_transmit(
                 dma_read_into(mem, xl, d.addr, &mut payload[filled..filled + n])?;
                 filled += n;
             }
+            // The buffer is recycled: a byte not read would be stale.
+            debug_assert_eq!(filled, payload.len(), "the DMA read missed bytes");
             Ok(())
         });
         done(tx.map(|()| len));
@@ -340,6 +342,31 @@ mod tests {
         assert_eq!(nic.wire()[0].payload, b"hello world");
         assert_eq!(vhost.stats.tx_bytes, 11);
         assert_eq!(q.used_len(), 1);
+    }
+
+    #[test]
+    fn recycled_long_frames_leak_nothing_into_frames_from_unwritten_memory() {
+        let mut mem = SparseMemory::new();
+        mem.write(Gpa::new(0x1000), &[0xAA; 1500]);
+        let mut q = VirtQueue::new(8);
+        let mut nic = Nic::new(Bdf::new(1, 0, 0), 0);
+        let send = |q: &mut VirtQueue, nic: &mut Nic, addr, len| {
+            q.add_reclaiming(Descriptor {
+                addr: Gpa::new(addr),
+                len,
+                device_writes: false,
+            })
+            .unwrap();
+            dma_transmit(q, &mem, &mut Identity, nic, 0, |r| assert!(r.is_ok()));
+        };
+        // Fill the wire with long frames, so every later frame reuses
+        // a 1,500-byte buffer of 0xAA bytes.
+        for _ in 0..=crate::nic::WIRE_CAPACITY {
+            send(&mut q, &mut nic, 0x1000, 1500);
+        }
+        // A short frame from a page never written reads as zeroes.
+        send(&mut q, &mut nic, 0x9000, 200);
+        assert_eq!(nic.wire().back().unwrap().payload, [0; 200]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    the recursion.
 
 use crate::config::IoModel;
-use crate::summary::{forward_key, key, program_key, TAG_EXIT_SIDE, TAG_RESUME};
+use crate::summary::{forward_key, key, program_key, return_key, TAG_EXIT_SIDE, TAG_RESUME};
 use crate::trace::TraceEvent;
 use crate::world::World;
 use dvh_arch::apic::IcrValue;
@@ -390,17 +390,28 @@ impl World {
             None
         };
 
-        // The forward chain and the resume chain depend only on the
-        // levels and the reason, so each may be one summary hit; the
-        // owner's handler between them always runs in full.
+        // The owner's reason handler runs in three parts. Its pure entry
+        // half ends the forward chain and its pure exit half starts the
+        // return chain; each chain depends only on the levels, the
+        // reason and the MSR, so each may be one summary hit. The core
+        // between them always runs live.
         self.run_keyed(
             cpu,
             |_| forward_key(cpu, owner, from_level, reason, &qual),
-            |w| w.forward_chain(owner, cpu, reason, &qual),
+            |w| {
+                w.forward_chain(owner, cpu, reason, &qual);
+                w.owner_entry_half(owner, cpu, from_level, reason, &qual);
+            },
         );
-        let flow = self.owner_reason_handler(owner, cpu, from_level, reason, &qual);
-        if flow == HandlerFlow::Resume {
-            self.resume_program(owner, cpu);
+        if self.owner_core(owner, cpu, from_level, reason, &qual) == HandlerFlow::Resume {
+            self.run_keyed(
+                cpu,
+                |_| return_key(cpu, owner, from_level, reason, &qual),
+                |w| {
+                    w.owner_exit_half(owner, cpu, reason, &qual);
+                    w.resume_program(owner, cpu);
+                },
+            );
         }
         if let Some(t0) = obs_t0 {
             let spent = self.now(cpu) - t0;
@@ -581,7 +592,7 @@ impl World {
 
     /// A `vmwrite` by the hypervisor at `level` of field `f`'s own
     /// current value. Its trap only touches lower levels' VMCSs, so the
-    /// store changes no value and exit summaries need not log it (the
+    /// store changes no value and exit summaries need not track it (the
     /// recording run on this CPU already set the written-bit).
     fn write_back(&mut self, level: usize, cpu: usize, f: u32) {
         let v = self.vmcs(level, cpu).read(f);
@@ -589,68 +600,35 @@ impl World {
         self.vmcs_store(level, cpu).write(f, v);
     }
 
-    /// The reason-specific handler run by a guest hypervisor (`owner`
-    /// ≥ 1) emulating hardware for its nested VM at `from_level`.
-    fn owner_reason_handler(
+    /// The entry half of the reason-specific handler run by a guest
+    /// hypervisor (`owner` ≥ 1) emulating hardware for its nested VM:
+    /// everything before [`World::owner_core`]. Pure: it depends only on
+    /// the levels, the reason and the MSR, so it ends the forward chain.
+    fn owner_entry_half(
         &mut self,
         owner: usize,
         cpu: usize,
         from_level: usize,
         reason: ExitReason,
         qual: &ExitQualification,
-    ) -> HandlerFlow {
+    ) {
         match reason {
-            ExitReason::Vmcall => {
-                self.compute(cpu, self.costs.hypercall_body);
-                self.advance_guest_rip(owner, cpu);
-                HandlerFlow::Resume
+            ExitReason::Vmcall => self.compute(cpu, self.costs.hypercall_body),
+            ExitReason::MsrWrite if qual.msr == msr::IA32_TSC_DEADLINE => {
+                // Emulate the nested VM's timer with the owner's hrtimer
+                // machinery. The owner consults the TSC offset it
+                // programmed for the nested VM (a cold VMCS field).
+                self.hv_vmread(owner, cpu, field::TSC_OFFSET);
+                self.compute(cpu, self.costs.rdtsc);
+                self.compute(cpu, self.costs.hrtimer_program);
             }
-            ExitReason::MsrWrite => match qual.msr {
-                msr::IA32_TSC_DEADLINE => {
-                    // Emulate the nested VM's timer with the owner's
-                    // hrtimer machinery. The owner consults the TSC
-                    // offset it programmed for the nested VM (a cold
-                    // VMCS field) and arming its own hardware timer is
-                    // itself a trapped wrmsr — exit multiplication.
-                    self.hv_vmread(owner, cpu, field::TSC_OFFSET);
-                    self.compute(cpu, self.costs.rdtsc);
-                    self.compute(cpu, self.costs.hrtimer_program);
-                    if from_level == self.leaf_level() {
-                        self.arm_leaf_timer(cpu, qual.msr_value);
-                    }
-                    self.hv_wrmsr(owner, cpu, msr::IA32_TSC_DEADLINE, qual.msr_value);
-                    self.advance_guest_rip(owner, cpu);
-                    HandlerFlow::Resume
-                }
-                msr::IA32_X2APIC_ICR => {
-                    // Fig. 4: the owner updates the destination's PI
-                    // descriptor and asks the hardware (via its own
-                    // trapped ICR write) to send the posted interrupt.
-                    self.compute(cpu, self.costs.icr_emulate);
-                    self.compute(cpu, self.costs.pi_desc_update);
-                    self.hv_wrmsr(owner, cpu, msr::IA32_X2APIC_ICR, qual.msr_value);
-                    self.advance_guest_rip(owner, cpu);
-                    HandlerFlow::Resume
-                }
-                _ => {
-                    self.compute(cpu, self.costs.vmx_insn_emulate);
-                    self.advance_guest_rip(owner, cpu);
-                    HandlerFlow::Resume
-                }
-            },
-            ExitReason::MsrRead => {
-                self.compute(cpu, self.costs.vmx_insn_emulate);
-                self.advance_guest_rip(owner, cpu);
-                HandlerFlow::Resume
+            ExitReason::MsrWrite if qual.msr == msr::IA32_X2APIC_ICR => {
+                // Fig. 4: the owner updates the destination's PI
+                // descriptor.
+                self.compute(cpu, self.costs.icr_emulate);
+                self.compute(cpu, self.costs.pi_desc_update);
             }
-            ExitReason::Hlt => {
-                // Block the nested vCPU; with nothing else to run, the
-                // owner idles too — recursively, down to L0.
-                self.compute(cpu, self.costs.vcpu_block);
-                self.push_halt_level(cpu, owner);
-                self.vmexit(owner, cpu, ExitReason::Hlt, ExitQualification::default());
-                HandlerFlow::Halted
-            }
+            ExitReason::Hlt => self.compute(cpu, self.costs.vcpu_block),
             ExitReason::EptMisconfig => {
                 // The nested VM kicked the doorbell of the virtio
                 // device this owner provides (cascade model). MMIO
@@ -663,26 +641,14 @@ impl World {
                 self.compute(cpu, self.costs.mmio_decode);
                 self.compute(cpu, self.costs.mmio_bus_lookup);
                 self.compute(cpu, self.costs.ioeventfd_signal);
-                self.owner_doorbell(owner, cpu);
-                self.advance_guest_rip(owner, cpu);
-                HandlerFlow::Resume
-            }
-            ExitReason::Vmread | ExitReason::Vmwrite | ExitReason::Vmptrst => {
-                self.compute(cpu, self.costs.vmx_insn_emulate);
-                self.advance_guest_rip(owner, cpu);
-                HandlerFlow::Resume
             }
             ExitReason::Vmptrld | ExitReason::Vmclear => {
                 self.compute(cpu, self.costs.vmx_insn_emulate);
                 self.hv_vmptrld(owner, cpu);
-                self.advance_guest_rip(owner, cpu);
-                HandlerFlow::Resume
             }
             ExitReason::Invept | ExitReason::Invvpid => {
                 self.compute(cpu, self.costs.vmx_insn_emulate);
                 self.hv_invept(owner, cpu);
-                self.advance_guest_rip(owner, cpu);
-                HandlerFlow::Resume
             }
             ExitReason::Vmresume | ExitReason::Vmlaunch => {
                 // Emulate the nested hypervisor's VM entry: merge its
@@ -696,18 +662,70 @@ impl World {
                 }
                 self.on_vmentry(from_level, cpu);
                 self.hv_vmptrld(owner, cpu);
-                HandlerFlow::Resume
             }
             ExitReason::ApicWrite | ExitReason::ApicAccess | ExitReason::EoiInduced => {
                 self.compute(cpu, self.costs.pi_desc_update);
-                self.advance_guest_rip(owner, cpu);
-                HandlerFlow::Resume
             }
-            _ => {
-                self.compute(cpu, self.costs.vmx_insn_emulate);
-                self.advance_guest_rip(owner, cpu);
-                HandlerFlow::Resume
+            // MSR reads, other MSR writes, vmread, vmwrite, vmptrst.
+            _ => self.compute(cpu, self.costs.vmx_insn_emulate),
+        }
+    }
+
+    /// The state-dependent core of the owner's reason handler, run live
+    /// on every exit between the forward and the return chain: the
+    /// leaf's timer arming, the owner's IPI send, the halt, and the
+    /// doorbell.
+    fn owner_core(
+        &mut self,
+        owner: usize,
+        cpu: usize,
+        from_level: usize,
+        reason: ExitReason,
+        qual: &ExitQualification,
+    ) -> HandlerFlow {
+        match reason {
+            // Only the leaf's own deadline arms its LAPIC timer.
+            ExitReason::MsrWrite
+                if qual.msr == msr::IA32_TSC_DEADLINE && from_level == self.leaf_level() =>
+            {
+                self.arm_leaf_timer(cpu, qual.msr_value)
             }
+            ExitReason::MsrWrite if qual.msr == msr::IA32_X2APIC_ICR => {
+                // Fig. 4: the owner asks the hardware (via its own
+                // trapped ICR write) to send the posted interrupt.
+                self.hv_wrmsr(owner, cpu, msr::IA32_X2APIC_ICR, qual.msr_value);
+            }
+            ExitReason::Hlt => {
+                // Block the nested vCPU; with nothing else to run, the
+                // owner idles too — recursively, down to L0.
+                self.push_halt_level(cpu, owner);
+                self.vmexit(owner, cpu, ExitReason::Hlt, ExitQualification::default());
+                return HandlerFlow::Halted;
+            }
+            ExitReason::EptMisconfig => self.owner_doorbell(owner, cpu),
+            _ => {}
+        }
+        HandlerFlow::Resume
+    }
+
+    /// The exit half of the owner's reason handler, run after
+    /// [`World::owner_core`] when the nested VM resumes. Pure, so it
+    /// starts the return chain: arming the owner's own hardware timer
+    /// for a `TSC_DEADLINE` write is itself a trapped wrmsr (exit
+    /// multiplication), and every emulated instruction but `vmresume`
+    /// advances the nested VM's RIP.
+    fn owner_exit_half(
+        &mut self,
+        owner: usize,
+        cpu: usize,
+        reason: ExitReason,
+        qual: &ExitQualification,
+    ) {
+        if reason == ExitReason::MsrWrite && qual.msr == msr::IA32_TSC_DEADLINE {
+            self.hv_wrmsr(owner, cpu, msr::IA32_TSC_DEADLINE, qual.msr_value);
+        }
+        if !matches!(reason, ExitReason::Vmresume | ExitReason::Vmlaunch) {
+            self.advance_guest_rip(owner, cpu);
         }
     }
 

@@ -6,108 +6,183 @@ use dvh_arch::vmx::ExitReason;
 use dvh_arch::Cycles;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::Sum;
+use std::ops::{AddAssign, Sub};
 
-/// One row per level in [`ExitLedger`]: a slot for every basic exit
-/// reason number (the largest architectural discriminant we model is
-/// [`ExitReason::ApicWrite`] = 56).
+/// One row per level in a [`ReasonLedger`]: a slot for every basic
+/// exit reason number (the largest architectural discriminant we model
+/// is [`ExitReason::ApicWrite`] = 56).
 const REASON_SLOTS: usize = 57;
 
-/// Dense per-(level, reason) exit counters.
+/// Dense per-(level, reason) ledger of counts ([`ExitLedger`]) or
+/// cycles ([`CycleLedger`]).
 ///
-/// `record` is on the engine's innermost path (once per simulated
-/// hardware exit), so the ledger is a flat `Vec` indexed by
-/// `level * REASON_SLOTS + reason.number()` instead of an ordered map.
-/// Iteration yields only touched entries, sorted by `(level, reason)`
-/// exactly like the `BTreeMap<(usize, ExitReason), u64>` it replaced:
-/// `ExitReason`'s derived `Ord` compares discriminants, which are the
-/// reason numbers the row is indexed by.
-#[derive(Debug, Clone, Default)]
-pub struct ExitLedger {
-    counts: Vec<u64>,
+/// `add` is on the engine's innermost path (once per simulated
+/// hardware exit, once per outermost exit attributed), so the ledger
+/// is a flat `Vec` indexed by `level * REASON_SLOTS + reason.number()`
+/// instead of an ordered map. Iteration yields only non-zero entries,
+/// sorted by `(level, reason)` exactly like the `BTreeMap<(usize,
+/// ExitReason), _>` it replaced: `ExitReason`'s derived `Ord` compares
+/// discriminants, which are the reason numbers the row is indexed by.
+#[derive(Debug, Clone)]
+pub struct ReasonLedger<T> {
+    cells: Vec<T>,
 }
 
-impl ExitLedger {
+/// Exit counts per (level, reason).
+pub type ExitLedger = ReasonLedger<u64>;
+
+/// Cycles per (level, reason).
+pub type CycleLedger = ReasonLedger<Cycles>;
+
+/// What a [`ReasonLedger`] can hold: counts and cycles.
+pub trait LedgerValue: Copy + Default + Eq + AddAssign + Sub<Output = Self> + Sum {}
+
+impl<T: Copy + Default + Eq + AddAssign + Sub<Output = T> + Sum> LedgerValue for T {}
+
+impl<T> Default for ReasonLedger<T> {
+    fn default() -> Self {
+        ReasonLedger { cells: Vec::new() }
+    }
+}
+
+impl<T: LedgerValue> ReasonLedger<T> {
     /// Creates an empty ledger.
-    pub fn new() -> ExitLedger {
-        ExitLedger::default()
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Increments the counter for (`level`, `reason`), growing the
-    /// level rows on first use.
+    /// The cell of (`level`, `reason`). Exit summaries store cells, so
+    /// that a replay skips the index arithmetic.
     #[inline(always)]
-    pub fn record(&mut self, level: usize, reason: ExitReason) {
-        self.add(level, reason, 1);
+    fn index(level: usize, reason: ExitReason) -> usize {
+        level * REASON_SLOTS + reason.number() as usize
     }
 
-    /// Adds `n` to the counter for (`level`, `reason`).
+    /// Adds `v` to the entry for (`level`, `reason`).
     #[inline(always)]
-    pub fn add(&mut self, level: usize, reason: ExitReason, n: u64) {
-        let idx = level * REASON_SLOTS + reason.number() as usize;
-        if idx >= self.counts.len() {
-            self.counts.resize((level + 1) * REASON_SLOTS, 0);
+    pub fn add(&mut self, level: usize, reason: ExitReason, v: T) {
+        self.add_at(Self::index(level, reason), v);
+    }
+
+    /// Adds `v` to cell `idx` (see `ReasonLedger::index`), growing
+    /// the level rows on first use.
+    #[inline(always)]
+    pub(crate) fn add_at(&mut self, idx: usize, v: T) {
+        match self.cells.get_mut(idx) {
+            Some(c) => *c += v,
+            None => self.grow_and_add(idx, v),
         }
-        self.counts[idx] += n;
     }
 
-    /// The count for (`level`, `reason`).
-    pub fn get(&self, level: usize, reason: ExitReason) -> u64 {
-        self.counts
-            .get(level * REASON_SLOTS + reason.number() as usize)
-            .copied()
-            .unwrap_or(0)
+    /// The cold path of [`ReasonLedger::add_at`]: the first entry of a
+    /// new level row.
+    #[inline(never)]
+    fn grow_and_add(&mut self, idx: usize, v: T) {
+        self.cells
+            .resize((idx / REASON_SLOTS + 1) * REASON_SLOTS, T::default());
+        self.cells[idx] += v;
+    }
+
+    /// The value of cell `idx`, zero if never touched.
+    fn at(&self, idx: usize) -> T {
+        self.cells.get(idx).copied().unwrap_or_default()
+    }
+
+    /// The entry for (`level`, `reason`).
+    pub fn get(&self, level: usize, reason: ExitReason) -> T {
+        self.at(Self::index(level, reason))
+    }
+
+    /// Mutable access to the entry for (`level`, `reason`), growing the
+    /// level rows on first use.
+    pub fn get_mut(&mut self, level: usize, reason: ExitReason) -> &mut T {
+        let idx = Self::index(level, reason);
+        self.add_at(idx, T::default());
+        &mut self.cells[idx]
     }
 
     /// Sum over all levels and reasons.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+    pub fn total(&self) -> T {
+        self.cells.iter().copied().sum()
     }
 
     /// Sum over all reasons for one level.
-    pub fn level_total(&self, level: usize) -> u64 {
-        let start = (level * REASON_SLOTS).min(self.counts.len());
-        let end = ((level + 1) * REASON_SLOTS).min(self.counts.len());
-        self.counts[start..end].iter().sum()
+    pub fn level_total(&self, level: usize) -> T {
+        let start = (level * REASON_SLOTS).min(self.cells.len());
+        let end = ((level + 1) * REASON_SLOTS).min(self.cells.len());
+        self.cells[start..end].iter().copied().sum()
     }
 
-    /// Whether nothing has been recorded.
+    /// Whether every entry is zero.
     pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&n| n == 0)
+        self.cells.iter().all(|&v| v == T::default())
     }
 
-    /// Iterates touched `((level, reason), count)` entries in
+    /// Number of non-zero entries.
+    pub fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    /// Iterates non-zero `((level, reason), value)` entries in
     /// `(level, reason)` order.
-    pub fn iter(&self) -> impl Iterator<Item = ((usize, ExitReason), u64)> + '_ {
-        self.counts.iter().enumerate().filter_map(|(idx, &n)| {
-            if n == 0 {
+    pub fn iter(&self) -> impl Iterator<Item = ((usize, ExitReason), T)> + '_ {
+        self.cells.iter().enumerate().filter_map(|(idx, &v)| {
+            if v == T::default() {
                 return None;
             }
             let level = idx / REASON_SLOTS;
             let reason = ExitReason::from_number((idx % REASON_SLOTS) as u16)
                 .expect("ledger row holds only valid reason numbers");
-            Some(((level, reason), n))
+            Some(((level, reason), v))
         })
     }
 
+    /// Iterates `(cell index, self − before)` over the cells that grew
+    /// since `before`, an earlier copy of this ledger.
+    pub(crate) fn growth_since<'a>(
+        &'a self,
+        before: &'a Self,
+    ) -> impl Iterator<Item = (usize, T)> + 'a {
+        self.cells.iter().enumerate().filter_map(|(idx, &v)| {
+            let was = before.at(idx);
+            (v != was).then(|| (idx, v - was))
+        })
+    }
+
+    /// The change of cell `idx` since `before`.
+    pub(crate) fn growth_at(&self, before: &Self, idx: usize) -> T {
+        self.at(idx) - before.at(idx)
+    }
+
     /// Adds every entry of `other` into this ledger.
-    pub fn merge(&mut self, other: &ExitLedger) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
+    pub fn merge(&mut self, other: &Self) {
+        if self.cells.len() < other.cells.len() {
+            self.cells.resize(other.cells.len(), T::default());
         }
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
+        for (dst, &src) in self.cells.iter_mut().zip(other.cells.iter()) {
             *dst += src;
         }
     }
 }
 
-impl PartialEq for ExitLedger {
-    fn eq(&self, other: &ExitLedger) -> bool {
+impl ExitLedger {
+    /// Increments the counter for (`level`, `reason`).
+    #[inline(always)]
+    pub fn record(&mut self, level: usize, reason: ExitReason) {
+        self.add(level, reason, 1);
+    }
+}
+
+impl<T: LedgerValue> PartialEq for ReasonLedger<T> {
+    fn eq(&self, other: &Self) -> bool {
         // Trailing all-zero rows are representation artifacts, not
-        // content; compare touched entries only.
+        // content; compare non-zero entries only.
         self.iter().eq(other.iter())
     }
 }
 
-impl Eq for ExitLedger {}
+impl<T: LedgerValue> Eq for ReasonLedger<T> {}
 
 /// Dense per-level intervention counters, indexed directly by the
 /// guest hypervisor's level. Like [`ExitLedger`] this sits on the
@@ -216,7 +291,7 @@ pub struct RunStats {
     /// Cycles attributed to each *outermost* exit, by (level, reason):
     /// the full cost of handling that exit, including every nested
     /// trap it caused. Answers "where did the time go?".
-    pub cycles_by_reason: BTreeMap<(usize, ExitReason), Cycles>,
+    pub cycles_by_reason: CycleLedger,
     /// The outermost exits `cycles_by_reason` attributes, by (level,
     /// reason): unlike `exits`, no nested exit is counted.
     pub outermost_exits: ExitLedger,
@@ -261,15 +336,12 @@ impl RunStats {
     /// Adds `cycles` to the outermost exit (level, reason).
     #[inline]
     pub(crate) fn attribute(&mut self, level: usize, reason: ExitReason, cycles: Cycles) {
-        *self
-            .cycles_by_reason
-            .entry((level, reason))
-            .or_insert(Cycles::ZERO) += cycles;
+        self.cycles_by_reason.add(level, reason, cycles);
     }
 
     /// Total attributed cycles across all outermost exits.
     pub fn total_attributed_cycles(&self) -> Cycles {
-        self.cycles_by_reason.values().copied().sum()
+        self.cycles_by_reason.total()
     }
 
     /// Total hardware exits from all levels.
@@ -309,9 +381,7 @@ impl RunStats {
         self.idle_cycles += other.idle_cycles;
         self.burned_idle_cycles += other.burned_idle_cycles;
         self.outermost_exits.merge(&other.outermost_exits);
-        for (&(level, reason), &c) in &other.cycles_by_reason {
-            self.attribute(level, reason, c);
-        }
+        self.cycles_by_reason.merge(&other.cycles_by_reason);
     }
 }
 

@@ -6,31 +6,41 @@
 //! That subtree is deterministic: its cost and its ledger rows depend
 //! only on the trapping level, the reason and the field/MSR, never on
 //! the values moved. So the first time a `(cpu, from_level, reason,
-//! operand)` subtree runs it is *recorded*: the clock delta, the
-//! `RunStats` delta, and an ordered effect log of the VMCS stores it
-//! made. Every later occurrence is a *hit*: advance the clock, add the
-//! ledger delta, replay the log. The recursion still produces every
-//! simulated cycle and counter; only host time drops.
+//! operand)` subtree runs it is *recorded*, and every later occurrence
+//! is a *hit* that replays the recording. The recursion still produces
+//! every simulated cycle and counter; only host time drops.
+//!
+//! A recording is compiled as it runs, into the form a hit replays in
+//! straight loops: the clock delta; the `RunStats` growth as
+//! pre-indexed ledger cells; and the subtree's VMCS stores as one
+//! parallel assignment over pre-resolved (level, VMCS slot) targets,
+//! each either a constant or a load of the state before the subtree
+//! plus a delta. A target stored several times keeps its last value,
+//! and a store that reads a field the subtree wrote earlier reads the
+//! earlier value instead. A hit loads every value first, then stores
+//! every value.
 //!
 //! Summaries compose: while a level-k subtree is being recorded, its
-//! level-(k−1) primitives hit their own summaries, whose effects are
-//! appended to the enclosing recording. An L(n) operation therefore
-//! costs O(n) memo applications instead of ~24^n exits. The same
-//! mechanism summarizes every guest hypervisor's world-switch programs
-//! (`exit_side_program`, and `resume_program`: `entry_side_program`
-//! followed by `vmresume`), L1's included, each a fixed sequence of
-//! such primitives, so a reflection pays one hit per program rather
-//! than one per primitive. An L1 primitive on its own
+//! level-(k−1) primitives hit their own summaries, whose assignments
+//! are folded into the enclosing recordings. An L(n) operation
+//! therefore costs O(n) memo applications instead of ~24^n exits. The
+//! same mechanism summarizes every guest hypervisor's world-switch
+//! programs (`exit_side_program`, and `resume_program`:
+//! `entry_side_program` followed by `vmresume`), L1's included, each a
+//! fixed sequence of such primitives, so a reflection pays one hit per
+//! program rather than one per primitive. An L1 primitive on its own
 //! is a single L0 exit, too cheap to be worth a memo probe, so it is
-//! not keyed outside its programs.
+//! not keyed outside a program or chain.
 //!
-//! A reflected exit is summarized around its owner's reason handler.
-//! The *forward* chain (L0's reflect step, the forwarding through every
-//! intermediate hypervisor, the owner's exit-side program) and the
-//! *resume* chain (the owner's entry-side program and its `vmresume`)
-//! depend only on the levels and the reason, so each is one hit. The
-//! handler in between always runs in full: it is where the state lives
-//! (timer arming, IPIs, halt chains, doorbells).
+//! A reflected exit is summarized around its owner's reason handler,
+//! which is split in three (`exits.rs`). The *forward* chain (L0's
+//! reflect step, the forwarding through every intermediate hypervisor,
+//! the owner's exit-side program and the handler's pure entry half)
+//! and the *return* chain (the handler's pure exit half, then the
+//! owner's `resume_program`) depend only on the levels, the reason and
+//! the MSR, so each is one hit. The handler's core between them always
+//! runs live: it is where the state lives (timer arming, IPIs, halt
+//! chains, doorbells).
 //!
 //! Every summarized subtree, primitive, program or chain, goes through
 //! one entry point, [`World::run_keyed`].
@@ -44,7 +54,7 @@
 use crate::stats::RunStats;
 use crate::world::{CpuVmcs, World};
 use dvh_arch::msr;
-use dvh_arch::vmx::{field, ExitQualification, ExitReason};
+use dvh_arch::vmx::{field, slot_of, ExitQualification, ExitReason};
 use dvh_arch::Cycles;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -52,114 +62,145 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// How far `advance_guest_rip` moves RIP past an emulated instruction.
 const RIP_ADVANCE: u64 = 3;
 
-/// One VMCS store made inside a summarized subtree, on the subtree's
-/// CPU. Replaying the log in order reproduces every value and every
-/// written-bit the full recursion would have produced.
+/// A VMCS field of one level on the summary's CPU, resolved to its
+/// dense slot when the summary is compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Effect {
-    /// `vmcs[level].field = value` (synthetic exit state, L0's RIP
-    /// reset).
-    Set { level: u32, field: u32, value: u64 },
-    /// `vmcs[level].GUEST_RIP += delta` (emulated instructions retired,
-    /// `RIP_ADVANCE` each).
-    AddRip { level: u32, delta: u64 },
-    /// `vmcs[dst].field = vmcs[src].field` (the vmcs12 → vmcs02 merge).
-    Copy { dst: u32, src: u32, field: u32 },
+struct Target {
+    level: u16,
+    slot: u16,
 }
 
-impl Effect {
-    /// The (level, field) this effect stores to.
-    fn target(self) -> (u32, u32) {
-        match self {
-            Effect::Set { level, field, .. } => (level, field),
-            Effect::AddRip { level, .. } => (level, field::GUEST_RIP),
-            Effect::Copy { dst, field, .. } => (dst, field),
-        }
+impl Target {
+    /// `vmcs[level].f`, or `None` if `f` has no dense slot.
+    fn of(level: usize, f: u32) -> Option<Target> {
+        Some(Target {
+            level: u16::try_from(level).ok()?,
+            slot: slot_of(f)? as u16,
+        })
     }
 
-    /// The (level, field) this effect reads before storing, if any.
-    fn source(self) -> Option<(u32, u32)> {
-        match self {
-            Effect::Set { .. } => None,
-            Effect::AddRip { level, .. } => Some((level, field::GUEST_RIP)),
-            Effect::Copy { src, field, .. } => Some((src, field)),
-        }
-    }
-
-    /// Performs this store on the VMCSs of one CPU.
     #[inline(always)]
-    fn apply(self, vmcs: &mut CpuVmcs) {
-        match self {
-            Effect::Set {
-                level,
-                field: f,
-                value,
-            } => vmcs.level(level as usize).write(f, value),
-            Effect::AddRip { level, delta } => {
-                let m = vmcs.level(level as usize);
-                let rip = m.read(field::GUEST_RIP);
-                m.write(field::GUEST_RIP, rip.wrapping_add(delta));
-            }
-            Effect::Copy { dst, src, field: f } => {
-                let v = vmcs.level(src as usize).read(f);
-                vmcs.level(dst as usize).write(f, v);
-            }
+    fn load(self, vmcs: &mut CpuVmcs) -> u64 {
+        vmcs.level(self.level as usize)
+            .read_slot(self.slot as usize)
+    }
+
+    #[inline(always)]
+    fn store(self, vmcs: &mut CpuVmcs, value: u64) {
+        vmcs.level(self.level as usize)
+            .write_slot(self.slot as usize, value);
+    }
+}
+
+/// One VMCS store of a compiled summary: `to` becomes `from`'s value
+/// before the summary (0 without `from`) plus `add`, wrapping. A
+/// constant has no `from`; a RIP advance loads its own target; the
+/// vmcs12 → vmcs02 merge loads another level's field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Store {
+    to: Target,
+    from: Option<Target>,
+    add: u64,
+}
+
+impl Store {
+    /// `vmcs[level].f = (vmcs[src].g, or 0) + add` for `from =
+    /// Some((src, g))`, or `None` if a field has no dense slot.
+    fn new(level: usize, f: u32, from: Option<(usize, u32)>, add: u64) -> Option<Store> {
+        let from = match from {
+            Some((src, g)) => Some(Target::of(src, g)?),
+            None => None,
+        };
+        Some(Store {
+            to: Target::of(level, f)?,
+            from,
+            add,
+        })
+    }
+
+    #[inline(always)]
+    fn value(self, vmcs: &mut CpuVmcs) -> u64 {
+        match self.from {
+            Some(src) => src.load(vmcs).wrapping_add(self.add),
+            None => self.add,
         }
     }
 }
 
-/// Shortens an effect log without changing what replaying it does.
-/// First drops stores that a later store to the same (level, field)
-/// overwrites before anything reads them (the overwriting store sets
-/// the same written-bit). Then folds each RIP advance into an earlier
-/// one on the same level when nothing in between touches that RIP.
-fn compact(log: &[Effect]) -> Vec<Effect> {
-    let mut overwritten: Vec<(u32, u32)> = Vec::new();
-    let mut kept = Vec::with_capacity(log.len());
-    for &e in log.iter().rev() {
-        let target = e.target();
-        if overwritten.contains(&target) {
-            continue;
+/// Performs the parallel assignment `stores` on one CPU's VMCSs: every
+/// value is loaded from the state before any store, then every store
+/// is made. Unless `staged`, no store loads a field another one writes,
+/// so each is made as soon as it is loaded; otherwise `values` holds
+/// the loaded values in between.
+#[inline(always)]
+fn assign(stores: &[Store], staged: bool, vmcs: &mut CpuVmcs, values: &mut Vec<u64>) {
+    if !staged {
+        for s in stores {
+            let v = s.value(vmcs);
+            s.to.store(vmcs, v);
         }
-        kept.push(e);
-        overwritten.push(target);
-        if let Some(src) = e.source() {
-            overwritten.retain(|t| *t != src);
-        }
+        return;
     }
-    kept.reverse();
-    let mut folded: Vec<Effect> = Vec::with_capacity(kept.len());
-    for e in kept {
-        if let Effect::AddRip { level, delta } = e {
-            let rip = (level, field::GUEST_RIP);
-            let open = folded
-                .iter()
-                .rposition(|p| p.target() == rip || p.source() == Some(rip));
-            if let Some(Effect::AddRip { delta: d, .. }) = open.map(|i| &mut folded[i]) {
-                *d = d.wrapping_add(delta);
-                continue;
-            }
-        }
-        folded.push(e);
+    values.clear();
+    values.extend(stores.iter().map(|s| s.value(vmcs)));
+    for (s, &v) in stores.iter().zip(values.iter()) {
+        s.to.store(vmcs, v);
     }
-    folded
 }
 
-/// A recorded subtree.
+/// Whether the parallel assignment `stores` must stage its values:
+/// some store loads a field that another one writes.
+fn needs_staging(stores: &[Store]) -> bool {
+    stores.iter().any(|s| {
+        s.from
+            .is_some_and(|src| src != s.to && stores.iter().any(|t| t.to == src))
+    })
+}
+
+/// Folds the parallel assignment `later`, made after `stores`, into
+/// `stores`, so that assigning the result equals assigning `stores`
+/// and then `later`. Neither side stores a target twice.
+fn compose(stores: &mut Vec<Store>, later: &[Store]) {
+    let rebased: Vec<Store> = later.iter().map(|&s| rebase(stores, s)).collect();
+    for r in rebased {
+        match stores.iter_mut().find(|p| p.to == r.to) {
+            Some(p) => *p = r,
+            None => stores.push(r),
+        }
+    }
+}
+
+/// `s` with its load moved from the state after `stores` to the state
+/// before them: a load of a field `stores` wrote becomes that store's
+/// load (or constant) plus both deltas.
+fn rebase(stores: &[Store], s: Store) -> Store {
+    match s.from.and_then(|src| stores.iter().find(|p| p.to == src)) {
+        Some(p) => Store {
+            from: p.from,
+            add: p.add.wrapping_add(s.add),
+            ..s
+        },
+        None => s,
+    }
+}
+
+/// A recorded subtree, compiled.
 #[derive(Debug)]
 struct Summary {
     /// Simulated cycles the subtree spends on its CPU.
     cycles: Cycles,
-    /// Exits the subtree raises, per (level, reason).
-    exits: Box<[(usize, ExitReason, u64)]>,
+    /// Exits the subtree raises, per `RunStats::exits` cell.
+    exits: Box<[(usize, u64)]>,
     /// Guest-hypervisor interventions, per owner level.
     interventions: Box<[(usize, u64)]>,
     /// Outermost exits inside the subtree and the cycles attributed to
-    /// them, per (level, reason) (only a program run outside any exit
-    /// has any).
-    attributed: Box<[(usize, ExitReason, u64, Cycles)]>,
-    /// The subtree's VMCS stores, in order.
-    effects: Box<[Effect]>,
+    /// them, per `RunStats::outermost_exits` cell (only a program run
+    /// outside any exit has any).
+    attributed: Box<[(usize, u64, Cycles)]>,
+    /// The subtree's VMCS stores, as one parallel assignment.
+    stores: Box<[Store]>,
+    /// See [`needs_staging`].
+    staged: bool,
 }
 
 /// Memo entry for one key.
@@ -176,11 +217,11 @@ enum Entry {
 struct Recording {
     key: u64,
     t0: Cycles,
-    /// Where this recording's effects start in the shared log.
-    log_start: usize,
     /// The ledger when recording began.
     before: RunStats,
     tainted: bool,
+    /// The VMCS stores made so far, compiled (see [`compose`]).
+    stores: Vec<Store>,
 }
 
 /// Hashes the packed `u64` memo key with one multiply and fold.
@@ -213,8 +254,8 @@ pub(crate) struct SummaryMemo {
     summaries: Vec<Summary>,
     /// Active recordings, innermost last.
     stack: Vec<Recording>,
-    /// Effect log shared by all active recordings.
-    log: Vec<Effect>,
+    /// A hit's loaded values, between its loads and its stores.
+    values: Vec<u64>,
 }
 
 impl SummaryMemo {
@@ -234,6 +275,8 @@ impl SummaryMemo {
 // Memo-key tags. A primitive's key is tagged with its exit reason
 // number (< 64); the summarized chains take tags above every reason.
 
+/// The return chain of a reflected exit (see [`return_key`]).
+const TAG_RETURN: u16 = 0xFB;
 /// The forward chain of a reflected exit (see [`forward_key`]).
 const TAG_FORWARD: u16 = 0xFC;
 /// `resume_program`: a hypervisor's entry-side world-switch program,
@@ -293,14 +336,36 @@ pub(crate) fn program_key(cpu: usize, level: usize, tag: u16, outermost: bool) -
     pack(cpu, level, tag, u32::from(outermost))
 }
 
+/// The operand of a reflection chain's key: the exiting level, the
+/// reason and, for an MSR exit, the MSR, since the owner's handler
+/// differs between MSRs (`TSC_DEADLINE`, the ICR, the rest). The MSR
+/// is packed as its index in the VMX MSR bitmap, which covers
+/// `0..=0x1FFF` and `0xC000_0000..=0xC000_1FFF`; an MSR outside both
+/// ranges is not keyed. The MSR's value never enters the key: no
+/// chain stores it, and the owner's own `TSC_DEADLINE` write arms no
+/// timer (only a leaf write does), so its value changes nothing.
+fn chain_operand(from_level: usize, reason: ExitReason, qual: &ExitQualification) -> Option<u32> {
+    let msr = match (reason, qual.msr) {
+        (ExitReason::MsrRead | ExitReason::MsrWrite, m @ 0..=0x1FFF) => m,
+        (ExitReason::MsrRead | ExitReason::MsrWrite, m @ 0xC000_0000..=0xC000_1FFF) => {
+            0x2000 | (m & 0x1FFF)
+        }
+        (ExitReason::MsrRead | ExitReason::MsrWrite, _) => return None,
+        _ => 0,
+    };
+    let from_level = u32::try_from(from_level).ok().filter(|&l| l < 1 << 8)?;
+    Some(msr << 16 | from_level << 8 | u32::from(reason.number()))
+}
+
 /// The memo key of the forward chain that carries an exit from
 /// `from_level` up to its owning hypervisor at `owner` on `cpu`: L0's
-/// reflect step, the forwarding through levels `1..owner` and the
-/// owner's exit-side program. The chain stores the reason and the
-/// qualification's guest-physical word into synthetic exit state, so,
-/// as for [`key`], only exits that leave that word zero are keyed. The
-/// chain only runs inside the exit it reflects, never outermost, so
-/// unlike [`program_key`] the key has no `outermost` bit.
+/// reflect step, the forwarding through levels `1..owner`, the owner's
+/// exit-side program and the pure entry half of its reason handler.
+/// The chain stores the reason and the qualification's guest-physical
+/// word into synthetic exit state, so, as for [`key`], only exits that
+/// leave that word zero are keyed. The chain only runs inside the exit
+/// it reflects, never outermost, so unlike [`program_key`] the key has
+/// no `outermost` bit.
 pub(crate) fn forward_key(
     cpu: usize,
     owner: usize,
@@ -311,8 +376,25 @@ pub(crate) fn forward_key(
     if qual.guest_physical != 0 {
         return None;
     }
-    let operand = (from_level as u32) << 8 | u32::from(reason.number());
+    let operand = chain_operand(from_level, reason, qual)?;
     pack(cpu, owner, TAG_FORWARD, operand)
+}
+
+/// The memo key of the return chain of an exit from `from_level` that
+/// the hypervisor at `owner` on `cpu` handled: the pure exit half of
+/// its reason handler (the RIP advance, and for `TSC_DEADLINE` the
+/// owner's own timer write), then its `resume_program`. Nothing in the
+/// chain stores the qualification, so, unlike [`forward_key`], exits
+/// that carry a guest-physical address (doorbells) are keyed too.
+pub(crate) fn return_key(
+    cpu: usize,
+    owner: usize,
+    from_level: usize,
+    reason: ExitReason,
+    qual: &ExitQualification,
+) -> Option<u64> {
+    let operand = chain_operand(from_level, reason, qual)?;
+    pack(cpu, owner, TAG_RETURN, operand)
 }
 
 impl World {
@@ -338,8 +420,8 @@ impl World {
     /// applies the summary on a hit, records `body` on a miss, and runs
     /// it in full, recording nothing, when the key is `None`, marked
     /// unsummarizable, or summaries are unusable. The one entry point to
-    /// the memo: primitives, world-switch programs and forward chains
-    /// all come through here.
+    /// the memo: primitives, world-switch programs and reflection
+    /// chains all come through here.
     #[inline]
     pub(crate) fn run_keyed(
         &mut self,
@@ -366,29 +448,27 @@ impl World {
         }
     }
 
-    /// Applies summary `idx` on `cpu`: the clock delta, the ledger
-    /// delta, and the effect log, reading the summary in place.
-    /// Allocation-free unless an enclosing recording is collecting the
-    /// effects.
+    /// Applies summary `idx` on `cpu`, reading it in place: the clock
+    /// delta, the ledger growth and the VMCS assignment, each one
+    /// straight loop. Folds the assignment into every enclosing
+    /// recording.
     fn apply_summary(&mut self, idx: usize, cpu: usize) {
         let (memo, clock, stats, mut vmcs) = self.replay_parts(cpu);
         let s = &memo.summaries[idx];
         clock.advance(s.cycles);
-        for &(level, reason, n) in &s.exits {
-            stats.exits.add(level, reason, n);
+        for &(cell, n) in &s.exits {
+            stats.exits.add_at(cell, n);
         }
         for &(level, n) in &s.interventions {
             stats.interventions.add(level, n);
         }
-        for &(level, reason, n, c) in &s.attributed {
-            stats.outermost_exits.add(level, reason, n);
-            stats.attribute(level, reason, c);
+        for &(cell, n, c) in &s.attributed {
+            stats.outermost_exits.add_at(cell, n);
+            stats.cycles_by_reason.add_at(cell, c);
         }
-        for &e in &s.effects {
-            e.apply(&mut vmcs);
-        }
-        if memo.recording() {
-            memo.log.extend_from_slice(&s.effects);
+        assign(&s.stores, s.staged, &mut vmcs, &mut memo.values);
+        for rec in &mut memo.stack {
+            compose(&mut rec.stores, &s.stores);
         }
     }
 
@@ -397,9 +477,9 @@ impl World {
         let rec = Recording {
             key,
             t0: self.now(cpu),
-            log_start: self.summaries.log.len(),
             before: self.stats.clone(),
             tainted: false,
+            stores: Vec::new(),
         };
         self.summaries.stack.push(rec);
     }
@@ -422,12 +502,6 @@ impl World {
             && after.idle_cycles == before.idle_cycles
             && after.burned_idle_cycles == before.burned_idle_cycles;
         let entry = if replayable {
-            let exits = after
-                .exits
-                .iter()
-                .map(|((level, reason), n)| (level, reason, n - before.exits.get(level, reason)))
-                .filter(|&(_, _, n)| n > 0)
-                .collect();
             let interventions = after
                 .interventions
                 .iter()
@@ -435,29 +509,24 @@ impl World {
                 .filter(|&(_, n)| n > 0)
                 .collect();
             // Every attributed cycle comes with an outermost exit, so
-            // the count delta finds every touched entry.
+            // the count growth finds every touched cell.
             let attributed = after
                 .outermost_exits
-                .iter()
-                .map(|((level, reason), n)| {
-                    let key = (level, reason);
-                    let was = before.cycles_by_reason.get(&key).copied();
-                    let c = after.cycles_by_reason[&key] - was.unwrap_or(Cycles::ZERO);
-                    (
-                        level,
-                        reason,
-                        n - before.outermost_exits.get(level, reason),
-                        c,
-                    )
+                .growth_since(&before.outermost_exits)
+                .map(|(cell, n)| {
+                    let c = after
+                        .cycles_by_reason
+                        .growth_at(&before.cycles_by_reason, cell);
+                    (cell, n, c)
                 })
-                .filter(|&(_, _, n, _)| n > 0)
                 .collect();
             let summary = Summary {
                 cycles: self.now(cpu) - rec.t0,
-                exits,
+                exits: after.exits.growth_since(&before.exits).collect(),
                 interventions,
                 attributed,
-                effects: compact(&self.summaries.log[rec.log_start..]).into(),
+                staged: needs_staging(&rec.stores),
+                stores: rec.stores.into_boxed_slice(),
             };
             self.summaries.summaries.push(summary);
             Entry::Ready(self.summaries.summaries.len() - 1)
@@ -465,16 +534,13 @@ impl World {
             Entry::Unsummarizable
         };
         self.summaries.entries.insert(rec.key, entry);
-        if !self.summaries.recording() {
-            self.summaries.log.clear();
-        }
     }
 
     /// Marks every active recording unsummarizable: the subtree did
-    /// something that depends on, or changes, state the effect log
-    /// cannot describe (IPIs and interrupt delivery, halt chains,
-    /// doorbells, DVH interception, timer arming, or an untracked VMCS
-    /// store). One predicted branch when not recording.
+    /// something that depends on, or changes, state the compiled
+    /// assignment cannot describe (IPIs and interrupt delivery, halt
+    /// chains, doorbells, DVH interception, timer arming, or an
+    /// untracked VMCS store). One predicted branch when not recording.
     #[inline(always)]
     pub(crate) fn taint_summaries(&mut self) {
         if self.summaries.recording() {
@@ -484,57 +550,56 @@ impl World {
         }
     }
 
-    /// Logged store `vmcs[level].f = value` on `cpu`.
+    /// Tracked store `vmcs[level].f = value` on `cpu`.
     #[inline(always)]
     pub(crate) fn vmcs_set(&mut self, level: usize, cpu: usize, f: u32, value: u64) {
-        if self.summaries.recording() {
-            let level = level as u32;
-            self.log_effect(
-                cpu,
-                Effect::Set {
-                    level,
-                    field: f,
-                    value,
-                },
-            );
-        } else {
-            self.vmcs_store(level, cpu).write(f, value);
-        }
+        self.vmcs_assign(cpu, level, f, None, value);
     }
 
-    /// Logged store `vmcs[dst].f = vmcs[src].f` on `cpu`.
+    /// Tracked store `vmcs[dst].f = vmcs[src].f` on `cpu`.
     #[inline(always)]
     pub(crate) fn vmcs_copy(&mut self, dst: usize, src: usize, cpu: usize, f: u32) {
-        if self.summaries.recording() {
-            let (dst, src) = (dst as u32, src as u32);
-            self.log_effect(cpu, Effect::Copy { dst, src, field: f });
-        } else {
-            let v = self.vmcs(src, cpu).read(f);
-            self.vmcs_store(dst, cpu).write(f, v);
-        }
+        self.vmcs_assign(cpu, dst, f, Some((src, f)), 0);
     }
 
-    /// Logged store `vmcs[level].GUEST_RIP += RIP_ADVANCE` on `cpu`.
+    /// Tracked store `vmcs[level].GUEST_RIP += RIP_ADVANCE` on `cpu`.
     #[inline(always)]
     pub(crate) fn vmcs_add_rip(&mut self, level: usize, cpu: usize) {
-        if self.summaries.recording() {
-            let (level, delta) = (level as u32, RIP_ADVANCE);
-            self.log_effect(cpu, Effect::AddRip { level, delta });
-        } else {
-            let m = self.vmcs_store(level, cpu);
-            let rip = m.read(field::GUEST_RIP);
-            m.write(field::GUEST_RIP, rip.wrapping_add(RIP_ADVANCE));
-        }
+        let rip = field::GUEST_RIP;
+        self.vmcs_assign(cpu, level, rip, Some((level, rip)), RIP_ADVANCE);
     }
 
-    /// Performs one VMCS store on `cpu` and appends it to the shared
-    /// effect log of the active recordings (the cold, recording path
-    /// of the logged stores above).
+    /// Tracked store `vmcs[level].f = (vmcs[src].g, or 0) + add` on
+    /// `cpu`, for `from = Some((src, g))`.
+    #[inline(always)]
+    fn vmcs_assign(
+        &mut self,
+        cpu: usize,
+        level: usize,
+        f: u32,
+        from: Option<(usize, u32)>,
+        add: u64,
+    ) {
+        if self.summaries.recording() {
+            match Store::new(level, f, from, add) {
+                Some(store) => return self.record_store(cpu, store),
+                // A field without a dense slot: no summary replays it.
+                None => self.taint_summaries(),
+            }
+        }
+        let base = from.map_or(0, |(src, g)| self.vmcs(src, cpu).read(g));
+        self.vmcs_store(level, cpu).write(f, base.wrapping_add(add));
+    }
+
+    /// Performs one tracked store on `cpu` and folds it into every
+    /// active recording (the cold, recording path of `vmcs_assign`).
     #[inline(never)]
-    fn log_effect(&mut self, cpu: usize, e: Effect) {
+    fn record_store(&mut self, cpu: usize, store: Store) {
         let (memo, _, _, mut vmcs) = self.replay_parts(cpu);
-        memo.log.push(e);
-        e.apply(&mut vmcs);
+        assign(&[store], false, &mut vmcs, &mut memo.values);
+        for rec in &mut memo.stack {
+            compose(&mut rec.stores, &[store]);
+        }
     }
 
     /// Number of replayable exit summaries recorded so far (tainted
@@ -573,33 +638,121 @@ mod tests {
         (w.stats.clone(), clocks, vmcs)
     }
 
+    /// splitmix64, the generator of `tests/properties.rs`.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Compiles a log of single stores, in order.
+    fn compile(log: &[Store]) -> Vec<Store> {
+        let mut stores = Vec::new();
+        for s in log {
+            compose(&mut stores, std::slice::from_ref(s));
+        }
+        stores
+    }
+
     #[test]
     fn compaction_keeps_reads_and_last_stores() {
         let f = field::GUEST_RIP;
-        let set = |level, value| Effect::Set {
-            level,
-            field: f,
-            value,
-        };
-        let copy = Effect::Copy {
-            dst: 0,
-            src: 1,
-            field: f,
+        let at = |level| Target::of(level, f).unwrap();
+        let set = |level, value| Store::new(level, f, None, value).unwrap();
+        let copy = Store::new(0, f, Some((1, f)), 0).unwrap();
+        let add = |level| Store::new(level, f, Some((level, f)), RIP_ADVANCE).unwrap();
+        let load = |to, from, add| Store {
+            to: at(to),
+            from: Some(at(from)),
+            add,
         };
         // Two dead resets, then the merge overwrites the field.
-        assert_eq!(compact(&[set(0, 0), set(0, 0), copy]), vec![copy]);
-        // A store read by a later copy survives.
-        let log = [set(1, 7), copy, set(1, 9)];
-        assert_eq!(compact(&log), log.to_vec());
+        assert_eq!(compile(&[set(0, 0), set(0, 0), copy]), vec![copy]);
+        // A copy reads the value stored before it, not the last one.
+        assert_eq!(
+            compile(&[set(1, 7), copy, set(1, 9)]),
+            vec![set(1, 9), set(0, 7)]
+        );
         // RIP advances read their own target.
-        let add = |level| Effect::AddRip { level, delta: 3 };
-        let log = [set(1, 7), add(1)];
-        assert_eq!(compact(&log), log.to_vec());
-        // Advances fold unless something in between touches that RIP.
-        let merged = Effect::AddRip { level: 1, delta: 6 };
-        assert_eq!(compact(&[add(1), add(2), add(1)]), vec![merged, add(2)]);
-        let log = [add(1), copy, add(1)];
-        assert_eq!(compact(&log), log.to_vec());
+        assert_eq!(compile(&[set(1, 7), add(1)]), vec![set(1, 10)]);
+        // Advances fold; a copy in between reads the partial advance.
+        assert_eq!(
+            compile(&[add(1), add(2), add(1)]),
+            vec![load(1, 1, 6), load(2, 2, 3)]
+        );
+        assert_eq!(
+            compile(&[add(1), copy, add(1)]),
+            vec![load(1, 1, 6), load(0, 1, 3)]
+        );
+    }
+
+    #[test]
+    fn compiled_assignment_equals_the_log_in_order() {
+        // Random logs over a few fields of three levels: single stores
+        // (constants, RIP-style advances, copies, and loads plus a
+        // delta) and parallel assignments of several, as a nested
+        // hit's. Applying each in order from a random pre-state, its
+        // values staged, must equal applying the compiled assignment
+        // once, staged only if it needs to be.
+        let fields = [field::GUEST_RIP, field::GUEST_RSP, field::VM_EXIT_REASON];
+        let mut seq = world(3);
+        let mut par = world(3);
+        for seed in 0..300u64 {
+            let mut state = seed;
+            let mut r = |n: u64| splitmix(&mut state) % n;
+            let mut pre: Vec<(usize, u32, u64)> = Vec::new();
+            for level in 0..3 {
+                for &f in &fields {
+                    // Some fields were never written.
+                    if r(4) != 0 {
+                        pre.push((level, f, r(u64::MAX)));
+                    }
+                }
+            }
+            let mut log: Vec<Vec<Store>> = Vec::new();
+            for _ in 0..r(24) {
+                let mut group: Vec<Store> = Vec::new();
+                for _ in 0..1 + r(3) {
+                    let to = Target::of(r(3) as usize, fields[r(3) as usize]).unwrap();
+                    let src = Target::of(r(3) as usize, fields[r(3) as usize]).unwrap();
+                    let (from, add) = match r(4) {
+                        0 => (None, r(u64::MAX)),
+                        1 => (Some(to), RIP_ADVANCE),
+                        2 => (Some(src), 0),
+                        _ => (Some(src), r(u64::MAX)),
+                    };
+                    if group.iter().all(|s| s.to != to) {
+                        group.push(Store { to, from, add });
+                    }
+                }
+                log.push(group);
+            }
+            for w in [&mut seq, &mut par] {
+                for level in 0..3 {
+                    w.vmcs_mut(level, 0).clear();
+                }
+                for &(level, f, v) in &pre {
+                    w.vmcs_mut(level, 0).write(f, v);
+                }
+            }
+            let mut compiled = Vec::new();
+            let mut values = Vec::new();
+            for group in &log {
+                assign(group, true, &mut seq.replay_parts(0).3, &mut values);
+                compose(&mut compiled, group);
+            }
+            let staged = needs_staging(&compiled);
+            assign(&compiled, staged, &mut par.replay_parts(0).3, &mut values);
+            for level in 0..3 {
+                assert_eq!(
+                    seq.vmcs(level, 0),
+                    par.vmcs(level, 0),
+                    "seed {seed} L{level}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -654,7 +807,7 @@ mod tests {
         drive(&mut w);
         assert_eq!(w.exit_summary_count(), 0, "L1 has no guest hypervisor");
         // At L2 only L1's programs and the chains that forward exits to
-        // L1 and resume from it are keyed, never the handler between.
+        // L1 and return from it are keyed, never the core between.
         let mut w = world(2);
         drive(&mut w);
         assert!(w.exit_summary_count() > 0);
@@ -664,13 +817,13 @@ mod tests {
             .collect();
         let keys: Vec<u64> = w.summaries.entries.keys().copied().collect();
         for &key in &keys {
-            let forward_to_l1 = level_and_tag(key) == (1, TAG_FORWARD);
+            let chain_of_l1 = [(1, TAG_FORWARD), (1, TAG_RETURN)].contains(&level_and_tag(key));
             assert!(
-                programs.contains(&key) || forward_to_l1,
+                programs.contains(&key) || chain_of_l1,
                 "{key:#x} is not an L1 program or chain"
             );
         }
-        for tag in [TAG_FORWARD, TAG_RESUME] {
+        for tag in [TAG_FORWARD, TAG_RETURN, TAG_RESUME] {
             assert!(keys.iter().any(|&k| level_and_tag(k) == (1, tag)));
         }
         // Deeper, guest-hypervisor primitives are keyed, but none
@@ -681,7 +834,7 @@ mod tests {
             for &key in w.summaries.entries.keys() {
                 let (level, tag) = level_and_tag(key);
                 assert!(
-                    tag >= TAG_FORWARD || level < levels,
+                    tag >= TAG_RETURN || level < levels,
                     "L{levels}: {key:#x} keys a leaf exit"
                 );
             }
@@ -701,13 +854,73 @@ mod tests {
                     assert_eq!(w.timers[0].deadline, Some(deadline), "L{levels}");
                 }
                 for _ in 0..20 {
+                    w.guest_hlt(1);
+                    let chain = w.halt_chain(1).map(<[usize]>::len);
+                    assert_eq!(chain, Some(levels), "L{levels}: no full halt chain");
                     w.send_ipi_to_idle(0, 1);
                     assert!(!w.is_halted(1), "L{levels}: the IPI did not wake cpu1");
+                }
+                for _ in 0..20 {
+                    let sent = w.nic.tx_frames();
+                    w.guest_net_tx(0, 1, 64);
+                    assert_eq!(
+                        w.nic.tx_frames(),
+                        sent + 1,
+                        "L{levels}: no frame on the wire"
+                    );
                 }
             }
             assert!(fast.exit_summary_count() > 0);
             assert_eq!(state(&fast), state(&slow), "L{levels}");
             assert_eq!(fast.timers, slow.timers, "L{levels}");
+        }
+    }
+
+    #[test]
+    fn scrambled_data_fields_replay_like_the_full_recursion() {
+        // Bits 11:10 of a VMCS encoding give its type; 0 is a control.
+        // Scrambling every other field before each round makes every
+        // replayed load read a value no recording saw.
+        let data: Vec<u32> = dvh_arch::vmx::SLOT_ENCODINGS
+            .iter()
+            .copied()
+            .filter(|f| (f >> 10) & 3 != 0)
+            .collect();
+        let worlds = (2..=5)
+            .map(|l| (l, HvKind::Kvm))
+            .chain([(2, HvKind::Xen), (3, HvKind::Xen)]);
+        for (levels, guest_hv) in worlds {
+            let mut fast = world_of(levels, guest_hv);
+            let mut slow = world_of(levels, guest_hv);
+            slow.disable_exit_summaries();
+            let mut seed = levels as u64;
+            for round in 0..3 {
+                let cpus = fast.num_cpus();
+                let values: Vec<u64> = (0..levels * cpus * data.len())
+                    .map(|_| splitmix(&mut seed))
+                    .collect();
+                for w in [&mut fast, &mut slow] {
+                    let mut v = values.iter();
+                    for level in 0..levels {
+                        for cpu in 0..cpus {
+                            for &f in &data {
+                                w.vmcs_mut(level, cpu).write(f, *v.next().unwrap());
+                            }
+                        }
+                    }
+                    // The Table 1 operations.
+                    w.guest_hypercall(0);
+                    w.guest_program_timer(0, 5_000 + round);
+                    w.send_ipi_to_idle(0, 1);
+                    w.invalidate_mmio_cache();
+                    let (leaf, dev) = (w.leaf_level(), w.leaf_device_idx());
+                    w.doorbell(leaf, 0, dev, 1);
+                }
+                let what = format!("L{levels} {guest_hv} round {round}");
+                assert_eq!(state(&fast), state(&slow), "{what}");
+                assert_eq!(fast.timers, slow.timers, "{what}");
+            }
+            assert!(fast.exit_summary_count() > 0);
         }
     }
 

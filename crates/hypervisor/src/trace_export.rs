@@ -361,9 +361,9 @@ mod tests {
         assert!(!from_json.is_empty());
         let ledger = &w.stats.cycles_by_reason;
         assert_eq!(from_json.len(), ledger.len());
-        for ((lvl, reason), c) in ledger {
+        for ((lvl, reason), c) in ledger.iter() {
             let got = from_json
-                .get(&(*lvl, reason.to_string()))
+                .get(&(lvl, reason.to_string()))
                 .copied()
                 .unwrap_or(0);
             assert_eq!(got, c.as_u64(), "(L{lvl}, {reason})");
@@ -380,7 +380,7 @@ mod tests {
             .stats
             .cycles_by_reason
             .iter()
-            .map(|(k, c)| (*k, c.as_u64()))
+            .map(|(k, c)| (k, c.as_u64()))
             .collect();
         assert_eq!(roots, ledger);
     }

@@ -10,7 +10,7 @@
 //! every level is pinned to physical CPU `i`, as in the paper's
 //! experimental setup.
 //!
-//! `vmcs[k][i]` is the VMCS that the hypervisor at level `k` maintains
+//! `vmcs(k, i)` is the VMCS that the hypervisor at level `k` maintains
 //! for vCPU `i` of the VM at level `k + 1` (KVM's vmcs01/vmcs12/vmcs23
 //! chain). Only L0 touches real hardware; every privileged operation by
 //! a hypervisor at level ≥ 1 traps and is emulated down the chain —
@@ -71,6 +71,8 @@ pub struct World {
     pub(crate) profile: HvProfile,
     shadow: ShadowFieldSet,
     cpus: Vec<PhysCpu>,
+    /// `vmcs[cpu][level]`: per CPU, so that the chain of VMCSs an exit
+    /// summary replays into is one slice.
     vmcs: Vec<Vec<Vmcs>>,
     /// Per leaf-vCPU halt chain: hypervisor levels that blocked this
     /// vCPU, outermost (deepest level) first, always ending in 0 when
@@ -163,15 +165,14 @@ pub struct World {
 
 /// Every level's VMCS on one CPU (see [`World::replay_parts`]).
 pub(crate) struct CpuVmcs<'a> {
-    vmcs: &'a mut [Vec<Vmcs>],
-    cpu: usize,
+    vmcs: &'a mut [Vmcs],
 }
 
 impl CpuVmcs<'_> {
     /// The VMCS the hypervisor at `level` keeps for this CPU.
     #[inline(always)]
     pub(crate) fn level(&mut self, level: usize) -> &mut Vmcs {
-        &mut self.vmcs[level][self.cpu]
+        &mut self.vmcs[level]
     }
 }
 
@@ -194,10 +195,10 @@ impl World {
             HvKind::Xen => HvProfile::xen(),
             HvKind::KvmArm => HvProfile::kvm_arm(),
         };
-        let mut vmcs = Vec::with_capacity(n);
-        for k in 0..n {
-            let mut per_cpu = Vec::with_capacity(v);
-            for i in 0..v {
+        let mut vmcs = Vec::with_capacity(v);
+        for i in 0..v {
+            let mut per_level = Vec::with_capacity(n);
+            for k in 0..n {
                 let mut m = Vmcs::new();
                 // Every hypervisor traps HLT by default (virtual idle,
                 // when enabled, clears this in guest hypervisors).
@@ -235,9 +236,9 @@ impl World {
                     m.set_bits(field::SECONDARY_EXEC_CONTROLS, ctrl::secondary::SHADOW_VMCS);
                     m.write(field::VMCS_LINK_POINTER, SHADOW_VMCS_ADDR);
                 }
-                per_cpu.push(m);
+                per_level.push(m);
             }
-            vmcs.push(per_cpu);
+            vmcs.push(per_level);
         }
         let nic = Nic::new(Bdf::new(1, 0, 0), 8);
         let virtio_count = match config.io_model {
@@ -508,25 +509,25 @@ impl World {
     /// Panics if `owner >= levels` or `cpu` is out of range.
     #[inline(always)]
     pub fn vmcs(&self, owner: usize, cpu: usize) -> &Vmcs {
-        &self.vmcs[owner][cpu]
+        &self.vmcs[cpu][owner]
     }
 
     /// Mutable access; see [`World::vmcs`]. A store through this
     /// accessor while an exit summary is being recorded is one the
-    /// summary's effect log does not describe, so it taints the
+    /// summary's compiled assignment does not track, so it taints the
     /// recording.
     #[inline(always)]
     pub fn vmcs_mut(&mut self, owner: usize, cpu: usize) -> &mut Vmcs {
         self.taint_summaries();
-        &mut self.vmcs[owner][cpu]
+        &mut self.vmcs[cpu][owner]
     }
 
-    /// Mutable access for the exit engine's own stores: ones the
-    /// exit-summary effect log records or replays, and the
-    /// value-preserving write-backs of `entry_side_program`.
+    /// Mutable access for the exit engine's own stores: ones exit
+    /// summaries track or replay, and the value-preserving write-backs
+    /// of `entry_side_program`.
     #[inline(always)]
     pub(crate) fn vmcs_store(&mut self, owner: usize, cpu: usize) -> &mut Vmcs {
-        &mut self.vmcs[owner][cpu]
+        &mut self.vmcs[cpu][owner]
     }
 
     /// What an exit-summary hit on `cpu` writes (that CPU's clock, the
@@ -537,12 +538,12 @@ impl World {
         &mut self,
         cpu: usize,
     ) -> (&mut SummaryMemo, &mut PhysCpu, &mut RunStats, CpuVmcs<'_>) {
-        let (clock, vmcs) = (&mut self.cpus[cpu], &mut self.vmcs);
+        let (clock, vmcs) = (&mut self.cpus[cpu], &mut self.vmcs[cpu][..]);
         (
             &mut self.summaries,
             clock,
             &mut self.stats,
-            CpuVmcs { vmcs, cpu },
+            CpuVmcs { vmcs },
         )
     }
 
@@ -650,7 +651,7 @@ impl World {
     //
     // Each primitive is executed *by the hypervisor at `level`* on
     // `cpu`. Level 0 is native; level >= 1 may trap. The target VMCS of
-    // a hypervisor's vmread/vmwrite is its current one: vmcs[level][cpu].
+    // a hypervisor's vmread/vmwrite is its current one: vmcs(level, cpu).
 
     /// `vmread` of `f` by the hypervisor at `level`.
     #[inline]
@@ -667,7 +668,7 @@ impl World {
                 dvh_arch::vmx::ExitQualification::vmcs(f),
             );
         }
-        self.vmcs[level][cpu].read(f)
+        self.vmcs[cpu][level].read(f)
     }
 
     /// `vmwrite` of `f = v` by the hypervisor at `level`.
@@ -675,9 +676,9 @@ impl World {
     pub fn hv_vmwrite(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
         self.hv_vmwrite_trap(level, cpu, f);
         // The exit engine's own vmwrites store through `vmcs_store`;
-        // this one is outside any exit-summary effect log.
+        // no exit summary tracks this one.
         self.taint_summaries();
-        self.vmcs[level][cpu].write(f, v);
+        self.vmcs[cpu][level].write(f, v);
     }
 
     /// The instruction half of [`World::hv_vmwrite`]: charges the
@@ -803,7 +804,8 @@ mod tests {
     fn construction_shapes() {
         let w = world(3);
         assert_eq!(w.num_cpus(), 4);
-        assert_eq!(w.vmcs.len(), 3);
+        assert_eq!(w.vmcs.len(), 4);
+        assert!(w.vmcs.iter().all(|levels| levels.len() == 3));
         assert_eq!(w.leaf_level(), 3);
         assert!(w
             .vmcs(0, 0)

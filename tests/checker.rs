@@ -347,8 +347,7 @@ fn tampered_stats_ledger_breaks_conservation() {
     m.hypercall(0);
     // Siphon cycles out of the ledger behind the trace's back.
     let w = m.world_mut();
-    let key = (2, ExitReason::Vmcall);
-    *w.stats.cycles_by_reason.get_mut(&key).unwrap() -= Cycles::new(1);
+    *w.stats.cycles_by_reason.get_mut(2, ExitReason::Vmcall) -= Cycles::new(1);
     let vs = lint_causal(w.trace_events(), w.num_cpus(), w.trace_dropped(), &w.stats);
     assert_eq!(rules(&vs), ["causal-roots-conserved"], "{vs:#?}");
     assert!(vs[0].location.contains("Vmcall"));

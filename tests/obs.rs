@@ -44,7 +44,7 @@ fn ledger_exit_totals(stats: &RunStats) -> BTreeMap<(usize, ExitReason), (u64, u
     for (key, n) in stats.outermost_exits.iter() {
         totals.entry(key).or_insert((0, 0)).0 = n;
     }
-    for (&key, c) in &stats.cycles_by_reason {
+    for (key, c) in stats.cycles_by_reason.iter() {
         totals.entry(key).or_insert((0, 0)).1 = c.as_u64();
     }
     totals
@@ -67,9 +67,9 @@ fn chrome_export_round_trips_and_matches_ledger_exactly() {
     let ledger = &w.stats.cycles_by_reason;
     assert!(!ledger.is_empty());
     assert_eq!(from_json.len(), ledger.len());
-    for ((level, reason), cycles) in ledger {
+    for ((level, reason), cycles) in ledger.iter() {
         assert_eq!(
-            from_json.get(&(*level, reason.to_string())).copied(),
+            from_json.get(&(level, reason.to_string())).copied(),
             Some(cycles.as_u64()),
             "(L{level}, {reason})"
         );
@@ -109,7 +109,7 @@ fn profile_rows_sum_to_the_ledger() {
     let reg = w.metrics().expect("metrics enabled");
     let rows = attribution(&w.stats);
     let row_total: u64 = rows.iter().map(|r| r.cycles).sum();
-    let ledger_total: u64 = w.stats.cycles_by_reason.values().map(|c| c.as_u64()).sum();
+    let ledger_total = w.stats.total_attributed_cycles().as_u64();
     assert_eq!(row_total, ledger_total);
     let pct: f64 = rows.iter().map(|r| r.percent).sum();
     assert!((pct - 100.0).abs() < 1e-6, "{pct}");
@@ -145,7 +145,7 @@ fn jsonl_export_covers_every_event() {
         .stats
         .cycles_by_reason
         .iter()
-        .map(|((l, r), c)| ((*l as i64, r.to_string()), c.as_u64()))
+        .map(|((l, r), c)| ((l as i64, r.to_string()), c.as_u64()))
         .collect();
     assert_eq!(spent, ledger);
 }
@@ -198,7 +198,8 @@ fn every_fig7_column_conserves_under_netperf() {
             registry, stats.dvh_intercepts,
             "{name}: registry DVH intercepts"
         );
-        assert_eq!(cycles, stats.cycles_by_reason, "{name}: cycles");
+        let ledger: BTreeMap<_, _> = stats.cycles_by_reason.iter().collect();
+        assert_eq!(cycles, ledger, "{name}: cycles");
         assert_eq!(reg.exit_totals(), ledger_exit_totals(stats), "{name}");
     }
 }
