@@ -1,10 +1,11 @@
-//! Experiment definitions shared by the harness binaries, `dvh sweep`
-//! and the `hostbench/` benchmark.
+//! Experiment definitions shared by `dvh repro`, `dvh sweep` and the
+//! `hostbench/` benchmark.
 
+use dvh_arch::Cycles;
 use dvh_core::{Machine, MachineConfig};
 use dvh_migration::{migrate_nested_vm, MigrationConfig};
 use dvh_workloads::figures::{figure_spec, table3_configs};
-use dvh_workloads::{run_app, run_micro, AppId};
+use dvh_workloads::{run_app, run_micro, AppId, MicroResults};
 
 /// Transactions per application measurement (large enough for the
 /// fractional event accumulators to settle).
@@ -64,16 +65,12 @@ pub const TABLE3_PAPER: [Table3Row; 5] = [
     },
 ];
 
-/// Runs Table 3: the four microbenchmarks in the five configurations.
-pub fn table3() -> Vec<Table3Row> {
-    table3_with_workers(1)
-}
-
-/// [`table3`] with the five configurations fanned out over `workers`
-/// OS threads. Each configuration's machine is built and run entirely
-/// inside its worker; only the plain-data [`MachineConfig`] crosses
-/// the thread boundary, and rows come back in canonical config order,
-/// so the result is identical to the serial one.
+/// Runs Table 3, the four microbenchmarks in the five configurations,
+/// with the configurations fanned out over `workers` OS threads. Each
+/// configuration's machine is built and run entirely inside its
+/// worker; only the plain-data [`MachineConfig`] crosses the thread
+/// boundary, and rows come back in canonical config order, so the
+/// result is identical to the serial one.
 pub fn table3_with_workers(workers: usize) -> Vec<Table3Row> {
     let configs = table3_configs();
     crate::parallel::pmap_with_workers(workers, &configs, |(name, cfg)| {
@@ -89,6 +86,55 @@ pub fn table3_with_workers(workers: usize) -> Vec<Table3Row> {
     })
 }
 
+/// The exact ledger totals a simulated cell leaves on its machine, in
+/// [`Counters::COLUMNS`] order: the totals the checker's pinned
+/// fixture compares, then exits from L1 to L3 (the deepest level any
+/// artifact runs) and interventions by the guest hypervisors at L1 and
+/// L2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counters(pub [u64; 10]);
+
+impl Counters {
+    /// The name of each counter; `cycles` are the cycles attributed to
+    /// outermost exits and `now0` is CPU 0's simulated clock.
+    pub const COLUMNS: [&'static str; 10] = [
+        "exits",
+        "interventions",
+        "dvh",
+        "cycles",
+        "now0",
+        "exits.L1",
+        "exits.L2",
+        "exits.L3",
+        "interventions.L1",
+        "interventions.L2",
+    ];
+
+    /// What `m`'s run has recorded so far.
+    pub fn of(m: &Machine) -> Counters {
+        let s = &m.world().stats;
+        Counters([
+            s.total_exits(),
+            s.total_interventions(),
+            s.total_dvh_intercepts(),
+            s.total_attributed_cycles().as_u64(),
+            m.now(0).as_u64(),
+            s.exits_from_level(1),
+            s.exits_from_level(2),
+            s.exits_from_level(3),
+            s.interventions.get(1),
+            s.interventions.get(2),
+        ])
+    }
+}
+
+impl std::fmt::Display for Counters {
+    /// The counters as tab-separated integers.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0.map(|n| n.to_string()).join("\t"))
+    }
+}
+
 /// A figure row: one application's overhead in each configuration.
 #[derive(Debug, Clone)]
 pub struct FigRow {
@@ -96,6 +142,8 @@ pub struct FigRow {
     pub app: &'static str,
     /// Overheads, one per configuration column.
     pub overheads: Vec<f64>,
+    /// Each cell's machine counters after the run, one per column.
+    pub counters: Vec<Counters>,
 }
 
 /// A complete figure: column headers plus rows.
@@ -124,12 +172,9 @@ impl Figure {
     }
 }
 
-fn run_figure(title: &'static str, configs: Vec<(&'static str, MachineConfig)>) -> Figure {
-    run_figure_with_workers(title, configs, 1)
-}
-
-/// Runs one figure with its (application, configuration) cross
-/// product fanned out over `workers` OS threads.
+/// Runs `txns` transactions of every application on every one of
+/// `configs`, with the (application, configuration) cross product
+/// fanned out over `workers` OS threads.
 ///
 /// Every cell is an independent single-threaded simulation — it
 /// builds its own [`Machine`] from a cloned config inside the worker
@@ -139,6 +184,7 @@ fn run_figure(title: &'static str, configs: Vec<(&'static str, MachineConfig)>) 
 fn run_figure_with_workers(
     title: &'static str,
     configs: Vec<(&'static str, MachineConfig)>,
+    txns: u32,
     workers: usize,
 ) -> Figure {
     let columns: Vec<&'static str> = configs.iter().map(|(n, _)| *n).collect();
@@ -149,16 +195,18 @@ fn run_figure_with_workers(
         .iter()
         .flat_map(|app| configs.iter().map(move |(_, cfg)| (*app, cfg.clone())))
         .collect();
-    let overheads = crate::parallel::pmap_with_workers(workers, &cells, |(app, cfg)| {
+    let results = crate::parallel::pmap_with_workers(workers, &cells, |(app, cfg)| {
         let mut m = Machine::build(cfg.clone());
-        run_app(&mut m, &app.mix(), APP_TXNS).overhead
+        let overhead = run_app(&mut m, &app.mix(), txns).overhead;
+        (overhead, Counters::of(&m))
     });
     let rows = AppId::ALL
         .iter()
-        .enumerate()
-        .map(|(i, app)| FigRow {
+        .zip(results.chunks(configs.len()))
+        .map(|(app, cells)| FigRow {
             app: app.mix().name,
-            overheads: overheads[i * configs.len()..(i + 1) * configs.len()].to_vec(),
+            overheads: cells.iter().map(|(o, _)| *o).collect(),
+            counters: cells.iter().map(|(_, c)| *c).collect(),
         })
         .collect();
     Figure {
@@ -172,35 +220,27 @@ fn run_figure_with_workers(
 /// `workers` threads (`None` for an unknown figure number). The
 /// figure is byte-identical at any worker count.
 pub fn figure_with_workers(figure: u32, workers: usize) -> Option<Figure> {
-    figure_spec(figure).map(|(title, configs)| run_figure_with_workers(title, configs, workers))
+    let (title, configs) = figure_spec(figure)?;
+    Some(run_figure_with_workers(title, configs, APP_TXNS, workers))
 }
 
-/// Fig. 7: application performance at two virtualization levels,
-/// six configurations.
-pub fn fig7() -> Figure {
-    let (title, configs) = figure_spec(7).expect("figure 7 is defined");
-    run_figure(title, configs)
-}
-
-/// Fig. 8: the incremental DVH technique breakdown.
-pub fn fig8() -> Figure {
-    let (title, configs) = figure_spec(8).expect("figure 8 is defined");
-    run_figure(title, configs)
-}
-
-/// Fig. 9: application performance with three levels of
-/// virtualization.
-pub fn fig9() -> Figure {
-    let (title, configs) = figure_spec(9).expect("figure 9 is defined");
-    run_figure(title, configs)
-}
-
-/// Fig. 10: the Xen guest hypervisor on a KVM host (DVH-VP only — Xen
-/// is DVH-unaware, but virtual-passthrough needs no guest hypervisor
-/// modifications).
-pub fn fig10() -> Figure {
-    let (title, configs) = figure_spec(10).expect("figure 10 is defined");
-    run_figure(title, configs)
+/// The ARM experiment the paper ran but omitted for space, with a
+/// KVM/ARM guest hypervisor: microbenchmark cycles per configuration,
+/// and application overhead under paravirtual I/O, passthrough and
+/// DVH-VP, its cells fanned out over `workers` threads.
+pub fn arm_experiment(workers: usize) -> ([(&'static str, MicroResults); 3], Figure) {
+    let configs = vec![
+        ("VM", MachineConfig::arm_baseline(1)),
+        ("nested", MachineConfig::arm_baseline(2)),
+        ("nested+PT", MachineConfig::arm_passthrough(2)),
+        ("DVH-VP", MachineConfig::arm_dvh_vp(2)),
+    ];
+    let micro = [("VM", 0), ("nested VM", 1), ("nested + DVH-VP", 3)].map(|(name, i)| {
+        let mut m = Machine::build(configs[i].1.clone());
+        (name, run_micro(&mut m, 3))
+    });
+    let apps = run_figure_with_workers("Application overhead vs native:", configs, 300, workers);
+    (micro, apps)
 }
 
 /// One migration experiment result.
@@ -208,14 +248,16 @@ pub fn fig10() -> Figure {
 pub struct MigrationRow {
     /// Scenario label.
     pub scenario: &'static str,
-    /// Total migration time in seconds.
-    pub total_secs: f64,
-    /// Downtime in milliseconds.
-    pub downtime_ms: f64,
+    /// Total migration time.
+    pub total: Cycles,
+    /// Downtime.
+    pub downtime: Cycles,
     /// Pages transferred.
     pub pages: u64,
     /// Whether the destination verified identical.
     pub verified: bool,
+    /// The source machine's counters after the migration.
+    pub counters: Counters,
 }
 
 /// The §4 migration experiment: nested-VM migration under paravirtual
@@ -270,10 +312,11 @@ pub fn migration_experiment() -> (Vec<MigrationRow>, &'static str) {
         .expect("migratable configuration");
         rows.push(MigrationRow {
             scenario: name,
-            total_secs: report.total_time.as_secs_f64(),
-            downtime_ms: report.downtime.as_secs_f64() * 1e3,
+            total: report.total_time,
+            downtime: report.downtime,
             pages: report.total_pages,
             verified: report.verified,
+            counters: Counters::of(&m),
         });
     }
     // And the negative result.
@@ -321,30 +364,13 @@ pub fn recursion_experiment(max_levels: usize) -> Vec<RecursionRow> {
         .collect()
 }
 
-/// Prints a figure as an aligned text table.
-pub fn print_figure(fig: &Figure) {
-    println!("{}", fig.title);
-    print!("{:<16}", "app");
-    for c in &fig.columns {
-        print!(" {c:>11}");
-    }
-    println!();
-    for row in &fig.rows {
-        print!("{:<16}", row.app);
-        for o in &row.overheads {
-            print!(" {o:>10.2}x");
-        }
-        println!();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn table3_shape_holds() {
-        let rows = table3();
+        let rows = table3_with_workers(1);
         assert_eq!(rows.len(), 5);
         let vm = &rows[0];
         let nested = &rows[1];
@@ -382,9 +408,9 @@ mod tests {
         assert!(rows.iter().all(|r| r.verified));
         assert!(note.contains("not possible"));
         // DVH vs paravirtual roughly equal; +hv roughly double.
-        let pv = rows[0].total_secs;
-        let dvh = rows[1].total_secs;
-        let both = rows[2].total_secs;
+        let pv = rows[0].total.as_secs_f64();
+        let dvh = rows[1].total.as_secs_f64();
+        let both = rows[2].total.as_secs_f64();
         assert!((dvh / pv) < 1.3 && (pv / dvh) < 1.3);
         assert!(both / dvh > 1.5);
     }

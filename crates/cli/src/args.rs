@@ -5,8 +5,10 @@
 //! file arguments and flags (metavar, default, help), and the function
 //! that builds its [`Command`]. Parsing, `dvh help`, `dvh <command>
 //! --help` and the parse errors all come from that table, and each
-//! closed vocabulary (config, app, op, format, figure) is one [`Vocab`].
+//! closed vocabulary (config, app, op, format, figure, artifact) is one
+//! [`Vocab`].
 
+use dvh_bench::repro;
 use dvh_core::MachineConfig;
 use dvh_hypervisor::MAX_LEVELS;
 use dvh_workloads::AppId;
@@ -192,6 +194,22 @@ pub const FIGURES: Vocab<u32> = Vocab {
     words: &[("7", 7), ("8", 8), ("9", 9), ("10", 10)],
 };
 
+/// The artifacts `dvh repro` prints, by [`repro::ARTIFACTS`].
+pub const ARTIFACTS: Vocab<&'static str> = Vocab {
+    what: "artifact",
+    words: &ARTIFACT_WORDS,
+};
+
+const ARTIFACT_WORDS: [(&str, &str); repro::ARTIFACTS.len()] = {
+    let mut words = [("", ""); repro::ARTIFACTS.len()];
+    let mut i = 0;
+    while i < words.len() {
+        words[i] = (repro::ARTIFACTS[i].name, repro::ARTIFACTS[i].name);
+        i += 1;
+    }
+    words
+};
+
 /// What an observed command (`trace`, `profile`, `obs snapshot`) runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
@@ -329,6 +347,11 @@ pub enum Command {
         threshold: f64,
         /// Emit the JSON report instead of text.
         json: bool,
+    },
+    /// Print one artifact of the paper's evaluation.
+    Repro {
+        /// The artifact's name, a row of [`repro::ARTIFACTS`].
+        artifact: &'static str,
     },
     /// Run the dvh-checker invariant passes.
     Check {
@@ -506,6 +529,16 @@ pub const COMMANDS: &[Spec] = &[
             figure: o.word("--figure", &FIGURES)?,
             workers: if o.on("--workers") { o.count("--workers")? as usize } else { 0 },
         }),
+    },
+    Spec {
+        name: "repro", files: "<artifact>",
+        summary: "Print one artifact of the paper's evaluation, exactly as tests/golden/ has it.",
+        flags: &[],
+        build: |o| match o.files[..] {
+            [] => Err(ParseError::new("repro requires an artifact")),
+            [artifact] => Ok(Command::Repro { artifact: ARTIFACTS.parse(artifact)? }),
+            [_, extra, ..] => Err(format!("unexpected argument '{extra}' for repro"))?,
+        },
     },
     Spec {
         name: "trace", files: "", summary: "Dump the event trace of one operation or application run.",
@@ -767,6 +800,11 @@ impl Spec {
             .filter(|p| !p.is_empty())
             .collect();
         let mut out = format!("dvh {}\n  {}\n", usage.join(" "), self.summary);
+        if self.name == "repro" {
+            for a in repro::ARTIFACTS {
+                out += &format!("    {:<26}  {}\n", a.name, a.summary);
+            }
+        }
         for f in self.flags {
             let left = match f.value {
                 Value::Switch => f.name.to_string(),
@@ -920,6 +958,7 @@ mod tests {
         round_trip(&TraceFormat::VOCAB, |t| t.to_string());
         round_trip(&ProfileFormat::VOCAB, |p| p.to_string());
         round_trip(&FIGURES, |n| n.to_string());
+        round_trip(&ARTIFACTS, |a| a.to_string());
         assert_eq!(
             CliConfig::VOCAB.alternatives(),
             "base|passthrough|dvh-vp|dvh"

@@ -2,6 +2,7 @@
 
 use crate::args::{Command, Op, ProfileFormat, Target, TraceFormat, Workload};
 use crate::results::{to_csv, ResultFile};
+use dvh_bench::repro;
 use dvh_core::analysis::{attribution, render_table};
 use dvh_core::Machine;
 use dvh_hypervisor::trace::TRACE_CAPACITY;
@@ -323,6 +324,12 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
             let fig = dvh_bench::harness::figure_with_workers(figure, workers)
                 .expect("validated at parse time");
             w(out, fig.to_csv())
+        }
+        Command::Repro { artifact } => {
+            let row = repro::ARTIFACTS.iter().find(|a| a.name == artifact);
+            let eval = repro::Evaluation::new(dvh_bench::parallel::available_workers());
+            let render = row.expect("validated at parse time").render;
+            render(&eval, out).map_err(|e| e.to_string())
         }
         Command::Check { source_root } => {
             let root = source_root.map(std::path::PathBuf::from);

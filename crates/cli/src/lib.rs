@@ -16,6 +16,7 @@
 //! dvh apps    --level 2 --config dvh-vp --csv
 //! dvh migrate --config dvh --with-hypervisor
 //! dvh results <csv...>
+//! dvh repro   fig7
 //! ```
 //!
 //! [`args::COMMANDS`] is the one table of commands: each row holds a

@@ -153,6 +153,9 @@ fn contradictions_and_unknown_words_are_rejected_at_parse_time() {
         ("frobnicate", "unknown command 'frobnicate'"),
         ("obs", "obs requires a subcommand"),
         ("sweep --figure 11", "unknown figure '11'"),
+        ("repro fig11", "unknown artifact 'fig11'"),
+        ("repro", "repro requires an artifact"),
+        ("repro fig7 fig8", "unexpected argument 'fig8' for repro"),
     ] {
         assert_parse_error(&line.split(' ').collect::<Vec<_>>(), start);
     }
