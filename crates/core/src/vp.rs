@@ -189,7 +189,7 @@ mod tests {
         w.guest_net_tx(0, 1, payload.len() as u32);
         let wire = w.nic.wire();
         assert_eq!(wire.len(), 1);
-        assert_eq!(wire[0].payload, payload);
+        assert_eq!(wire[0].bytes(), payload);
     }
 
     #[test]

@@ -5,23 +5,51 @@
 //! wire with DMA translated by the physical IOMMU only.
 //!
 //! The wire is a ring of the most recent [`WIRE_CAPACITY`] frames, so
-//! a run of any length holds bounded memory. Once the ring is full the
-//! evicted frame's buffer carries the next frame's payload: steady-state
-//! transmission allocates nothing.
+//! a run of any length holds bounded memory. A frame DMA-read from one
+//! guest page does not copy it: it shares the page copy-on-write
+//! ([`Frame::shared`]), so the ring also bounds the page copies a guest
+//! rewriting its buffers can cause. A frame gathered from several
+//! buffers owns its bytes; once the ring is full an evicted owned
+//! frame's buffer carries the next gathered payload. Either way
+//! steady-state transmission allocates nothing.
 
 use crate::pci::{Bdf, Capability, PciDevice};
+use dvh_memory::sparse::{Page, ZERO_PAGE};
+use dvh_memory::PAGE_SIZE;
 use std::collections::VecDeque;
 use std::fmt;
+use std::rc::Rc;
 
 /// Frames the wire keeps: the most recently transmitted ones.
 pub const WIRE_CAPACITY: usize = 256;
 
 /// An Ethernet frame (payload only; headers are folded into payload
 /// length for cost purposes).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A frame owns its bytes or views them in a shared guest page; either
+/// way [`Frame::bytes`] reads them, and two frames are equal when their
+/// bytes are.
+#[derive(Clone, Default)]
 pub struct Frame {
-    /// Frame bytes.
-    pub payload: Vec<u8>,
+    data: FrameData,
+}
+
+#[derive(Clone)]
+enum FrameData {
+    Owned(Vec<u8>),
+    /// `len` bytes at `offset` in `page`; `None` is a never-written
+    /// page, which reads as zeroes.
+    Page {
+        page: Option<Rc<Page>>,
+        offset: u16,
+        len: u16,
+    },
+}
+
+impl Default for FrameData {
+    fn default() -> FrameData {
+        FrameData::Owned(Vec::new())
+    }
 }
 
 impl Frame {
@@ -32,22 +60,80 @@ impl Frame {
         frame
     }
 
+    /// A frame of the `len` bytes at `offset` in `page` (`None`: a page
+    /// never written, all zeroes), sharing the page instead of copying
+    /// it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bytes do not lie within one page.
+    pub fn shared(page: Option<Rc<Page>>, offset: usize, len: usize) -> Frame {
+        assert!(
+            offset + len <= PAGE_SIZE as usize,
+            "a shared frame lies within one page"
+        );
+        Frame {
+            data: FrameData::Page {
+                page,
+                offset: offset as u16,
+                len: len as u16,
+            },
+        }
+    }
+
     /// Turns this frame into [`Frame::patterned`]`(len, seed)`, reusing
-    /// its buffer.
+    /// its buffer if it owns one.
     pub fn repattern(&mut self, len: usize, seed: u8) {
-        self.payload.clear();
-        self.payload
-            .extend((0..len).map(|i| seed.wrapping_add(i as u8)));
+        let mut buf = std::mem::take(self).into_buffer().unwrap_or_default();
+        buf.clear();
+        buf.extend((0..len).map(|i| seed.wrapping_add(i as u8)));
+        self.data = FrameData::Owned(buf);
+    }
+
+    /// The frame's bytes.
+    pub fn bytes(&self) -> &[u8] {
+        match &self.data {
+            FrameData::Owned(buf) => buf,
+            FrameData::Page { page, offset, len } => {
+                let page: &Page = page.as_deref().unwrap_or(&ZERO_PAGE);
+                &page[*offset as usize..(offset + len) as usize]
+            }
+        }
+    }
+
+    /// The buffer an owned frame's bytes live in; `None` for a page
+    /// view.
+    fn into_buffer(self) -> Option<Vec<u8>> {
+        match self.data {
+            FrameData::Owned(buf) => Some(buf),
+            FrameData::Page { .. } => None,
+        }
     }
 
     /// Frame length in bytes.
     pub fn len(&self) -> usize {
-        self.payload.len()
+        self.bytes().len()
     }
 
     /// Whether the frame is empty.
     pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+        self.len() == 0
+    }
+}
+
+impl PartialEq for Frame {
+    fn eq(&self, other: &Frame) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Frame {}
+
+impl fmt::Debug for Frame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Frame")
+            .field("payload", &self.bytes())
+            .finish()
     }
 }
 
@@ -83,7 +169,8 @@ pub struct Nic {
     wire: VecDeque<Frame>,
     /// Frames transmitted over the NIC's lifetime.
     tx_frames: u64,
-    /// The next frame's payload buffer: the last evicted frame's bytes.
+    /// The next gathered frame's payload buffer: the last evicted owned
+    /// frame's bytes.
     spare: Vec<u8>,
     /// Line rate in megabits per second (10 GbE).
     pub line_rate_mbps: u64,
@@ -127,7 +214,9 @@ impl Nic {
         &mut self.functions[idx]
     }
 
-    /// Transmits a frame from function `idx` onto the wire.
+    /// Transmits a frame from function `idx` onto the wire. If the
+    /// ring is full the oldest frame is evicted; an owned one leaves
+    /// its buffer for the next [`Nic::transmit_with`].
     ///
     /// # Panics
     ///
@@ -136,7 +225,9 @@ impl Nic {
         self.functions[idx].tx_bytes += frame.len() as u64;
         self.tx_frames += 1;
         if self.wire.len() == WIRE_CAPACITY {
-            self.spare = self.wire.pop_front().map(|f| f.payload).unwrap_or_default();
+            if let Some(buf) = self.wire.pop_front().and_then(Frame::into_buffer) {
+                self.spare = buf;
+            }
         }
         self.wire.push_back(frame);
     }
@@ -166,7 +257,12 @@ impl Nic {
             self.spare = payload;
             return Err(e);
         }
-        self.transmit(idx, Frame { payload });
+        self.transmit(
+            idx,
+            Frame {
+                data: FrameData::Owned(payload),
+            },
+        );
         Ok(())
     }
 
@@ -289,7 +385,7 @@ mod tests {
         })
         .unwrap();
         let last = nic.wire().back().unwrap();
-        assert_eq!(last.payload, [7; 200]);
+        assert_eq!(last.bytes(), [7; 200]);
     }
 
     #[test]

@@ -11,9 +11,15 @@
 //! The chain DMA itself ([`dma_transmit`], [`dma_receive`]) is shared
 //! with physical passthrough, where the device does it through the
 //! IOMMU and no backend is involved.
+//!
+//! Transmit is zero-copy where it can be: a one-buffer chain within one
+//! page goes on the wire as a view of the translated host page, shared
+//! copy-on-write with guest memory, so a frame costs one translation
+//! and no byte copy. The simulated copy is still charged by the caller,
+//! by length.
 
 use crate::nic::{Frame, Nic};
-use crate::virtio::queue::VirtQueue;
+use crate::virtio::queue::{DescChain, VirtQueue};
 use dvh_memory::sparse::SparseMemory;
 use dvh_memory::{Gpa, Perms, TranslateErr, PAGE_SIZE};
 use std::fmt;
@@ -132,11 +138,13 @@ pub fn dma_write(
     Ok(())
 }
 
-/// Drains `q`'s available TX chains: gathers each chain's
-/// device-readable buffers through `xl` straight into a recycled NIC
-/// buffer and transmits it from NIC function `func`. Every chain is
-/// completed to the used ring; `done` sees each one's outcome, the
-/// frame length or the fault that dropped it (a dropped frame never
+/// Drains `q`'s available TX chains and transmits each from NIC
+/// function `func`. A chain of one device-readable buffer within one
+/// page (every chain the datapaths queue) becomes a frame sharing that
+/// host page copy-on-write: one translation, no byte copied. Any other
+/// chain is gathered through `xl` into a recycled NIC buffer. Every
+/// chain is completed to the used ring; `done` sees each one's outcome,
+/// the frame length or the fault that dropped it (a dropped frame never
 /// reaches the wire).
 pub fn dma_transmit(
     q: &mut VirtQueue,
@@ -147,21 +155,53 @@ pub fn dma_transmit(
     mut done: impl FnMut(Result<usize, TranslateErr>),
 ) {
     while let Some(chain) = q.pop_avail() {
-        let len = chain.readable_len() as usize;
-        let tx = nic.transmit_with(func, len, |payload| {
-            let mut filled = 0;
-            for d in chain.descs().iter().filter(|d| !d.device_writes) {
-                let n = d.len as usize;
-                dma_read_into(mem, xl, d.addr, &mut payload[filled..filled + n])?;
-                filled += n;
-            }
-            // The buffer is recycled: a byte not read would be stale.
-            debug_assert_eq!(filled, payload.len(), "the DMA read missed bytes");
-            Ok(())
-        });
-        done(tx.map(|()| len));
+        done(transmit_chain(&chain, mem, xl, nic, func));
         q.push_used(chain.head, 0);
     }
+}
+
+/// Transmits one chain, zero-copy if it is one readable buffer within
+/// one page, otherwise by [`gather_chain`].
+fn transmit_chain(
+    chain: &DescChain,
+    mem: &SparseMemory,
+    xl: &mut dyn DmaTranslate,
+    nic: &mut Nic,
+    func: usize,
+) -> Result<usize, TranslateErr> {
+    if let [d] = chain.descs() {
+        let (off, len) = (d.addr.page_offset() as usize, d.len as usize);
+        if !d.device_writes && len > 0 && off + len <= PAGE_SIZE as usize {
+            let host_pfn = xl.dma_pfn(d.addr.pfn(), Perms::RO)?;
+            nic.transmit(func, Frame::shared(mem.shared_page(host_pfn), off, len));
+            return Ok(len);
+        }
+    }
+    gather_chain(chain, mem, xl, nic, func)
+}
+
+/// Transmits one chain by gathering its device-readable buffers
+/// through `xl` straight into a recycled NIC buffer.
+fn gather_chain(
+    chain: &DescChain,
+    mem: &SparseMemory,
+    xl: &mut dyn DmaTranslate,
+    nic: &mut Nic,
+    func: usize,
+) -> Result<usize, TranslateErr> {
+    let len = chain.readable_len() as usize;
+    nic.transmit_with(func, len, |payload| {
+        let mut filled = 0;
+        for d in chain.descs().iter().filter(|d| !d.device_writes) {
+            let n = d.len as usize;
+            dma_read_into(mem, xl, d.addr, &mut payload[filled..filled + n])?;
+            filled += n;
+        }
+        // The buffer is recycled: a byte not read would be stale.
+        debug_assert_eq!(filled, payload.len(), "the DMA read missed bytes");
+        Ok(())
+    })?;
+    Ok(len)
 }
 
 /// Receives `frame` into `q`'s next available chain: scatters it over
@@ -182,7 +222,7 @@ pub fn dma_receive(
         q.push_used(chain.head, 0);
         return None;
     }
-    let mut rest: &[u8] = &frame.payload;
+    let mut rest = frame.bytes();
     let mut written = 0u32;
     for d in chain.descs().iter().filter(|d| d.device_writes) {
         if rest.is_empty() {
@@ -306,6 +346,7 @@ impl fmt::Display for VhostNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iommu::Iommu;
     use crate::pci::Bdf;
     use crate::virtio::queue::Descriptor;
     use dvh_memory::iommu_pt::IoTable;
@@ -339,7 +380,7 @@ mod tests {
         });
         assert_eq!(sent, [11]);
         assert_eq!(nic.wire().len(), 1);
-        assert_eq!(nic.wire()[0].payload, b"hello world");
+        assert_eq!(nic.wire()[0].bytes(), b"hello world");
         assert_eq!(vhost.stats.tx_bytes, 11);
         assert_eq!(q.used_len(), 1);
     }
@@ -347,7 +388,7 @@ mod tests {
     #[test]
     fn recycled_long_frames_leak_nothing_into_frames_from_unwritten_memory() {
         let mut mem = SparseMemory::new();
-        mem.write(Gpa::new(0x1000), &[0xAA; 1500]);
+        mem.write(Gpa::new(0x1C00), &[0xAA; 1500]);
         let mut q = VirtQueue::new(8);
         let mut nic = Nic::new(Bdf::new(1, 0, 0), 0);
         let send = |q: &mut VirtQueue, nic: &mut Nic, addr, len| {
@@ -359,14 +400,15 @@ mod tests {
             .unwrap();
             dma_transmit(q, &mem, &mut Identity, nic, 0, |r| assert!(r.is_ok()));
         };
-        // Fill the wire with long frames, so every later frame reuses
-        // a 1,500-byte buffer of 0xAA bytes.
+        // Fill the wire with long frames that cross a page, so they are
+        // gathered and every later gathered frame reuses a 1,500-byte
+        // buffer of 0xAA bytes.
         for _ in 0..=crate::nic::WIRE_CAPACITY {
-            send(&mut q, &mut nic, 0x1000, 1500);
+            send(&mut q, &mut nic, 0x1C00, 1500);
         }
-        // A short frame from a page never written reads as zeroes.
-        send(&mut q, &mut nic, 0x9000, 200);
-        assert_eq!(nic.wire().back().unwrap().payload, [0; 200]);
+        // A short frame from pages never written reads as zeroes.
+        send(&mut q, &mut nic, 0x9FC0, 200);
+        assert_eq!(nic.wire().back().unwrap().bytes(), [0; 200]);
     }
 
     #[test]
@@ -383,7 +425,7 @@ mod tests {
         let mut mark = |pfn| dirty.mark_pfn(pfn);
         assert!(vhost.deliver_rx(&mut q, &mut mem, &mut xl, &frame, Some(&mut mark)));
         // Data landed at the *host* frame.
-        assert_eq!(mem.read(Gpa::new(0x99_000), 1500), frame.payload);
+        assert_eq!(mem.read(Gpa::new(0x99_000), 1500), frame.bytes());
         assert!(dirty.is_dirty(0x99));
         assert_eq!(vhost.stats.rx_packets, 1);
     }
@@ -442,5 +484,184 @@ mod tests {
         // Physically the bytes straddle host pages 0x20 and 0x21.
         assert_eq!(mem.read(Gpa::new(0x20_FC0), 0x40), &data[..0x40]);
         assert_eq!(mem.read(Gpa::new(0x21_000), 36), &data[0x40..]);
+    }
+
+    /// SplitMix64: the seeded generator of the differential test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn tx_bdf() -> Bdf {
+        Bdf::new(0, 3, 0)
+    }
+
+    /// Device-visible pages the chains address; the last is never
+    /// mapped, so a buffer running into it faults.
+    const TX_PAGES: u64 = 12;
+    const TX_HOST_BASE: u64 = 0x400;
+
+    /// One side of the transmit differential.
+    #[derive(Clone)]
+    struct TxRig {
+        mem: SparseMemory,
+        iommu: Iommu,
+        q: VirtQueue,
+        nic: Nic,
+        vhost: VhostNet,
+    }
+
+    impl TxRig {
+        /// Drains the queue through the datapath under test.
+        fn zero_copy(&mut self) {
+            let mut xl = self.iommu.device_dma(tx_bdf());
+            self.vhost
+                .service_tx(&mut self.q, &self.mem, &mut xl, &mut self.nic, 0, |_| {});
+        }
+
+        /// Drains the queue gathering every chain, as the datapath did
+        /// before frames shared pages.
+        fn gather(&mut self) {
+            let mut xl = self.iommu.device_dma(tx_bdf());
+            let stats = &mut self.vhost.stats;
+            while let Some(chain) = self.q.pop_avail() {
+                match gather_chain(&chain, &self.mem, &mut xl, &mut self.nic, 0) {
+                    Ok(len) => {
+                        stats.tx_bytes += len as u64;
+                        stats.tx_packets += 1;
+                    }
+                    Err(_) => stats.dropped += 1,
+                }
+                self.q.push_used(chain.head, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_copy_transmit_matches_the_gather_path() {
+        let mut rng = 0x5EED_u64;
+        let mut rig = TxRig {
+            mem: SparseMemory::new(),
+            iommu: Iommu::new(),
+            q: VirtQueue::new(64),
+            nic: Nic::new(Bdf::new(1, 0, 0), 0),
+            vhost: VhostNet::new(),
+        };
+        rig.iommu.attach(tx_bdf());
+        rig.iommu
+            .map(tx_bdf(), 0, TX_HOST_BASE, TX_PAGES - 1, Perms::RW);
+        // Half the pages hold data; the rest were never written.
+        for pfn in (0..TX_PAGES).step_by(2) {
+            let fill = splitmix(&mut rng) as u8;
+            rig.mem.write(
+                Gpa::from_pfn(TX_HOST_BASE + pfn),
+                &[fill; PAGE_SIZE as usize],
+            );
+        }
+        let mut fast = rig.clone();
+        let mut reference = rig;
+        let (mut single_page, mut other) = (0, 0);
+        for round in 0..600 {
+            let r = splitmix(&mut rng);
+            match r % 8 {
+                // The guest rewrites part of a buffer page while frames
+                // sent from it may still be on the wire.
+                0 | 1 => {
+                    let pfn = TX_HOST_BASE + (r >> 8) % TX_PAGES;
+                    let off = (r >> 16) % PAGE_SIZE;
+                    let data = [(r >> 32) as u8; 300];
+                    let n = data.len().min((PAGE_SIZE - off) as usize);
+                    for side in [&mut fast, &mut reference] {
+                        side.mem.write(Gpa::from_pfn(pfn).offset(off), &data[..n]);
+                    }
+                }
+                // A mapping is revoked, or restored.
+                2 => {
+                    let pfn = (r >> 8) % (TX_PAGES - 1);
+                    for side in [&mut fast, &mut reference] {
+                        if (r >> 16).is_multiple_of(2) {
+                            side.iommu.unmap(tx_bdf(), pfn);
+                        } else {
+                            side.iommu
+                                .map(tx_bdf(), pfn, TX_HOST_BASE + pfn, 1, Perms::RO);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            for _ in 0..1 + splitmix(&mut rng) % 4 {
+                let n = 1 + (splitmix(&mut rng) % 6).saturating_sub(3);
+                let descs: Vec<Descriptor> = (0..n)
+                    .map(|_| {
+                        let r = splitmix(&mut rng);
+                        let off = match r % 3 {
+                            0 => 0,
+                            1 => PAGE_SIZE - 1 - (r >> 8) % 64,
+                            _ => (r >> 8) % PAGE_SIZE,
+                        };
+                        Descriptor {
+                            addr: Gpa::from_pfn((r >> 20) % TX_PAGES).offset(off),
+                            len: 1 + ((r >> 32) % 1600) as u32,
+                            device_writes: (r >> 48).is_multiple_of(8),
+                        }
+                    })
+                    .collect();
+                let fits = descs[0].addr.page_offset() + descs[0].len as u64 <= PAGE_SIZE;
+                if n == 1 && !descs[0].device_writes && fits {
+                    single_page += 1;
+                } else {
+                    other += 1;
+                }
+                for side in [&mut fast, &mut reference] {
+                    side.q.add_chain(descs.clone()).unwrap();
+                    side.q.kick();
+                }
+            }
+            fast.zero_copy();
+            reference.gather();
+            assert_eq!(fast.nic.wire(), reference.nic.wire(), "round {round}");
+            assert_eq!(fast.nic.tx_frames(), reference.nic.tx_frames());
+            assert_eq!(
+                fast.nic.function_mut(0).tx_bytes,
+                reference.nic.function_mut(0).tx_bytes
+            );
+            assert_eq!(fast.q, reference.q, "round {round}: used ring");
+            assert_eq!(fast.vhost.stats, reference.vhost.stats, "round {round}");
+            assert_eq!(fast.iommu.fault_count(), reference.iommu.fault_count());
+            while let Some(used) = fast.q.pop_used() {
+                assert_eq!(reference.q.pop_used(), Some(used));
+            }
+        }
+        // Both paths ran often, faults happened, and the wire wrapped.
+        assert!(single_page > 200 && other > 200, "{single_page} / {other}");
+        assert!(fast.vhost.stats.dropped > 20, "{:?}", fast.vhost.stats);
+        assert!(fast.nic.tx_frames() > 2 * crate::nic::WIRE_CAPACITY as u64);
+    }
+
+    #[test]
+    fn a_sent_frame_keeps_its_bytes_when_the_guest_rewrites_the_page() {
+        let mut mem = SparseMemory::new();
+        mem.write(Gpa::new(0x1000), &[1; 64]);
+        let mut q = VirtQueue::new(8);
+        let mut nic = Nic::new(Bdf::new(1, 0, 0), 0);
+        let mut send = |q: &mut VirtQueue, mem: &SparseMemory| {
+            q.add_reclaiming(Descriptor {
+                addr: Gpa::new(0x1000),
+                len: 64,
+                device_writes: false,
+            })
+            .unwrap();
+            dma_transmit(q, mem, &mut Identity, &mut nic, 0, |r| {
+                assert_eq!(r, Ok(64))
+            });
+        };
+        send(&mut q, &mem);
+        mem.write(Gpa::new(0x1000), &[2; 64]);
+        send(&mut q, &mem);
+        let wire: Vec<&[u8]> = nic.wire().iter().map(Frame::bytes).collect();
+        assert_eq!(wire, [&[1; 64][..], &[2; 64][..]]);
     }
 }

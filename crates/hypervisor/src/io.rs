@@ -17,19 +17,23 @@
 //!   the innermost vIOMMU: posted (or no vIOMMU at all) reaches the
 //!   leaf directly, otherwise every intermediate hypervisor relays it.
 //!
-//! Bytes really move: the leaf's buffers live in host memory at their
-//! canonical translated addresses, and frames really reach the NIC,
+//! Bytes really reach the wire: the leaf's buffers live in host memory
+//! at their canonical translated addresses, and frames reach the NIC,
 //! whose wire keeps the most recent 256 — so data-integrity tests can
 //! check end-to-end payloads while the cost ledger records who trapped
-//! where. Transmit paths DMA straight into recycled wire buffers and
-//! receive bursts build their frame in a buffer the world recycles:
-//! steady-state I/O allocates nothing.
+//! where. A transmitted frame shares the leaf's TX buffer page
+//! copy-on-write instead of copying it (the simulated copy is charged
+//! by length all the same), so a guest that rewrites the buffer later
+//! leaves the frame on the wire as sent. Received frames land in the
+//! posted RX buffer, never in a TX page, and receive bursts build their
+//! frame in a buffer the world recycles: steady-state I/O allocates
+//! nothing.
 //!
 //! [`Iommu::device_dma`]: dvh_devices::iommu::Iommu::device_dma
 
 use crate::config::IoModel;
 use crate::runtime::IrqPath;
-use crate::world::{World, LEAF_BUF_BASE_PFN, STAGE_PFN_OFFSET};
+use crate::world::{World, LEAF_BUF_BASE_PFN, LEAF_RX_BUF_PFN, STAGE_PFN_OFFSET};
 use dvh_arch::vmx::{ExitQualification, ExitReason};
 use dvh_arch::Cycles;
 use dvh_devices::iommu::IrteTarget;
@@ -403,12 +407,12 @@ impl World {
     /// reached.
     fn cascade_rx(&mut self, dest: usize, frame: &Frame) -> Cycles {
         let bytes = frame.len() as u64;
-        // Materialize the payload at the canonical leaf buffer so
+        // Materialize the payload in the leaf's posted RX buffer so
         // end-to-end integrity holds, then charge the cascade costs
         // level by level.
-        let host = Gpa::from_pfn(self.leaf_host_pfn(LEAF_BUF_BASE_PFN));
-        self.host_mem.write(host, &frame.payload);
-        self.leaf_dirty.mark_pfn(LEAF_BUF_BASE_PFN);
+        let host = Gpa::from_pfn(self.leaf_host_pfn(LEAF_RX_BUF_PFN));
+        self.host_mem.write(host, frame.bytes());
+        self.leaf_dirty.mark_pfn(LEAF_RX_BUF_PFN);
         for j in 1..self.config.levels {
             // Kick hypervisor j: the leaf is running on this CPU, so
             // the interrupt exits and the chain runs hv j's RX softirq.
@@ -490,7 +494,7 @@ impl World {
         while self.virtio[idx].rx.pop_used().is_some() {}
         if self.virtio[idx].rx.avail_len() < 4 {
             let _ = self.virtio[idx].rx.add_one(Descriptor {
-                addr: Gpa::from_pfn(LEAF_BUF_BASE_PFN + 32),
+                addr: Gpa::from_pfn(LEAF_RX_BUF_PFN),
                 len: 4096,
                 device_writes: true,
             });

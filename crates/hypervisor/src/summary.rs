@@ -56,8 +56,7 @@ use crate::world::{CpuVmcs, World};
 use dvh_arch::msr;
 use dvh_arch::vmx::{field, slot_of, ExitQualification, ExitReason};
 use dvh_arch::Cycles;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use dvh_memory::hash::KeyMap;
 
 /// How far `advance_guest_rip` moves RIP past an emulated instruction.
 const RIP_ADVANCE: u64 = 3;
@@ -224,33 +223,12 @@ struct Recording {
     stores: Vec<Store>,
 }
 
-/// Hashes the packed `u64` memo key with one multiply and fold.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let x = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 29);
-    }
-}
-
 /// The per-[`World`] memo of exit summaries.
 #[derive(Debug, Default)]
 pub(crate) struct SummaryMemo {
     /// Set by [`World::disable_exit_summaries`].
     disabled: bool,
-    entries: HashMap<u64, Entry, BuildHasherDefault<KeyHasher>>,
+    entries: KeyMap<Entry>,
     summaries: Vec<Summary>,
     /// Active recordings, innermost last.
     stack: Vec<Recording>,

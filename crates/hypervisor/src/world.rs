@@ -45,8 +45,13 @@ use dvh_obs::MetricsRegistry;
 /// to verify end-to-end translation.
 pub const STAGE_PFN_OFFSET: u64 = 0x100_000; // 4 GiB
 
-/// First leaf PFN of the virtio ring buffer pool.
+/// First leaf PFN of the virtio ring buffer pool. The leaf transmits
+/// from the 32 pages starting here.
 pub const LEAF_BUF_BASE_PFN: u64 = 0x100;
+
+/// The leaf page every received frame lands in: the RX buffer the leaf
+/// posts, past its TX buffers.
+pub const LEAF_RX_BUF_PFN: u64 = LEAF_BUF_BASE_PFN + 32;
 
 /// The per-vCPU posted-interrupt notification vector.
 pub const PI_NOTIFICATION_VECTOR: u8 = 0xF2;

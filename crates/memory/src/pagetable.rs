@@ -3,11 +3,15 @@
 //!
 //! The table maps page frame numbers to page frame numbers with
 //! permissions, mirroring the x86 4-level structure (9 bits per level,
-//! 48-bit input space). Keeping a real radix tree (rather than a flat
-//! map) lets the simulator account walk depth the way hardware does:
-//! translating costs one memory reference per touched level.
+//! 48-bit input space). It reports what a hardware walk of that tree
+//! would: a hit touches all four levels, and a miss names the level
+//! whose entry was absent. It does not store the tree, though: the
+//! leaves live in one hash map keyed by input PFN, so a translation is
+//! one probe, and each level keeps the set of index prefixes that hold
+//! a table, consulted only on a miss. Like a hardware table's, those
+//! tables are never freed when their last leaf is unmapped.
 
-use std::collections::BTreeMap;
+use crate::hash::{KeyMap, KeySet};
 use std::fmt;
 
 /// Number of radix levels (4-level, x86-64 style).
@@ -125,15 +129,10 @@ impl fmt::Display for TranslateErr {
 
 impl std::error::Error for TranslateErr {}
 
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-enum Node {
-    #[default]
-    Empty,
-    Table(BTreeMap<u16, Node>),
-    Leaf(Entry),
-}
-
 /// A 4-level radix page table mapping input PFNs to output PFNs.
+///
+/// Input PFNs are 36 bits wide (four 9-bit indices); higher bits are
+/// ignored, as by a hardware walk of a 48-bit address space.
 ///
 /// # Example
 ///
@@ -149,17 +148,22 @@ enum Node {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PageTable {
-    root: Node,
-    mapped_pages: u64,
+    /// Leaf entries keyed by input PFN.
+    leaves: KeyMap<Entry>,
+    /// `tables[k]` holds the index prefixes of the tables present at
+    /// radix level `k + 2`, i.e. the entries present at level `k + 1`
+    /// (the root is level 1). Never pruned: a table stays when its
+    /// last leaf is unmapped.
+    tables: [KeySet; LEVELS as usize - 1],
 }
 
-fn indices(pfn: u64) -> [u16; LEVELS as usize] {
-    let mut idx = [0u16; LEVELS as usize];
-    for (i, slot) in idx.iter_mut().enumerate() {
-        let shift = BITS_PER_LEVEL * (LEVELS - 1 - i as u32);
-        *slot = ((pfn >> shift) & 0x1FF) as u16;
-    }
-    idx
+/// Input PFN bits the four levels index.
+const INPUT_MASK: u64 = (1 << (BITS_PER_LEVEL * LEVELS)) - 1;
+
+/// The index prefix of `pfn`'s table entry at level `level` (1-based):
+/// the bits that select the level-`level + 1` table.
+fn prefix(pfn: u64, level: u32) -> u64 {
+    pfn >> (BITS_PER_LEVEL * (LEVELS - level))
 }
 
 impl PageTable {
@@ -171,35 +175,22 @@ impl PageTable {
     /// Maps input page `pfn_in` to output page `pfn_out` with `perms`,
     /// replacing any previous mapping.
     pub fn map(&mut self, pfn_in: u64, pfn_out: u64, perms: Perms) {
-        let idx = indices(pfn_in);
-        let mut node = &mut self.root;
-        for (depth, &i) in idx.iter().enumerate() {
-            if depth == LEVELS as usize - 1 {
-                if let Node::Table(t) = node {
-                    let prev = t.insert(
-                        i,
-                        Node::Leaf(Entry {
-                            pfn: pfn_out,
-                            perms,
-                        }),
-                    );
-                    if !matches!(prev, Some(Node::Leaf(_))) {
-                        self.mapped_pages += 1;
-                    }
-                    return;
-                }
-                unreachable!("intermediate node must be a table");
-            }
-            if matches!(node, Node::Empty | Node::Leaf(_)) {
-                *node = Node::Table(BTreeMap::new());
-            }
-            match node {
-                Node::Table(t) => {
-                    node = t.entry(i).or_insert_with(|| Node::Table(BTreeMap::new()));
-                }
-                _ => unreachable!(),
+        let key = pfn_in & INPUT_MASK;
+        // Tables are never pruned, so a present last-level table means
+        // every table above it is present too.
+        let [upper @ .., last] = &mut self.tables;
+        if last.insert(prefix(key, LEVELS - 1)) {
+            for (level, set) in (1..).zip(upper) {
+                set.insert(prefix(key, level));
             }
         }
+        self.leaves.insert(
+            key,
+            Entry {
+                pfn: pfn_out,
+                perms,
+            },
+        );
     }
 
     /// Maps `n` consecutive pages starting at the given input/output
@@ -212,38 +203,12 @@ impl PageTable {
 
     /// Removes the mapping for `pfn_in`. Returns the removed entry.
     pub fn unmap(&mut self, pfn_in: u64) -> Option<Entry> {
-        let idx = indices(pfn_in);
-        fn rec(node: &mut Node, idx: &[u16]) -> Option<Entry> {
-            match node {
-                Node::Table(t) => {
-                    if idx.len() == 1 {
-                        match t.remove(&idx[0]) {
-                            Some(Node::Leaf(e)) => Some(e),
-                            Some(other) => {
-                                // Shouldn't happen for well-formed maps;
-                                // put it back.
-                                t.insert(idx[0], other);
-                                None
-                            }
-                            None => None,
-                        }
-                    } else {
-                        let child = t.get_mut(&idx[0])?;
-                        rec(child, &idx[1..])
-                    }
-                }
-                _ => None,
-            }
-        }
-        let removed = rec(&mut self.root, &idx);
-        if removed.is_some() {
-            self.mapped_pages -= 1;
-        }
-        removed
+        self.leaves.remove(&(pfn_in & INPUT_MASK))
     }
 
     /// Translates input page `pfn_in` for an access requiring `req`
-    /// permissions, counting the radix levels the walk touched.
+    /// permissions, counting the radix levels the walk touched: a
+    /// successful walk touches all [`LEVELS`].
     ///
     /// # Errors
     ///
@@ -251,77 +216,43 @@ impl PageTable {
     /// [`TranslateErr::Protection`] if the entry exists but denies the
     /// requested access.
     pub fn translate(&self, pfn_in: u64, req: Perms) -> Result<Translation, TranslateErr> {
-        let idx = indices(pfn_in);
-        let mut node = &self.root;
-        let mut refs = 0u32;
-        for &i in idx.iter() {
-            refs += 1;
-            match node {
-                Node::Table(t) => match t.get(&i) {
-                    Some(n) => node = n,
-                    None => return Err(TranslateErr::NotMapped { level: refs }),
-                },
-                Node::Empty => return Err(TranslateErr::NotMapped { level: refs }),
-                Node::Leaf(_) => break,
-            }
+        let key = pfn_in & INPUT_MASK;
+        let Some(e) = self.leaves.get(&key) else {
+            // The walk dies at the first level whose entry is absent.
+            let level = (1..LEVELS)
+                .find(|&l| !self.tables[l as usize - 1].contains(&prefix(key, l)))
+                .unwrap_or(LEVELS);
+            return Err(TranslateErr::NotMapped { level });
+        };
+        if !e.perms.allows(req) {
+            return Err(TranslateErr::Protection { have: e.perms });
         }
-        match node {
-            Node::Leaf(e) => {
-                if !e.perms.allows(req) {
-                    return Err(TranslateErr::Protection { have: e.perms });
-                }
-                Ok(Translation {
-                    pfn: e.pfn,
-                    perms: e.perms,
-                    walk_refs: refs,
-                })
-            }
-            _ => Err(TranslateErr::NotMapped { level: refs }),
-        }
+        Ok(Translation {
+            pfn: e.pfn,
+            perms: e.perms,
+            walk_refs: LEVELS,
+        })
     }
 
     /// Looks up `pfn_in`'s leaf entry.
     pub fn lookup(&self, pfn_in: u64) -> Option<Entry> {
-        let idx = indices(pfn_in);
-        let mut node = &self.root;
-        for &i in idx.iter() {
-            match node {
-                Node::Table(t) => node = t.get(&i)?,
-                Node::Empty => return None,
-                Node::Leaf(_) => break,
-            }
-        }
-        match node {
-            Node::Leaf(e) => Some(*e),
-            _ => None,
-        }
+        self.leaves.get(&(pfn_in & INPUT_MASK)).copied()
     }
 
     /// Number of mapped pages.
     pub fn mapped_pages(&self) -> u64 {
-        self.mapped_pages
+        self.leaves.len() as u64
     }
 
     /// Whether the table has no mappings.
     pub fn is_empty(&self) -> bool {
-        self.mapped_pages == 0
+        self.leaves.is_empty()
     }
 
     /// Iterates all `(input_pfn, Entry)` mappings in ascending order.
     pub fn iter(&self) -> Vec<(u64, Entry)> {
-        let mut out = Vec::new();
-        fn rec(node: &Node, prefix: u64, out: &mut Vec<(u64, Entry)>) {
-            match node {
-                Node::Table(t) => {
-                    for (&i, child) in t {
-                        rec(child, (prefix << BITS_PER_LEVEL) | i as u64, out);
-                    }
-                }
-                Node::Leaf(e) => out.push((prefix, *e)),
-                Node::Empty => {}
-            }
-        }
-        rec(&self.root, 0, &mut out);
+        let mut out: Vec<(u64, Entry)> = self.leaves.iter().map(|(&k, &e)| (k, e)).collect();
+        out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
 }
@@ -329,6 +260,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn map_translate_round_trip() {
@@ -422,5 +354,170 @@ mod tests {
         pt.map(b, 200, Perms::RW);
         assert_eq!(pt.lookup(a).unwrap().pfn, 100);
         assert_eq!(pt.lookup(b).unwrap().pfn, 200);
+    }
+
+    /// The radix tree the table stands for: one `BTreeMap` of children
+    /// per table, walked level by level as hardware walks it.
+    #[derive(Default)]
+    struct Radix {
+        root: Option<RadixTable>,
+    }
+
+    #[derive(Default)]
+    struct RadixTable(BTreeMap<u16, RadixNode>);
+
+    enum RadixNode {
+        Table(RadixTable),
+        Leaf(Entry),
+    }
+
+    fn radix_indices(pfn: u64) -> [u16; LEVELS as usize] {
+        std::array::from_fn(|i| {
+            ((pfn >> (BITS_PER_LEVEL * (LEVELS - 1 - i as u32))) & 0x1FF) as u16
+        })
+    }
+
+    impl Radix {
+        fn map(&mut self, pfn: u64, e: Entry) {
+            let idx = radix_indices(pfn);
+            let mut t = self.root.get_or_insert_with(RadixTable::default);
+            for &i in &idx[..LEVELS as usize - 1] {
+                let child =
+                    t.0.entry(i)
+                        .or_insert_with(|| RadixNode::Table(RadixTable::default()));
+                let RadixNode::Table(next) = child else {
+                    unreachable!("an inner entry holds a table")
+                };
+                t = next;
+            }
+            t.0.insert(idx[LEVELS as usize - 1], RadixNode::Leaf(e));
+        }
+
+        /// Removes a leaf; the tables above it stay.
+        fn unmap(&mut self, pfn: u64) -> Option<Entry> {
+            let idx = radix_indices(pfn);
+            let mut t = self.root.as_mut()?;
+            for &i in &idx[..LEVELS as usize - 1] {
+                let RadixNode::Table(next) = t.0.get_mut(&i)? else {
+                    unreachable!("an inner entry holds a table")
+                };
+                t = next;
+            }
+            match t.0.remove(&idx[LEVELS as usize - 1])? {
+                RadixNode::Leaf(e) => Some(e),
+                RadixNode::Table(_) => unreachable!("a last-level entry is a leaf"),
+            }
+        }
+
+        fn translate(&self, pfn: u64, req: Perms) -> Result<Translation, TranslateErr> {
+            let mut t = self.root.as_ref();
+            for (level, &i) in (1..).zip(radix_indices(pfn).iter()) {
+                match t.and_then(|t| t.0.get(&i)) {
+                    None => return Err(TranslateErr::NotMapped { level }),
+                    Some(RadixNode::Table(next)) => t = Some(next),
+                    Some(RadixNode::Leaf(e)) if !e.perms.allows(req) => {
+                        return Err(TranslateErr::Protection { have: e.perms })
+                    }
+                    Some(RadixNode::Leaf(e)) => {
+                        return Ok(Translation {
+                            pfn: e.pfn,
+                            perms: e.perms,
+                            walk_refs: level,
+                        })
+                    }
+                }
+            }
+            unreachable!("the last level holds leaves")
+        }
+
+        fn iter(&self) -> Vec<(u64, Entry)> {
+            fn rec(t: &RadixTable, prefix: u64, out: &mut Vec<(u64, Entry)>) {
+                for (&i, node) in &t.0 {
+                    let pfn = (prefix << BITS_PER_LEVEL) | i as u64;
+                    match node {
+                        RadixNode::Table(next) => rec(next, pfn, out),
+                        RadixNode::Leaf(e) => out.push((pfn, *e)),
+                    }
+                }
+            }
+            let mut out = Vec::new();
+            if let Some(root) = &self.root {
+                rec(root, 0, &mut out);
+            }
+            out
+        }
+    }
+
+    /// SplitMix64: the seeded generator of the differential test.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn hashed_table_matches_a_radix_tree() {
+        const PERMS: [Perms; 3] = [Perms::RO, Perms::RW, Perms::RWX];
+        for seed in 1..=8u64 {
+            let mut rng = seed;
+            let (mut pt, mut radix) = (PageTable::new(), Radix::default());
+            let mut levels = [0u32; LEVELS as usize + 1];
+            for step in 0..3000 {
+                let r = splitmix(&mut rng);
+                // `(base, span)` regions: dense ones where walks hit or
+                // die at the leaf, one straddling a 1 GiB boundary, sparse
+                // ones where they die higher up, and bases with bits above
+                // the 36 the walk indexes.
+                let (base, span) = [
+                    (0, 0x600),
+                    (0x3_FE00, 0x400),
+                    (0xF_FFFF_FE00, 0x200),
+                    (1 << 36, 0x600),
+                    (0, 1 << 18),
+                    (0x800_0000, 1 << 27),
+                    (0, 1 << 36),
+                ][(r % 7) as usize];
+                let pfn = base + (r >> 3) % span;
+                match (r >> 32) % 8 {
+                    0..=2 => {
+                        let e = Entry {
+                            pfn: r >> 40,
+                            perms: PERMS[((r >> 36) % 3) as usize],
+                        };
+                        pt.map(pfn, e.pfn, e.perms);
+                        radix.map(pfn, e);
+                    }
+                    3 => assert_eq!(pt.unmap(pfn), radix.unmap(pfn), "seed {seed} step {step}"),
+                    _ => {
+                        let req = PERMS[((r >> 36) % 3) as usize];
+                        let got = pt.translate(pfn, req);
+                        assert_eq!(got, radix.translate(pfn, req), "seed {seed} step {step}");
+                        if let Err(TranslateErr::NotMapped { level }) = got {
+                            levels[level as usize] += 1;
+                        }
+                        let any = Perms {
+                            r: false,
+                            w: false,
+                            x: false,
+                        };
+                        let leaf = radix.translate(pfn, any).ok().map(|t| Entry {
+                            pfn: t.pfn,
+                            perms: t.perms,
+                        });
+                        assert_eq!(pt.lookup(pfn), leaf, "seed {seed} step {step}");
+                    }
+                }
+            }
+            let all = radix.iter();
+            assert_eq!(pt.iter(), all, "seed {seed}");
+            assert_eq!(pt.mapped_pages(), all.len() as u64, "seed {seed}");
+            // Every walk depth was exercised.
+            assert!(
+                levels[1..].iter().all(|&n| n > 0),
+                "seed {seed}: {levels:?}"
+            );
+        }
     }
 }

@@ -4,10 +4,23 @@
 //! only the pages a workload actually touches matter; `SparseMemory`
 //! allocates 4 KiB chunks lazily. It backs data-integrity tests (DMA
 //! really moves bytes) and migration (pages are really copied).
+//!
+//! Pages are shared copy-on-write: [`SparseMemory::shared_page`] hands
+//! out a reference-counted page (a transmitted frame on the NIC wire
+//! holds one instead of a copy of its bytes), and a write copies a page
+//! only while such a reference is still alive. Pages live in one hash
+//! map keyed by PFN, so touching a page is one probe.
 
 use crate::addr::{Gpa, PAGE_SIZE};
-use std::collections::BTreeMap;
+use crate::hash::KeyMap;
 use std::fmt;
+use std::rc::Rc;
+
+/// One page of backing memory.
+pub type Page = [u8; PAGE_SIZE as usize];
+
+/// What every never-written page reads as.
+pub static ZERO_PAGE: Page = [0; PAGE_SIZE as usize];
 
 /// Lazily-allocated byte-addressable memory keyed by guest-physical
 /// address.
@@ -27,7 +40,7 @@ use std::fmt;
 /// ```
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct SparseMemory {
-    pages: BTreeMap<u64, Box<[u8]>>,
+    pages: KeyMap<Rc<Page>>,
 }
 
 impl SparseMemory {
@@ -36,10 +49,15 @@ impl SparseMemory {
         SparseMemory::default()
     }
 
-    fn page_mut(&mut self, pfn: u64) -> &mut [u8] {
-        self.pages
-            .entry(pfn)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+    /// The page to write at `pfn`: materialized on first touch, and
+    /// copied first if a [`SparseMemory::shared_page`] reference to it
+    /// is still alive.
+    fn page_mut(&mut self, pfn: u64) -> &mut Page {
+        Rc::make_mut(
+            self.pages
+                .entry(pfn)
+                .or_insert_with(|| Rc::new([0; PAGE_SIZE as usize])),
+        )
     }
 
     /// Writes `data` starting at `gpa`, crossing pages as needed.
@@ -97,13 +115,19 @@ impl SparseMemory {
         self.pages.get(&pfn).map(|p| &p[..])
     }
 
+    /// A shared reference to one materialized page, or `None` if the
+    /// page has never been written. The reference keeps the page's
+    /// current bytes: a later write to `pfn` copies the page first.
+    pub fn shared_page(&self, pfn: u64) -> Option<Rc<Page>> {
+        self.pages.get(&pfn).cloned()
+    }
+
     /// Runs `f` over one page's bytes without copying. Untouched pages
-    /// are presented as a shared zero page, so `f` always sees exactly
+    /// are presented as [`ZERO_PAGE`], so `f` always sees exactly
     /// [`PAGE_SIZE`] bytes.
     pub fn with_page<R>(&self, pfn: u64, f: impl FnOnce(&[u8]) -> R) -> R {
-        static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
         match self.pages.get(&pfn) {
-            Some(p) => f(p),
+            Some(p) => f(&p[..]),
             None => f(&ZERO_PAGE),
         }
     }
@@ -135,7 +159,9 @@ impl SparseMemory {
 
     /// PFNs of all materialized pages in ascending order.
     pub fn resident_pfns(&self) -> Vec<u64> {
-        self.pages.keys().copied().collect()
+        let mut pfns: Vec<u64> = self.pages.keys().copied().collect();
+        pfns.sort_unstable();
+        pfns
     }
 }
 
@@ -208,5 +234,31 @@ mod tests {
         ram.write(Gpa::from_pfn(5), &[1, 2, 3]);
         assert_eq!(&ram.page(5).unwrap()[..3], &[1, 2, 3]);
         assert_eq!(ram.with_page(5, |p| p[1]), 2);
+    }
+
+    #[test]
+    fn shared_pages_are_copied_on_write() {
+        let mut ram = SparseMemory::new();
+        assert!(ram.shared_page(4).is_none());
+        ram.write(Gpa::from_pfn(4), &[1, 2]);
+        let held = ram.shared_page(4).unwrap();
+        ram.write(Gpa::from_pfn(4), &[9]);
+        assert_eq!(held[..2], [1, 2]);
+        assert_eq!(ram.read(Gpa::from_pfn(4), 2), vec![9, 2]);
+        // With no reference left, a write goes to the page in place.
+        drop(held);
+        let page = ram.page(4).unwrap().as_ptr();
+        ram.write(Gpa::from_pfn(4), &[7]);
+        assert_eq!(ram.page(4).unwrap().as_ptr(), page);
+        assert_eq!(ram.resident_pages(), 1);
+    }
+
+    #[test]
+    fn resident_pfns_ascend() {
+        let mut ram = SparseMemory::new();
+        for pfn in [9, 2, 1 << 30, 7] {
+            ram.write(Gpa::from_pfn(pfn), &[1]);
+        }
+        assert_eq!(ram.resident_pfns(), vec![2, 7, 9, 1 << 30]);
     }
 }

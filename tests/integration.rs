@@ -6,7 +6,7 @@ use dvh_arch::vmx::ExitReason;
 use dvh_core::{migration_cap, Machine, MachineConfig};
 use dvh_devices::nic::{Frame, WIRE_CAPACITY};
 use dvh_devices::vhost::VhostStats;
-use dvh_hypervisor::world::{LEAF_BUF_BASE_PFN, STAGE_PFN_OFFSET};
+use dvh_hypervisor::world::{LEAF_BUF_BASE_PFN, LEAF_RX_BUF_PFN, STAGE_PFN_OFFSET};
 use dvh_memory::Gpa;
 use dvh_migration::{migrate_nested_vm, MigrationConfig};
 use dvh_workloads::{run_app, run_micro, AppId};
@@ -27,7 +27,7 @@ fn vp_tx_data_flows_end_to_end_through_three_levels() {
     assert_eq!(m.world().stats.total_interventions(), before);
     let wire = m.world().nic.wire();
     assert_eq!(wire.len(), 1);
-    assert_eq!(wire[0].payload, payload);
+    assert_eq!(wire[0].bytes(), payload);
 }
 
 #[test]
@@ -39,7 +39,7 @@ fn vp_rx_dma_lands_in_leaf_memory_and_is_dirty_tracked() {
     let got = m
         .world()
         .guest_read_memory(Gpa::from_pfn(LEAF_BUF_BASE_PFN + 32), 1200);
-    assert_eq!(got, frame.payload);
+    assert_eq!(got, frame.bytes());
     // And the DMA was dirty-logged for migration, as the leaf page and
     // as the L1 page backing it.
     assert!(m.world().leaf_dirty.is_dirty(LEAF_BUF_BASE_PFN + 32));
@@ -153,9 +153,9 @@ fn long_maerts_runs_keep_a_full_ring_and_count_every_frame() {
 
 #[test]
 fn recycled_wire_buffers_carry_exact_short_payloads() {
-    // Fill the ring with full-size frames so every later frame reuses
-    // an evicted 1,500-byte buffer; a short guest payload must still
-    // arrive with its exact length and bytes, with no stale tail.
+    // Fill the ring with full-size frames first; a short guest payload
+    // must still arrive with its exact length and bytes, with no stale
+    // tail, though its buffer page has held longer frames.
     for (name, cfg) in [
         ("L1 virtio", MachineConfig::baseline(1)),
         ("L2 shadow I/O", MachineConfig::dvh(2)),
@@ -171,8 +171,52 @@ fn recycled_wire_buffers_carry_exact_short_payloads() {
         m.net_tx(0, 1, payload.len() as u32);
         let wire = m.world().nic.wire();
         assert_eq!(wire.len(), WIRE_CAPACITY, "{name}");
-        assert_eq!(wire.back().unwrap().payload, payload, "{name}");
+        assert_eq!(wire.back().unwrap().bytes(), payload, "{name}");
         assert_eq!(wire[WIRE_CAPACITY - 2].len(), 1500, "{name}");
+    }
+}
+
+#[test]
+fn frames_on_the_wire_keep_their_bytes_when_the_guest_rewrites_the_buffer() {
+    // A frame shares the guest's TX page copy-on-write: the guest's
+    // next store into that page must not reach the frame already sent.
+    for (name, cfg) in [
+        ("L1 virtio", MachineConfig::baseline(1)),
+        ("L2 shadow I/O", MachineConfig::dvh(2)),
+        ("L2 physical IOMMU", MachineConfig::passthrough(2)),
+        ("L3 virtio cascade", MachineConfig::baseline(3)),
+    ] {
+        let mut m = Machine::build(cfg);
+        let old: Vec<u8> = (0..600u32).map(|i| (i * 7 % 251) as u8).collect();
+        let new = [0xEE; 600];
+        let buf = Gpa::from_pfn(LEAF_BUF_BASE_PFN).offset(100);
+        m.world_mut().guest_write_memory(0, buf, &old);
+        m.net_tx(0, 1, 700);
+        m.world_mut().guest_write_memory(0, buf, &new);
+        assert_eq!(m.world().nic.wire()[0].bytes()[100..], old, "{name}");
+        m.net_tx(0, 1, 700);
+        let wire = m.world().nic.wire();
+        assert_eq!(wire.len(), 2, "{name}");
+        assert_eq!(wire[0].bytes()[100..], old, "{name}");
+        assert_eq!(wire[1].bytes()[100..], new, "{name}");
+        assert_eq!(wire[1].bytes()[..100], [0; 100], "{name}");
+    }
+}
+
+#[test]
+fn cascade_rx_lands_in_the_posted_rx_buffer() {
+    for levels in [2, 3] {
+        let mut m = Machine::build(MachineConfig::baseline(levels));
+        let frame = Frame::patterned(1000, 0x33);
+        m.world_mut().external_packet_arrival(0, &frame);
+        let w = m.world();
+        let got = w.guest_read_memory(Gpa::from_pfn(LEAF_RX_BUF_PFN), 1000);
+        assert_eq!(got, frame.bytes(), "L{levels}");
+        assert!(w.leaf_dirty.is_dirty(LEAF_RX_BUF_PFN), "L{levels}");
+        // TX buffer 0 is neither written nor dirtied.
+        let tx0 = w.leaf_host_pfn(LEAF_BUF_BASE_PFN);
+        assert!(w.host_mem.page(tx0).is_none(), "L{levels}");
+        assert!(!w.leaf_dirty.is_dirty(LEAF_BUF_BASE_PFN), "L{levels}");
     }
 }
 
