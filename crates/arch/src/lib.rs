@@ -19,7 +19,7 @@
 //!   privileged operations. Single-level costs are calibrated against the
 //!   paper's Table 3; all nested costs in the simulator are *emergent* from
 //!   trap-and-emulate recursion, not table lookups.
-//! * [`cpu`] — physical CPUs with per-CPU cycle clocks and idle state.
+//! * [`idle`] — CPU idle states.
 //!
 //! The crate is `#![forbid(unsafe_code)]`, deterministic, and free of
 //! wall-clock time: all time is simulated [`Cycles`].
@@ -41,12 +41,10 @@
 
 pub mod apic;
 pub mod costs;
-pub mod cpu;
 pub mod cycles;
 pub mod idle;
 pub mod msr;
 pub mod vmx;
 
 pub use costs::CostModel;
-pub use cpu::{CpuId, PhysCpu};
 pub use cycles::Cycles;

@@ -15,5 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod parallel;
 pub mod repro;
+
+pub use dvh_workloads::parallel;

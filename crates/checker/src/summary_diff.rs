@@ -18,6 +18,7 @@ use crate::{Pass, Violation};
 use dvh_core::{Machine, MachineConfig};
 use dvh_hypervisor::World;
 use dvh_workloads::figures::{figure_spec, table3_configs};
+use dvh_workloads::parallel::{available_workers, pmap_with_workers};
 use dvh_workloads::{run_app, run_micro, AppId};
 
 /// Transactions per figure cell in the differential run.
@@ -247,18 +248,19 @@ fn unexercised(fast: &World, full: &World) -> Option<Violation> {
 }
 
 /// Runs [`check_scenario`] over every scenario of
-/// [`scenarios`]`(micro_max_level)`; returns the scenario count and
-/// the violations, each located by its scenario name.
+/// [`scenarios`]`(micro_max_level)`, on every available worker;
+/// returns the scenario count and the violations, in scenario order,
+/// each located by its scenario name.
 pub fn check_exit_summaries(micro_max_level: usize) -> (usize, Vec<Violation>) {
     let all = scenarios(micro_max_level);
-    let mut out = Vec::new();
-    for s in &all {
-        out.extend(check_scenario(s).into_iter().map(|mut v| {
+    let out = pmap_with_workers(available_workers(), &all, |s| {
+        let mut vs = check_scenario(s);
+        for v in &mut vs {
             v.location = format!("{}: {}", s.name, v.location);
-            v
-        }));
-    }
-    (all.len(), out)
+        }
+        vs
+    });
+    (all.len(), out.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

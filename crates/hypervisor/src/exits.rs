@@ -165,7 +165,6 @@ impl World {
             }
             self.extensions = exts;
             if let Some(name) = handled {
-                self.taint_summaries();
                 self.record(TraceEvent::DvhIntercept {
                     at: self.now(cpu),
                     cpu,
@@ -322,7 +321,7 @@ impl World {
                 // LAPIC timer; a guest hypervisor's hrtimer re-arm that
                 // L0 handles (from L1) must not clobber it.
                 if from_level == self.leaf_level() {
-                    self.arm_leaf_timer(cpu, qual.msr_value);
+                    self.timers[cpu].arm(qual.msr_value);
                 }
             }
             msr::IA32_X2APIC_ICR => {
@@ -478,12 +477,6 @@ impl World {
         ] {
             self.vmcs_set(reader_level, cpu, f, value);
         }
-    }
-
-    /// Arms the leaf's emulated LAPIC timer on `cpu`.
-    fn arm_leaf_timer(&mut self, cpu: usize, deadline: u64) {
-        self.taint_summaries();
-        self.timers[cpu].arm(deadline);
     }
 
     /// The `vmresume` instruction executed by the hypervisor at
@@ -688,7 +681,7 @@ impl World {
             ExitReason::MsrWrite
                 if qual.msr == msr::IA32_TSC_DEADLINE && from_level == self.leaf_level() =>
             {
-                self.arm_leaf_timer(cpu, qual.msr_value)
+                self.timers[cpu].arm(qual.msr_value)
             }
             ExitReason::MsrWrite if qual.msr == msr::IA32_X2APIC_ICR => {
                 // Fig. 4: the owner asks the hardware (via its own

@@ -34,9 +34,12 @@ pub trait L0Extension {
     /// exit must charge all handling costs (via the [`World`]
     /// primitives) *and* the final VM entry, then return
     /// [`Intercept::Handled`]. Declining with
-    /// [`Intercept::NotHandled`] must have no side effects: exit
-    /// summaries replay guest-hypervisor primitives without offering
-    /// them to extensions again.
+    /// [`Intercept::NotHandled`] must leave the extension's own fields
+    /// unchanged: exit summaries replay guest-hypervisor primitives
+    /// without offering them to extensions again. Writes to the
+    /// `World` are safe either way, since every component a summary
+    /// does not replay is [`Watched`](crate::world::Watched) and makes
+    /// the enclosing recording unsummarizable.
     fn try_intercept(
         &mut self,
         w: &mut World,

@@ -208,9 +208,9 @@ impl World {
         // under virtual-passthrough (the host's blk device is assigned
         // through the levels, like the NIC), otherwise the cascade's
         // (also under NIC passthrough: there is no SR-IOV disk).
-        self.pending_blk_bytes = Some(bytes as u64);
+        *self.pending_blk_bytes = Some(bytes as u64);
         self.doorbell(self.leaf_level(), cpu, self.leaf_device_idx(), 2);
-        self.pending_blk_bytes = None;
+        *self.pending_blk_bytes = None;
         // Completion interrupt: direct when the blk device is VP'd
         // with vIOMMU posted interrupts (or at L1), otherwise relayed
         // by each intermediate hypervisor.
@@ -228,9 +228,8 @@ impl World {
     /// device (plain L1 virtio, the last cascade hop, or a
     /// virtual-passthrough kick from a nested VM).
     pub(crate) fn l0_doorbell(&mut self, cpu: usize, from_level: usize, _qual: &ExitQualification) {
-        self.taint_summaries();
         if from_level >= 2 {
-            if self.mmio_doorbell_cached {
+            if *self.mmio_doorbell_cached {
                 // MMIO fast path: the GPA→device resolution is cached;
                 // no EPT walk and no instruction decode.
                 self.compute(cpu, Cycles::new(800));
@@ -243,14 +242,14 @@ impl World {
                 self.compute(cpu, self.costs.nested_walk_cost(4, 4));
                 self.compute(cpu, self.costs.mmio_decode);
                 self.compute(cpu, self.costs.mmio_bus_lookup);
-                self.mmio_doorbell_cached = true;
+                *self.mmio_doorbell_cached = true;
             }
         } else {
             self.compute(cpu, self.costs.mmio_decode);
             self.compute(cpu, self.costs.mmio_bus_lookup);
         }
         self.compute(cpu, self.costs.ioeventfd_signal);
-        if let Some(bytes) = self.pending_blk_bytes {
+        if let Some(bytes) = *self.pending_blk_bytes {
             // Block backend: complete the queued request, copy the
             // payload, and submit to the (cache=none) host storage
             // stack.
@@ -286,9 +285,8 @@ impl World {
     /// through the device one level down — whose doorbell is an MMIO
     /// write by `owner`, trapping again.
     pub(crate) fn owner_doorbell(&mut self, owner: usize, cpu: usize) {
-        self.taint_summaries();
         let next = owner - 1;
-        if let Some(bytes) = self.pending_blk_bytes {
+        if let Some(bytes) = *self.pending_blk_bytes {
             // Block cascade hop: copy and re-submit one level down.
             self.compute(cpu, self.costs.copy_cost(bytes));
             self.compute(cpu, Cycles::new(150));

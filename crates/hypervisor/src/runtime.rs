@@ -37,12 +37,12 @@ impl World {
 
     /// Marks the leaf vCPU on `cpu` as busy-polling for events.
     pub(crate) fn set_polling(&mut self, cpu: usize) {
-        self.set_cpu_idle(cpu, IdleState::Polling);
+        self.idle[cpu] = IdleState::Polling;
     }
 
     /// Whether the leaf vCPU on `cpu` is busy-polling.
     pub fn is_polling(&self, cpu: usize) -> bool {
-        self.with_cpu_ref(cpu, |c| c.idle_state() == IdleState::Polling)
+        self.idle[cpu] == IdleState::Polling
     }
 
     /// Blocks the leaf vCPU on `cpu` at L0 and halts the physical CPU.
@@ -52,19 +52,12 @@ impl World {
         self.compute(cpu, self.costs.vcpu_block);
         self.push_halt_level(cpu, 0);
         self.compute(cpu, self.costs.hlt_enter);
-        self.set_cpu_idle(cpu, IdleState::HaltedC1);
+        self.idle[cpu] = IdleState::HaltedC1;
     }
 
     /// Appends `level` to the halt chain of `cpu`.
     pub(crate) fn push_halt_level(&mut self, cpu: usize, level: usize) {
-        self.taint_summaries();
         self.halt_chains[cpu].push(level);
-    }
-
-    fn set_cpu_idle(&mut self, cpu: usize, s: IdleState) {
-        // PhysCpu idle state lives behind the accessor; route through a
-        // small helper to keep the invariant in one place.
-        self.with_cpu(cpu, |c| c.set_idle_state(s));
     }
 
     /// Delivers `vector` to the leaf vCPU on `dest`, waking it if
@@ -78,7 +71,6 @@ impl World {
         event_time: Cycles,
         path: IrqPath,
     ) -> Cycles {
-        self.taint_summaries();
         let path_tag = match path {
             IrqPath::PostedDirect => "posted",
             IrqPath::ExitInjected => "injected",
@@ -99,7 +91,7 @@ impl World {
             // wake itself is nearly free (the poll loop notices the
             // pending bit).
             self.stats.burned_idle_cycles += self.now(dest) - pre_sync;
-            self.set_cpu_idle(dest, IdleState::Running);
+            self.idle[dest] = IdleState::Running;
             self.compute(dest, Cycles::new(50));
         } else if woke {
             // The span between halting and the wake event was spent in
@@ -153,7 +145,7 @@ impl World {
         // The vCPU runs again from here on; the chain's buffer goes
         // back once replayed, for the next halt to reuse.
         let mut chain = std::mem::take(&mut self.halt_chains[cpu]);
-        self.set_cpu_idle(cpu, IdleState::Running);
+        self.idle[cpu] = IdleState::Running;
 
         // L0 side: C1 wake latency, scheduler kick.
         self.compute(cpu, self.costs.idle_wake);
@@ -188,7 +180,6 @@ impl World {
     /// The terminal, physical IPI send performed by L0 (for its own
     /// needs or while emulating a guest's ICR write).
     pub(crate) fn send_physical_ipi(&mut self, sender_cpu: usize, icr: IcrValue) {
-        self.taint_summaries();
         self.compute(sender_cpu, self.costs.ipi_send);
         let dest = icr.dest as usize;
         if dest >= self.num_cpus() || dest == sender_cpu {

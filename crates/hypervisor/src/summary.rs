@@ -45,11 +45,15 @@
 //! Every summarized subtree, primitive, program or chain, goes through
 //! one entry point, [`World::run_keyed`].
 //!
-//! Anything state-dependent inside a recording *taints* it: the key is
-//! then marked unsummarizable and always takes the full recursion (see
-//! [`World::taint_summaries`] call sites). Summaries are bypassed while
-//! tracing, metrics or VM-entry checks are on, so every observability
-//! artifact is produced by the full recursion, exactly as before.
+//! A summary replays the clock, the `RunStats` growth and the tracked
+//! VMCS stores, nothing else. Every other component a subtree can write
+//! is a [`Watched`](crate::world::Watched) value of the [`World`], and
+//! so is every untracked VMCS store: a recording keeps the sum of their
+//! write epochs when it begins, and if the sum has moved when it ends,
+//! its key is marked unsummarizable and always takes the full
+//! recursion. Summaries are bypassed while tracing, metrics or VM-entry
+//! checks are on, so every observability artifact is produced by the
+//! full recursion, exactly as before.
 
 use crate::stats::RunStats;
 use crate::world::{CpuVmcs, World};
@@ -207,7 +211,8 @@ struct Summary {
 enum Entry {
     /// Index into [`SummaryMemo::summaries`].
     Ready(usize),
-    /// A recording of this key was tainted: always recurse in full.
+    /// A recording of this key wrote what no summary replays: always
+    /// recurse in full.
     Unsummarizable,
 }
 
@@ -218,7 +223,8 @@ struct Recording {
     t0: Cycles,
     /// The ledger when recording began.
     before: RunStats,
-    tainted: bool,
+    /// [`World::write_epoch`] when recording began.
+    epoch: u64,
     /// The VMCS stores made so far, compiled (see [`compose`]).
     stores: Vec<Store>,
 }
@@ -397,9 +403,12 @@ impl World {
     /// where `outermost` tells whether `body` runs outside any exit:
     /// applies the summary on a hit, records `body` on a miss, and runs
     /// it in full, recording nothing, when the key is `None`, marked
-    /// unsummarizable, or summaries are unusable. The one entry point to
-    /// the memo: primitives, world-switch programs and reflection
-    /// chains all come through here.
+    /// unsummarizable, or summaries are unusable. A recording that
+    /// moves [`World::write_epoch`] marks its key unsummarizable: what
+    /// `body` may write is decided by the types of `World`'s fields, not
+    /// by `body`. The one entry point to the memo: primitives,
+    /// world-switch programs and reflection chains all come through
+    /// here.
     #[inline]
     pub(crate) fn run_keyed(
         &mut self,
@@ -433,7 +442,7 @@ impl World {
     fn apply_summary(&mut self, idx: usize, cpu: usize) {
         let (memo, clock, stats, mut vmcs) = self.replay_parts(cpu);
         let s = &memo.summaries[idx];
-        clock.advance(s.cycles);
+        *clock += s.cycles;
         for &(cell, n) in &s.exits {
             stats.exits.add_at(cell, n);
         }
@@ -456,15 +465,15 @@ impl World {
             key,
             t0: self.now(cpu),
             before: self.stats.clone(),
-            tainted: false,
+            epoch: self.write_epoch(),
             stores: Vec::new(),
         };
         self.summaries.stack.push(rec);
     }
 
     /// Finishes the innermost recording and stores its summary, or
-    /// marks its key unsummarizable if it was tainted or touched a
-    /// ledger a summary cannot replay.
+    /// marks its key unsummarizable if it moved the write epoch or
+    /// touched a ledger a summary cannot replay.
     fn end_summary(&mut self, cpu: usize) {
         let rec = self
             .summaries
@@ -473,7 +482,7 @@ impl World {
             .expect("end_summary without begin_summary");
         let before = &rec.before;
         let after = &self.stats;
-        let replayable = !rec.tainted
+        let replayable = rec.epoch == self.write_epoch()
             && after.dvh_intercepts == before.dvh_intercepts
             && after.posted_deliveries == before.posted_deliveries
             && after.injected_interrupts == before.injected_interrupts
@@ -514,20 +523,6 @@ impl World {
         self.summaries.entries.insert(rec.key, entry);
     }
 
-    /// Marks every active recording unsummarizable: the subtree did
-    /// something that depends on, or changes, state the compiled
-    /// assignment cannot describe (IPIs and interrupt delivery, halt
-    /// chains, doorbells, DVH interception, timer arming, or an
-    /// untracked VMCS store). One predicted branch when not recording.
-    #[inline(always)]
-    pub(crate) fn taint_summaries(&mut self) {
-        if self.summaries.recording() {
-            for rec in &mut self.summaries.stack {
-                rec.tainted = true;
-            }
-        }
-    }
-
     /// Tracked store `vmcs[level].f = value` on `cpu`.
     #[inline(always)]
     pub(crate) fn vmcs_set(&mut self, level: usize, cpu: usize, f: u32, value: u64) {
@@ -558,15 +553,16 @@ impl World {
         from: Option<(usize, u32)>,
         add: u64,
     ) {
+        let value = from.map_or(0, |(src, g)| self.vmcs(src, cpu).read(g));
+        let value = value.wrapping_add(add);
         if self.summaries.recording() {
             match Store::new(level, f, from, add) {
                 Some(store) => return self.record_store(cpu, store),
                 // A field without a dense slot: no summary replays it.
-                None => self.taint_summaries(),
+                None => return self.vmcs_mut(level, cpu).write(f, value),
             }
         }
-        let base = from.map_or(0, |(src, g)| self.vmcs(src, cpu).read(g));
-        self.vmcs_store(level, cpu).write(f, base.wrapping_add(add));
+        self.vmcs_store(level, cpu).write(f, value);
     }
 
     /// Performs one tracked store on `cpu` and folds it into every
@@ -580,9 +576,10 @@ impl World {
         }
     }
 
-    /// Number of replayable exit summaries recorded so far (tainted
-    /// keys are not counted). The differential oracle uses it to tell
-    /// a scenario that exercised summaries from one that did not.
+    /// Number of replayable exit summaries recorded so far
+    /// (unsummarizable keys are not counted). The differential oracle
+    /// uses it to tell a scenario that exercised summaries from one
+    /// that did not.
     pub fn exit_summary_count(&self) -> usize {
         self.summaries.summaries.len()
     }
@@ -592,6 +589,7 @@ impl World {
 mod tests {
     use super::*;
     use crate::config::{HvKind, WorldConfig};
+    use crate::extension::{Intercept, L0Extension};
     use dvh_arch::costs::CostModel;
 
     fn world(levels: usize) -> World {
@@ -938,6 +936,45 @@ mod tests {
     }
 
     #[test]
+    fn a_declining_extension_that_writes_watched_state_is_never_replayed() {
+        /// Declines every exit it is offered, but counts them in the
+        /// leaf timer's deadline: a write no summary replays.
+        struct Counter;
+        impl L0Extension for Counter {
+            fn name(&self) -> &'static str {
+                "counter"
+            }
+            fn try_intercept(
+                &mut self,
+                w: &mut World,
+                cpu: usize,
+                _: usize,
+                _: ExitReason,
+                _: &ExitQualification,
+            ) -> Intercept {
+                let timer = &mut w.timers[cpu];
+                timer.deadline = Some(timer.deadline.map_or(1, |d| d + 1));
+                Intercept::NotHandled
+            }
+        }
+        let mut fast = world(3);
+        let mut slow = world(3);
+        slow.disable_exit_summaries();
+        for w in [&mut fast, &mut slow] {
+            w.register_extension(Box::new(Counter));
+            // A summarized L2 primitive: L0 offers the trap to the
+            // extension before reflecting it to L1.
+            for _ in 0..5 {
+                w.hv_vmread(2, 0, field::TSC_OFFSET);
+            }
+        }
+        assert!(fast.exit_summary_count() > 0);
+        assert_eq!(slow.timers[0].deadline, Some(5));
+        assert_eq!(fast.timers, slow.timers);
+        assert_eq!(state(&fast), state(&slow));
+    }
+
+    #[test]
     fn changing_the_profile_drops_stale_summaries() {
         let mut fast = world(3);
         let mut slow = world(3);
@@ -955,7 +992,7 @@ mod tests {
     #[test]
     fn registering_an_extension_invalidates_the_memo() {
         struct Never;
-        impl crate::extension::L0Extension for Never {
+        impl L0Extension for Never {
             fn name(&self) -> &'static str {
                 "never"
             }
@@ -966,8 +1003,8 @@ mod tests {
                 _: usize,
                 _: ExitReason,
                 _: &ExitQualification,
-            ) -> crate::extension::Intercept {
-                crate::extension::Intercept::NotHandled
+            ) -> Intercept {
+                Intercept::NotHandled
             }
         }
         let mut w = world(3);

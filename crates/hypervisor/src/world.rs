@@ -16,6 +16,16 @@
 //! a hypervisor at level ≥ 1 traps and is emulated down the chain —
 //! that recursion lives in `exits.rs` and is where exit multiplication
 //! comes from.
+//!
+//! # What exit summaries replay
+//!
+//! An exit summary (`summary.rs`) replays a subtree's clock delta, its
+//! `RunStats` growth and the VMCS stores the exit engine tracks. Every
+//! other component a subtree can write is a [`Watched`] value: reading
+//! it is free, and every mutable borrow moves its write epoch, so a
+//! recording whose subtree borrowed one mutably is unsummarizable.
+//! Configuration, observer and scratch fields are neither; each says
+//! why where it is declared.
 
 use crate::config::{HvKind, IoModel, WorldConfig, MAX_LEVELS};
 use crate::extension::L0Extension;
@@ -25,7 +35,7 @@ use crate::summary::SummaryMemo;
 use crate::trace::Tracer;
 use dvh_arch::apic::{LapicState, LapicTimer, PiDescriptor};
 use dvh_arch::costs::CostModel;
-use dvh_arch::cpu::{CpuId, PhysCpu};
+use dvh_arch::idle::IdleState;
 use dvh_arch::vmx::{ctrl, field, ShadowFieldSet, Vmcs};
 use dvh_arch::Cycles;
 use dvh_devices::iommu::{Iommu, VirtualIommu};
@@ -38,6 +48,7 @@ use dvh_memory::iommu_pt::{IoTable, ShadowIoTable};
 use dvh_memory::sparse::SparseMemory;
 use dvh_memory::{DirtyBitmap, Perms};
 use dvh_obs::MetricsRegistry;
+use std::ops::{Deref, DerefMut};
 
 /// PFN offset added by each translation stage in the simulator's
 /// canonical memory layout: the VM at level `k`'s guest-physical page
@@ -64,65 +75,110 @@ pub const PI_DESC_BASE: u64 = 0x3000;
 /// VMCS shadowing is enabled.
 pub const SHADOW_VMCS_ADDR: u64 = 0x8000;
 
+/// A [`World`] component that exit summaries do not replay. Reading it
+/// is free; every mutable borrow moves its write epoch, whether or not
+/// the value changes, and a recording whose subtree moved any epoch is
+/// unsummarizable. A hit therefore never skips a mutable borrow, so two
+/// runs of the same operations, with and without summaries, end with
+/// equal epochs, and equality compares them too.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Watched<T> {
+    value: T,
+    epoch: u64,
+}
+
+impl<T> Watched<T> {
+    fn new(value: T) -> Watched<T> {
+        Watched { value, epoch: 0 }
+    }
+}
+
+impl<T> Deref for Watched<T> {
+    type Target = T;
+
+    #[inline(always)]
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for Watched<T> {
+    #[inline(always)]
+    fn deref_mut(&mut self) -> &mut T {
+        self.epoch = self.epoch.wrapping_add(1);
+        &mut self.value
+    }
+}
+
 /// The simulated machine.
 pub struct World {
     /// Cycle-cost model in force, fixed at construction: exit summaries
     /// replay the cycles recorded under it.
     pub(crate) costs: CostModel,
-    /// Machine configuration.
+    /// Machine configuration, fixed while any exit runs.
     pub config: WorldConfig,
     /// World-switch footprint of guest hypervisors. Changed only
     /// through [`World::profile_mut`], which drops stale summaries.
     pub(crate) profile: HvProfile,
+    /// Configuration, fixed at construction.
     shadow: ShadowFieldSet,
-    cpus: Vec<PhysCpu>,
+    /// Per-CPU simulated time; summaries replay its delta.
+    clocks: Vec<Cycles>,
+    /// Per-CPU idle state.
+    pub(crate) idle: Watched<Vec<IdleState>>,
     /// `vmcs[cpu][level]`: per CPU, so that the chain of VMCSs an exit
-    /// summary replays into is one slice.
+    /// summary replays into is one slice. Summaries replay the stores
+    /// the engine tracks; every other store moves
+    /// `untracked_vmcs_writes`.
     vmcs: Vec<Vec<Vmcs>>,
+    /// The epoch of VMCS stores no summary tracks (see
+    /// [`World::vmcs_mut`]).
+    untracked_vmcs_writes: u64,
     /// Per leaf-vCPU halt chain: hypervisor levels that blocked this
     /// vCPU, outermost (deepest level) first, always ending in 0 when
     /// the physical CPU actually halted. Empty = running; a wake
     /// clears the chain but keeps its buffer.
-    pub(crate) halt_chains: Vec<Vec<usize>>,
+    pub(crate) halt_chains: Watched<Vec<Vec<usize>>>,
     /// Per leaf-vCPU posted-interrupt descriptors.
-    pub pi_desc: Vec<PiDescriptor>,
+    pub pi_desc: Watched<Vec<PiDescriptor>>,
     /// Per leaf-vCPU LAPIC timer state (as emulated for the leaf).
-    pub timers: Vec<LapicTimer>,
+    pub timers: Watched<Vec<LapicTimer>>,
     /// Per leaf-vCPU LAPIC interrupt state (IRR/ISR; APICv-virtualized
     /// so acceptance and EOI never exit).
-    pub lapic: Vec<LapicState>,
-    /// Statistics ledger.
+    pub lapic: Watched<Vec<LapicState>>,
+    /// Statistics ledger; summaries replay its growth.
     pub stats: RunStats,
     /// Host physical memory.
-    pub host_mem: SparseMemory,
+    pub host_mem: Watched<SparseMemory>,
     /// Dirty leaf-GPA pages (guest writes + device DMA), the source
     /// for nested-VM migration.
-    pub leaf_dirty: DirtyBitmap,
+    pub leaf_dirty: Watched<DirtyBitmap>,
     /// Dirty L1-GPA pages as tracked by L0 for L1-VM migration.
-    pub l1_dirty: DirtyBitmap,
+    pub l1_dirty: Watched<DirtyBitmap>,
     /// The physical NIC.
-    pub nic: Nic,
+    pub nic: Watched<Nic>,
     /// Virtio devices: `virtio[k]` is provided by the hypervisor at
     /// level `k`. The cascade model uses all of them; virtual-
     /// passthrough uses only `virtio[0]`.
-    pub virtio: Vec<VirtioNet>,
+    pub virtio: Watched<Vec<VirtioNet>>,
     /// vhost backends, one per virtio device.
-    pub vhost: Vec<VhostNet>,
+    pub vhost: Watched<Vec<VhostNet>>,
     /// The virtual block device (provided by L0 under
     /// virtual-passthrough, by the leaf's parent otherwise; there is
     /// no SR-IOV disk, matching the paper's testbed).
-    pub blk: VirtioBlk,
+    pub blk: Watched<VirtioBlk>,
     /// Virtual IOMMUs: `viommus[k]` is provided by the hypervisor at
     /// level `k` to the hypervisor at level `k+1` (virtual-passthrough
     /// only). Their domains map level-(k+2) GPAs to level-(k+1) GPAs.
-    pub viommus: Vec<VirtualIommu>,
+    pub viommus: Watched<Vec<VirtualIommu>>,
     /// L0's own DMA stage: L1 GPA → host PFN.
-    pub l0_io_stage: IoTable,
+    pub l0_io_stage: Watched<IoTable>,
     /// The combined shadow I/O table (leaf GPA → host PFN) under
     /// virtual-passthrough.
-    pub shadow_io: Option<ShadowIoTable>,
+    pub shadow_io: Watched<Option<ShadowIoTable>>,
     /// The physical IOMMU (passthrough model).
-    pub phys_iommu: Iommu,
+    pub phys_iommu: Watched<Iommu>,
+    /// Configuration: registering one drops every summary.
     pub(crate) extensions: Vec<Box<dyn L0Extension>>,
     /// Whether L0 has cached the nested doorbell GPA resolution (KVM's
     /// MMIO fast path): the first nested doorbell pays the full nested
@@ -130,9 +186,11 @@ pub struct World {
     /// distinction: "more realistic I/O device usage that accesses
     /// data would have much less overhead" than the DevNotify
     /// microbenchmark (Table 3 discussion).
-    pub(crate) mmio_doorbell_cached: bool,
+    pub(crate) mmio_doorbell_cached: Watched<bool>,
+    /// Observer: summaries are bypassed while it is on.
     pub(crate) tracer: Option<Tracer>,
-    /// Observability registry (None until [`World::enable_metrics`]).
+    /// Observability registry (None until [`World::enable_metrics`]);
+    /// an observer, like `tracer`.
     pub(crate) metrics: Option<Box<MetricsRegistry>>,
     /// Cached `tracer.is_some() || metrics.is_some()`: every
     /// observation point in the engine is a single predicted branch on
@@ -140,31 +198,36 @@ pub struct World {
     pub(crate) observing: bool,
     /// In-flight block request (bytes), if a blk doorbell chain is
     /// being processed; see `io.rs`.
-    pub(crate) pending_blk_bytes: Option<u64>,
-    /// The buffer [`World::patterned_packet_arrival`] builds frames in.
+    pub(crate) pending_blk_bytes: Watched<Option<u64>>,
+    /// Scratch: the buffer [`World::patterned_packet_arrival`] builds
+    /// frames in, never read across calls.
     pub(crate) rx_frame: Frame,
     /// Use `idle=poll` in the leaf guest instead of `hlt` (the
     /// cycle-wasting alternative §3.4 contrasts with virtual idle).
+    /// Configuration, fixed while any exit runs.
     pub poll_idle: bool,
     /// Per leaf-vCPU pause state (migration stop-and-copy).
-    pub(crate) paused: Vec<bool>,
+    pub(crate) paused: Watched<Vec<bool>>,
     /// Per-CPU exit-handling nesting depth (0 = guest code running):
     /// lets the dispatcher attribute cycles to outermost exits only.
     /// Per-CPU so that exits on a woken sibling (e.g. the destination
     /// side of an IPI) are attributed on their own CPU rather than
-    /// silently folded into the sender's exit.
+    /// silently folded into the sender's exit. Scratch: back to its
+    /// old value whenever a summarized subtree returns.
     pub(crate) exit_depth: Vec<u32>,
     /// The DVH capability word the platform advertises (the simulated
     /// `IA32_VMX_DVH_CAP`). Enabling a DVH control a level was never
     /// offered is a VM-entry consistency violation (§3.5).
+    /// Configuration, fixed while any exit runs.
     pub dvh_advertised: u64,
     /// Whether VM-entry consistency checks run on every simulated
-    /// entry (see `check.rs`). Off by default.
+    /// entry (see `check.rs`). Off by default; an observer.
     pub(crate) vmentry_checks: bool,
     /// Violations collected while `vmentry_checks` is on.
     pub(crate) vmentry_findings: Vec<crate::check::VmentryFinding>,
     /// Memoized guest-hypervisor primitives (see `summary.rs`); built
-    /// lazily by the first occurrence of each primitive.
+    /// lazily by the first occurrence of each primitive. The memo
+    /// itself, so never a summary's subject.
     pub(crate) summaries: Box<SummaryMemo>,
 }
 
@@ -274,35 +337,39 @@ impl World {
             } else {
                 ShadowFieldSet::empty()
             },
-            cpus: (0..v as u32).map(|i| PhysCpu::new(CpuId(i))).collect(),
+            clocks: vec![Cycles::ZERO; v],
+            idle: Watched::new(vec![IdleState::Running; v]),
             vmcs,
-            halt_chains: vec![Vec::new(); v],
-            pi_desc: (0..v)
-                .map(|i| PiDescriptor::new(i as u32, PI_NOTIFICATION_VECTOR))
-                .collect(),
-            timers: vec![LapicTimer::default(); v],
-            lapic: vec![LapicState::new(); v],
+            untracked_vmcs_writes: 0,
+            halt_chains: Watched::new(vec![Vec::new(); v]),
+            pi_desc: Watched::new(
+                (0..v)
+                    .map(|i| PiDescriptor::new(i as u32, PI_NOTIFICATION_VECTOR))
+                    .collect(),
+            ),
+            timers: Watched::new(vec![LapicTimer::default(); v]),
+            lapic: Watched::new(vec![LapicState::new(); v]),
             stats: RunStats::new(),
-            host_mem: SparseMemory::new(),
-            leaf_dirty: DirtyBitmap::new(),
-            l1_dirty: DirtyBitmap::new(),
-            nic,
-            virtio,
-            vhost,
-            blk: VirtioBlk::new(Bdf::new(0, 9, 0), 128, 1 << 21), // 1 GiB
-            viommus: Vec::new(),
-            l0_io_stage: IoTable::new(),
-            shadow_io: None,
-            phys_iommu: Iommu::new(),
+            host_mem: Watched::default(),
+            leaf_dirty: Watched::default(),
+            l1_dirty: Watched::default(),
+            nic: Watched::new(nic),
+            virtio: Watched::new(virtio),
+            vhost: Watched::new(vhost),
+            blk: Watched::new(VirtioBlk::new(Bdf::new(0, 9, 0), 128, 1 << 21)), // 1 GiB
+            viommus: Watched::default(),
+            l0_io_stage: Watched::default(),
+            shadow_io: Watched::default(),
+            phys_iommu: Watched::default(),
             extensions: Vec::new(),
-            mmio_doorbell_cached: false,
+            mmio_doorbell_cached: Watched::default(),
             tracer: None,
             metrics: None,
             observing: false,
-            pending_blk_bytes: None,
+            pending_blk_bytes: Watched::default(),
             rx_frame: Frame::default(),
             poll_idle: false,
-            paused: vec![false; v],
+            paused: Watched::new(vec![false; v]),
             exit_depth: vec![0; v],
             dvh_advertised: dvh_arch::vmx::cap::VIRTUAL_TIMER
                 | dvh_arch::vmx::cap::VIRTUAL_IPI
@@ -334,7 +401,7 @@ impl World {
                 // (the last-level hypervisor needs none for its own
                 // VM but uses the one below it).
                 let pi = self.config.dvh.viommu_posted_interrupts;
-                self.viommus = (0..n.saturating_sub(1))
+                *self.viommus = (0..n.saturating_sub(1))
                     .map(|_| VirtualIommu::new(pi))
                     .collect();
                 let bdf = self.virtio[0].pci().bdf();
@@ -425,15 +492,14 @@ impl World {
             }
         }
         stages.push(&self.l0_io_stage);
-        self.shadow_io = Some(ShadowIoTable::build(&stages));
+        *self.shadow_io = Some(ShadowIoTable::build(&stages));
     }
 
     /// Invalidates the cached nested doorbell resolution, forcing the
     /// next nested MMIO doorbell to take the slow path (used by the
     /// DevNotify microbenchmark, which measures the uncached cost).
     pub fn invalidate_mmio_cache(&mut self) {
-        self.taint_summaries();
-        self.mmio_doorbell_cached = false;
+        *self.mmio_doorbell_cached = false;
     }
 
     /// Registers an L0 extension (a DVH mechanism). Extensions are
@@ -444,6 +510,35 @@ impl World {
         // Extensions see exits before reflection, so every recorded
         // subtree may now run differently.
         self.summaries.invalidate();
+    }
+
+    /// The sum of every [`Watched`] component's write epoch and the
+    /// untracked VMCS stores' epoch: it moves with every write that no
+    /// exit summary replays.
+    pub(crate) fn write_epoch(&self) -> u64 {
+        [
+            self.idle.epoch,
+            self.halt_chains.epoch,
+            self.pi_desc.epoch,
+            self.timers.epoch,
+            self.lapic.epoch,
+            self.host_mem.epoch,
+            self.leaf_dirty.epoch,
+            self.l1_dirty.epoch,
+            self.nic.epoch,
+            self.virtio.epoch,
+            self.vhost.epoch,
+            self.blk.epoch,
+            self.viommus.epoch,
+            self.l0_io_stage.epoch,
+            self.shadow_io.epoch,
+            self.phys_iommu.epoch,
+            self.mmio_doorbell_cached.epoch,
+            self.pending_blk_bytes.epoch,
+            self.paused.epoch,
+        ]
+        .into_iter()
+        .fold(self.untracked_vmcs_writes, u64::wrapping_add)
     }
 
     // ---- Clock and accounting helpers ---------------------------------
@@ -468,35 +563,26 @@ impl World {
 
     /// Number of physical CPUs (= leaf vCPUs).
     pub fn num_cpus(&self) -> usize {
-        self.cpus.len()
+        self.clocks.len()
     }
 
     /// Current simulated time of CPU `cpu`.
     #[inline(always)]
     pub fn now(&self, cpu: usize) -> Cycles {
-        self.cpus[cpu].now()
+        self.clocks[cpu]
     }
 
     /// Charges `c` cycles of native-speed execution on `cpu`.
     /// Compute never traps, regardless of privilege level.
     #[inline(always)]
     pub fn compute(&mut self, cpu: usize, c: Cycles) {
-        self.cpus[cpu].advance(c);
+        self.clocks[cpu] += c;
     }
 
-    /// Synchronizes CPU `cpu` to at least time `t` (causal wait).
+    /// Synchronizes CPU `cpu` to at least time `t` (causal wait): the
+    /// standard conservative treatment of a causal chain across CPUs.
     pub fn sync_cpu(&mut self, cpu: usize, t: Cycles) {
-        self.cpus[cpu].sync_to(t);
-    }
-
-    /// Runs `f` with mutable access to the physical CPU `cpu`.
-    pub(crate) fn with_cpu<R>(&mut self, cpu: usize, f: impl FnOnce(&mut PhysCpu) -> R) -> R {
-        f(&mut self.cpus[cpu])
-    }
-
-    /// Runs `f` with shared access to the physical CPU `cpu`.
-    pub(crate) fn with_cpu_ref<R>(&self, cpu: usize, f: impl FnOnce(&PhysCpu) -> R) -> R {
-        f(&self.cpus[cpu])
+        self.clocks[cpu] = self.clocks[cpu].max(t);
     }
 
     /// The deepest (leaf) virtualization level.
@@ -517,13 +603,13 @@ impl World {
         &self.vmcs[cpu][owner]
     }
 
-    /// Mutable access; see [`World::vmcs`]. A store through this
-    /// accessor while an exit summary is being recorded is one the
-    /// summary's compiled assignment does not track, so it taints the
-    /// recording.
+    /// Mutable access; see [`World::vmcs`]. No exit summary tracks a
+    /// store through this accessor, so it moves the untracked-store
+    /// epoch, like a write to a [`Watched`] component: the one path of
+    /// such stores.
     #[inline(always)]
     pub fn vmcs_mut(&mut self, owner: usize, cpu: usize) -> &mut Vmcs {
-        self.taint_summaries();
+        self.untracked_vmcs_writes = self.untracked_vmcs_writes.wrapping_add(1);
         &mut self.vmcs[cpu][owner]
     }
 
@@ -542,8 +628,8 @@ impl World {
     pub(crate) fn replay_parts(
         &mut self,
         cpu: usize,
-    ) -> (&mut SummaryMemo, &mut PhysCpu, &mut RunStats, CpuVmcs<'_>) {
-        let (clock, vmcs) = (&mut self.cpus[cpu], &mut self.vmcs[cpu][..]);
+    ) -> (&mut SummaryMemo, &mut Cycles, &mut RunStats, CpuVmcs<'_>) {
+        let (clock, vmcs) = (&mut self.clocks[cpu], &mut self.vmcs[cpu][..]);
         (
             &mut self.summaries,
             clock,
@@ -680,10 +766,7 @@ impl World {
     #[inline]
     pub fn hv_vmwrite(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
         self.hv_vmwrite_trap(level, cpu, f);
-        // The exit engine's own vmwrites store through `vmcs_store`;
-        // no exit summary tracks this one.
-        self.taint_summaries();
-        self.vmcs[cpu][level].write(f, v);
+        self.vmcs_mut(level, cpu).write(f, v);
     }
 
     /// The instruction half of [`World::hv_vmwrite`]: charges the
@@ -773,7 +856,7 @@ impl std::fmt::Debug for World {
         f.debug_struct("World")
             .field("levels", &self.config.levels)
             .field("io_model", &self.config.io_model)
-            .field("cpus", &self.cpus.len())
+            .field("cpus", &self.num_cpus())
             .field("total_exits", &self.stats.total_exits())
             .finish()
     }
@@ -815,6 +898,24 @@ mod tests {
         assert!(w
             .vmcs(0, 0)
             .has_bits(field::CPU_BASED_EXEC_CONTROLS, ctrl::cpu::HLT_EXITING));
+    }
+
+    #[test]
+    fn advance_accumulates() {
+        let mut w = world(1);
+        w.compute(0, Cycles::new(100));
+        w.compute(0, Cycles::new(50));
+        assert_eq!(w.now(0), Cycles::new(150));
+    }
+
+    #[test]
+    fn sync_never_goes_backwards() {
+        let mut w = world(1);
+        w.compute(1, Cycles::new(500));
+        w.sync_cpu(1, Cycles::new(100));
+        assert_eq!(w.now(1), Cycles::new(500));
+        w.sync_cpu(1, Cycles::new(900));
+        assert_eq!(w.now(1), Cycles::new(900));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 pub mod apps;
 pub mod figures;
 pub mod micro;
+pub mod parallel;
 pub mod runner;
 
 pub use apps::{all_apps, AppId};
