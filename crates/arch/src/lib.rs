@@ -19,7 +19,6 @@
 //!   privileged operations. Single-level costs are calibrated against the
 //!   paper's Table 3; all nested costs in the simulator are *emergent* from
 //!   trap-and-emulate recursion, not table lookups.
-//! * [`idle`] — CPU idle states.
 //!
 //! The crate is `#![forbid(unsafe_code)]`, deterministic, and free of
 //! wall-clock time: all time is simulated [`Cycles`].
@@ -42,7 +41,6 @@
 pub mod apic;
 pub mod costs;
 pub mod cycles;
-pub mod idle;
 pub mod msr;
 pub mod vmx;
 

@@ -231,15 +231,27 @@ pub fn certify(m: &mut Machine, workload: impl FnOnce(&mut Machine)) -> Vec<Viol
 /// recursion (the test suite also certifies one level deeper).
 pub const SUMMARY_MICRO_MAX_LEVEL: usize = 5;
 
-/// Runs every pass: vmentry, trace, and metrics over each Fig. 7
-/// configuration, the pinned fixture, the exit-summary differential,
-/// and the source lint over `source_root` when given (pass the repo
-/// root; `None` skips the source pass, e.g. when running from an
-/// installed binary with no checkout around).
-pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
+/// Runs every pass: the source lint over `source_root` when given
+/// (pass the repo root; `None` skips the source pass, e.g. when running
+/// from an installed binary with no checkout around), then the
+/// invariant passes `invariants` runs ([`run_invariants`] for all of
+/// them).
+pub fn run_all(
+    source_root: Option<&Path>,
+    invariants: impl FnOnce() -> Report,
+) -> std::io::Result<Report> {
     // The source lint runs first, so a missing source tree fails at
     // once instead of after every other pass; its line still comes last.
     let lint = source_root.map(lint_sources).transpose()?;
+    let mut report = invariants();
+    add_source_lint(&mut report, lint);
+    Ok(report)
+}
+
+/// Runs the invariant passes: vmentry, trace, and metrics over each
+/// Fig. 7 configuration, the pinned fixture and the exit-summary
+/// differential.
+pub fn run_invariants() -> Report {
     let mut report = Report::new();
     for (name, config) in fig7_configs() {
         let violations = check_machine(config);
@@ -271,8 +283,7 @@ pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
         "exit-summary",
         summary,
     );
-    add_source_lint(&mut report, lint);
-    Ok(report)
+    report
 }
 
 /// Adds the source lint's `outcome` to `report`; `None` (no source
@@ -309,7 +320,8 @@ mod tests {
     #[test]
     fn a_missing_source_tree_is_named() {
         let root = std::env::temp_dir().join(format!("dvh-no-tree-{}", std::process::id()));
-        let err = run_all(Some(&root)).expect_err("no crates/ under the root");
+        let invariants = || unreachable!("the source lint fails first");
+        let err = run_all(Some(&root), invariants).expect_err("no crates/ under the root");
         assert_eq!(err.kind(), std::io::ErrorKind::NotFound);
         let crates = root.join("crates").display().to_string();
         assert!(err.to_string().starts_with(&crates), "{err}");

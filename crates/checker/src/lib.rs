@@ -175,7 +175,7 @@ pub(crate) fn ledger_conservation<R: Ord + fmt::Display>(
 }
 
 /// The combined result of a checker run.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Report {
     /// One human-readable line per pass/workload executed.
     pub ran: Vec<String>,

@@ -5,9 +5,12 @@
 //! of re-running their recursion. This pass is the oracle for that fast
 //! path: it runs each scenario twice, once with summaries and once with
 //! [`World::disable_exit_summaries`], and requires the two worlds to
-//! agree bit for bit — every `RunStats` field, every per-CPU clock,
-//! every VMCS (values and written-bitset), the emulated LAPIC timers
-//! and the halt chains.
+//! agree bit for bit in every field `dvh-hypervisor` classifies as
+//! simulated state ([`World::state_diff`]): every `RunStats` ledger,
+//! every per-CPU clock, every VMCS (values and written-bitset) and every
+//! watched component (PI descriptors, LAPICs, timers, halt chains,
+//! memory, dirty logs, devices, IOMMUs and the rest), write epochs
+//! included. This module only maps each difference to a violation.
 //!
 //! Scenarios: the Table 3 matrix, every Fig. 7–10 configuration ×
 //! application at [`FIGURE_TXNS`] transactions, the recursion
@@ -16,7 +19,7 @@
 
 use crate::{Pass, Violation};
 use dvh_core::{Machine, MachineConfig};
-use dvh_hypervisor::World;
+use dvh_hypervisor::{StateDiff, World};
 use dvh_workloads::figures::{figure_spec, table3_configs};
 use dvh_workloads::parallel::{available_workers, pmap_with_workers};
 use dvh_workloads::{run_app, run_micro, AppId};
@@ -130,93 +133,36 @@ fn violation(rule: &'static str, location: String, detail: String) -> Violation 
     }
 }
 
-/// Compares the simulated state of a world run with exit summaries
-/// (`fast`) against the same run with full recursion (`full`).
+/// Maps every difference in simulated state ([`World::state_diff`])
+/// between a world run with exit summaries (`fast`) and the same run
+/// with full recursion (`full`) to a violation.
 pub fn diff_worlds(fast: &World, full: &World) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let (a, b) = (&fast.stats, &full.stats);
-    let ledgers = [
-        ("exits", a.exits == b.exits),
-        ("interventions", a.interventions == b.interventions),
-        ("dvh_intercepts", a.dvh_intercepts == b.dvh_intercepts),
-        (
-            "posted_deliveries",
-            a.posted_deliveries == b.posted_deliveries,
+    let vs = fast.state_diff(full).into_iter().map(|d| match d {
+        StateDiff::Ledger(name) => violation(
+            "summary-ledger",
+            format!("RunStats.{name}"),
+            "summarized run differs from full recursion".into(),
         ),
-        (
-            "injected_interrupts",
-            a.injected_interrupts == b.injected_interrupts,
+        StateDiff::Clock(cpu, this, other) => violation(
+            "summary-clock",
+            format!("cpu{cpu}"),
+            format!("clock {this} vs full recursion {other}"),
         ),
-        ("idle_cycles", a.idle_cycles == b.idle_cycles),
-        (
-            "burned_idle_cycles",
-            a.burned_idle_cycles == b.burned_idle_cycles,
+        StateDiff::Vmcs(level, cpu, first) => violation(
+            "summary-vmcs",
+            format!("L{level} cpu{cpu}"),
+            first.map_or_else(
+                || "written fields or launch state differ".into(),
+                |(p, q)| format!("{p:x?} vs full recursion {q:x?}"),
+            ),
         ),
-        ("cycles_by_reason", a.cycles_by_reason == b.cycles_by_reason),
-        ("outermost_exits", a.outermost_exits == b.outermost_exits),
-    ];
-    for (name, equal) in ledgers {
-        if !equal {
-            out.push(violation(
-                "summary-ledger",
-                format!("RunStats.{name}"),
-                "summarized run differs from full recursion".into(),
-            ));
-        }
-    }
-    for cpu in 0..full.num_cpus() {
-        if fast.now(cpu) != full.now(cpu) {
-            out.push(violation(
-                "summary-clock",
-                format!("cpu{cpu}"),
-                format!(
-                    "clock {} vs full recursion {}",
-                    fast.now(cpu),
-                    full.now(cpu)
-                ),
-            ));
-        }
-        if fast.timers[cpu] != full.timers[cpu] {
-            out.push(violation(
-                "summary-timer",
-                format!("cpu{cpu}"),
-                format!(
-                    "{:?} vs full recursion {:?}",
-                    fast.timers[cpu], full.timers[cpu]
-                ),
-            ));
-        }
-        if fast.halt_chain(cpu) != full.halt_chain(cpu) {
-            out.push(violation(
-                "summary-halt-chain",
-                format!("cpu{cpu}"),
-                format!(
-                    "{:?} vs full recursion {:?}",
-                    fast.halt_chain(cpu),
-                    full.halt_chain(cpu)
-                ),
-            ));
-        }
-        for level in 0..full.leaf_level() {
-            let (x, y) = (fast.vmcs(level, cpu), full.vmcs(level, cpu));
-            if x != y {
-                // Name the first differing field (a value or a
-                // written-bit that only one side has).
-                let first = x
-                    .iter()
-                    .zip(y.iter())
-                    .find(|(p, q)| p != q)
-                    .map(|(p, q)| format!("{p:x?} vs full recursion {q:x?}"))
-                    .unwrap_or_else(|| "written fields or launch state differ".into());
-                out.push(violation(
-                    "summary-vmcs",
-                    format!("L{level} cpu{cpu}"),
-                    first,
-                ));
-            }
-        }
-    }
-    out
+        StateDiff::Watched(name, x, y) => violation(
+            "summary-component",
+            format!("World.{name}"),
+            format!("differs from full recursion (write epochs {x} vs {y})"),
+        ),
+    });
+    vs.collect()
 }
 
 /// Runs one scenario with and without exit summaries and diffs the
@@ -369,6 +315,17 @@ mod tests {
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, "summary-vmcs");
         assert_eq!(vs[0].location, "L1 cpu2");
+    }
+
+    #[test]
+    fn a_divergent_component_is_reported() {
+        let mut a = Machine::build(MachineConfig::baseline(3));
+        let b = Machine::build(MachineConfig::baseline(3));
+        a.world_mut().virtio[0].tx.kick();
+        let vs = diff_worlds(a.world(), b.world());
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].rule, "summary-component");
+        assert_eq!(vs[0].location, "World.virtio");
     }
 
     #[test]

@@ -332,21 +332,7 @@ fn run(cmd: Command, out: &mut dyn Write) -> Result<(), String> {
             render(&eval, out).map_err(|e| e.to_string())
         }
         Command::Check { source_root } => {
-            let root = source_root.map(std::path::PathBuf::from);
-            let report = dvh_checker::harness::run_all(root.as_deref()).map_err(|e| {
-                format!(
-                    "source lint failed: {e}; pass --source-root DIR (a checkout) or --no-source"
-                )
-            })?;
-            w(out, report.to_string())?;
-            if report.is_clean() {
-                Ok(())
-            } else {
-                Err(format!(
-                    "{} invariant violation(s)",
-                    report.violations.len()
-                ))
-            }
+            check(source_root, dvh_checker::harness::run_invariants, out)
         }
         Command::Results { files } => {
             for path in files {
@@ -449,6 +435,29 @@ fn observe_workload(target: Target) -> Observed {
     }
 }
 
+/// `dvh check`: the source lint over `source_root`, if given, and the
+/// invariant passes `invariants` runs.
+fn check(
+    source_root: Option<String>,
+    invariants: impl FnOnce() -> dvh_checker::Report,
+    out: &mut dyn Write,
+) -> Result<(), String> {
+    let root = source_root.map(std::path::PathBuf::from);
+    let report = dvh_checker::harness::run_all(root.as_deref(), invariants).map_err(|e| {
+        format!("source lint failed: {e}; pass --source-root DIR (a checkout) or --no-source")
+    })?;
+    out.write_all(report.to_string().as_bytes())
+        .map_err(|e| e.to_string())?;
+    if report.is_clean() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{} invariant violation(s)",
+            report.violations.len()
+        ))
+    }
+}
+
 fn run_named_op(m: &mut Machine, op: Op) -> dvh_core::Cycles {
     match op {
         Op::Hypercall => m.hypercall(0),
@@ -473,9 +482,27 @@ mod tests {
         Ok(String::from_utf8(out).expect("UTF-8 output"))
     }
 
+    /// Runs a `dvh check` command line. The invariant passes run once
+    /// for every test that calls this.
+    fn dvh_check(line: &str) -> Result<String, String> {
+        static INVARIANTS: std::sync::OnceLock<dvh_checker::Report> = std::sync::OnceLock::new();
+        let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        let Ok(Command::Check { source_root }) = crate::args::parse(&args) else {
+            panic!("not a valid check command line: {line}");
+        };
+        let invariants = || {
+            INVARIANTS
+                .get_or_init(dvh_checker::harness::run_invariants)
+                .clone()
+        };
+        let mut out = Vec::new();
+        check(source_root, invariants, &mut out)?;
+        Ok(String::from_utf8(out).expect("UTF-8 output"))
+    }
+
     #[test]
     fn check_command_is_clean_without_sources() {
-        let out = dvh("check --no-source").unwrap();
+        let out = dvh_check("check --no-source").unwrap();
         assert!(out.contains("all invariants hold"), "{out}");
         assert!(out.contains("fig7/nested-dvh"));
         assert!(!out.contains("source lint"));
@@ -484,7 +511,7 @@ mod tests {
     #[test]
     fn check_command_runs_source_lint_on_repo() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let out = dvh(&format!("check --source-root {root}")).unwrap();
+        let out = dvh_check(&format!("check --source-root {root}")).unwrap();
         assert!(out.contains("all invariants hold"), "{out}");
         assert!(out.contains("fig7/nested-dvh"), "{out}");
         assert!(out.contains("source lint"), "{out}");

@@ -161,7 +161,7 @@ pub struct NicFunction {
 /// assert_eq!(nic.wire().len(), 1);
 /// assert_eq!(nic.tx_frames(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Nic {
     pf_pci: PciDevice,
     functions: Vec<NicFunction>,
@@ -170,10 +170,9 @@ pub struct Nic {
     /// Frames transmitted over the NIC's lifetime.
     tx_frames: u64,
     /// The next gathered frame's payload buffer: the last evicted owned
-    /// frame's bytes.
+    /// frame's bytes. It takes part in equality: it is deterministic, so
+    /// two runs of the same operations agree on it too.
     spare: Vec<u8>,
-    /// Line rate in megabits per second (10 GbE).
-    pub line_rate_mbps: u64,
 }
 
 impl Nic {
@@ -189,7 +188,6 @@ impl Nic {
             wire: VecDeque::with_capacity(WIRE_CAPACITY),
             tx_frames: 0,
             spare: Vec::new(),
-            line_rate_mbps: 10_000,
         }
     }
 
@@ -298,12 +296,6 @@ impl Nic {
     pub fn tx_frames(&self) -> u64 {
         self.tx_frames
     }
-
-    /// Wire time in nanoseconds for a frame of `bytes` at line rate.
-    pub fn wire_time_ns(&self, bytes: u64) -> u64 {
-        // bits / (mbps * 1e6) seconds = bits * 1000 / mbps ns.
-        bytes * 8 * 1000 / self.line_rate_mbps
-    }
 }
 
 impl fmt::Display for Nic {
@@ -338,13 +330,6 @@ mod tests {
         assert_eq!(nic.function_mut(1).tx_bytes, 1000);
         assert_eq!(nic.function_mut(2).rx_bytes, 500);
         assert_eq!(nic.function_mut(2).rx_queue.len(), 1);
-    }
-
-    #[test]
-    fn wire_time_at_10g() {
-        let nic = Nic::new(Bdf::new(1, 0, 0), 0);
-        // 1500 bytes at 10 Gbps = 1.2 microseconds.
-        assert_eq!(nic.wire_time_ns(1500), 1200);
     }
 
     #[test]

@@ -60,4 +60,4 @@ pub use extension::{Intercept, L0Extension};
 pub use runtime::IrqPath;
 pub use stats::RunStats;
 pub use trace::TraceEvent;
-pub use world::World;
+pub use world::{StateDiff, World};

@@ -8,7 +8,6 @@
 use crate::trace::TraceEvent;
 use crate::world::World;
 use dvh_arch::apic::IcrValue;
-use dvh_arch::idle::IdleState;
 use dvh_arch::vmx::{ExitQualification, ExitReason};
 use dvh_arch::Cycles;
 use dvh_obs::metrics::names;
@@ -37,12 +36,12 @@ impl World {
 
     /// Marks the leaf vCPU on `cpu` as busy-polling for events.
     pub(crate) fn set_polling(&mut self, cpu: usize) {
-        self.idle[cpu] = IdleState::Polling;
+        self.polling[cpu] = true;
     }
 
     /// Whether the leaf vCPU on `cpu` is busy-polling.
     pub fn is_polling(&self, cpu: usize) -> bool {
-        self.idle[cpu] == IdleState::Polling
+        self.polling[cpu]
     }
 
     /// Blocks the leaf vCPU on `cpu` at L0 and halts the physical CPU.
@@ -52,7 +51,7 @@ impl World {
         self.compute(cpu, self.costs.vcpu_block);
         self.push_halt_level(cpu, 0);
         self.compute(cpu, self.costs.hlt_enter);
-        self.idle[cpu] = IdleState::HaltedC1;
+        self.polling[cpu] = false;
     }
 
     /// Appends `level` to the halt chain of `cpu`.
@@ -91,7 +90,7 @@ impl World {
             // wake itself is nearly free (the poll loop notices the
             // pending bit).
             self.stats.burned_idle_cycles += self.now(dest) - pre_sync;
-            self.idle[dest] = IdleState::Running;
+            self.polling[dest] = false;
             self.compute(dest, Cycles::new(50));
         } else if woke {
             // The span between halting and the wake event was spent in
@@ -145,7 +144,7 @@ impl World {
         // The vCPU runs again from here on; the chain's buffer goes
         // back once replayed, for the next halt to reuse.
         let mut chain = std::mem::take(&mut self.halt_chains[cpu]);
-        self.idle[cpu] = IdleState::Running;
+        self.polling[cpu] = false;
 
         // L0 side: C1 wake latency, scheduler kick.
         self.compute(cpu, self.costs.idle_wake);

@@ -369,6 +369,25 @@ impl RunStats {
         self.dvh_intercepts.values().sum()
     }
 
+    /// The names of the ledgers in which `self` and `other` differ, in
+    /// declaration order. The destructuring is exhaustive, so a ledger
+    /// added to [`RunStats`] does not compile until it is listed here.
+    #[rustfmt::skip]
+    pub(crate) fn differing_ledgers(&self, other: &RunStats) -> Vec<&'static str> {
+        let RunStats {
+            exits, interventions, dvh_intercepts, posted_deliveries, injected_interrupts,
+            idle_cycles, burned_idle_cycles, cycles_by_reason, outermost_exits,
+        } = self;
+        macro_rules! differing {
+            ($($f:ident),*) => { [$((stringify!($f), *$f != other.$f)),*] };
+        }
+        let ledgers = differing![
+            exits, interventions, dvh_intercepts, posted_deliveries, injected_interrupts,
+            idle_cycles, burned_idle_cycles, cycles_by_reason, outermost_exits
+        ];
+        ledgers.into_iter().filter_map(|(name, differs)| differs.then_some(name)).collect()
+    }
+
     /// Merges another stats block into this one.
     pub fn merge(&mut self, other: &RunStats) {
         self.exits.merge(&other.exits);

@@ -604,16 +604,6 @@ mod tests {
         World::new(CostModel::calibrated(), config)
     }
 
-    /// Everything a summary must reproduce, for one world.
-    fn state(w: &World) -> (RunStats, Vec<u64>, Vec<dvh_arch::vmx::Vmcs>) {
-        let clocks = (0..w.num_cpus()).map(|c| w.now(c).as_u64()).collect();
-        let vmcs = (0..w.leaf_level())
-            .flat_map(|k| (0..w.num_cpus()).map(move |c| (k, c)))
-            .map(|(k, c)| w.vmcs(k, c).clone())
-            .collect();
-        (w.stats.clone(), clocks, vmcs)
-    }
-
     /// splitmix64, the generator of `tests/properties.rs`.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -754,8 +744,8 @@ mod tests {
             }
             assert!(fast.exit_summary_count() > 0);
             assert_eq!(slow.exit_summary_count(), 0);
-            assert_eq!(state(&fast), state(&slow), "L{levels} {guest_hv}");
-            assert_eq!(fast.timers, slow.timers);
+            let diff = fast.state_diff(&slow);
+            assert!(diff.is_empty(), "L{levels} {guest_hv}: {diff:?}");
         }
     }
 
@@ -847,8 +837,8 @@ mod tests {
                 }
             }
             assert!(fast.exit_summary_count() > 0);
-            assert_eq!(state(&fast), state(&slow), "L{levels}");
-            assert_eq!(fast.timers, slow.timers, "L{levels}");
+            let diff = fast.state_diff(&slow);
+            assert!(diff.is_empty(), "L{levels}: {diff:?}");
         }
     }
 
@@ -893,8 +883,8 @@ mod tests {
                     w.doorbell(leaf, 0, dev, 1);
                 }
                 let what = format!("L{levels} {guest_hv} round {round}");
-                assert_eq!(state(&fast), state(&slow), "{what}");
-                assert_eq!(fast.timers, slow.timers, "{what}");
+                let diff = fast.state_diff(&slow);
+                assert!(diff.is_empty(), "{what}: {diff:?}");
             }
             assert!(fast.exit_summary_count() > 0);
         }
@@ -970,8 +960,8 @@ mod tests {
         }
         assert!(fast.exit_summary_count() > 0);
         assert_eq!(slow.timers[0].deadline, Some(5));
-        assert_eq!(fast.timers, slow.timers);
-        assert_eq!(state(&fast), state(&slow));
+        let diff = fast.state_diff(&slow);
+        assert!(diff.is_empty(), "{diff:?}");
     }
 
     #[test]
@@ -986,7 +976,8 @@ mod tests {
             w.guest_hypercall(0);
         }
         assert!(fast.exit_summary_count() > 0);
-        assert_eq!(state(&fast), state(&slow));
+        let diff = fast.state_diff(&slow);
+        assert!(diff.is_empty(), "{diff:?}");
     }
 
     #[test]

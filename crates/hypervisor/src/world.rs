@@ -17,15 +17,24 @@
 //! that recursion lives in `exits.rs` and is where exit multiplication
 //! comes from.
 //!
-//! # What exit summaries replay
+//! # What counts as simulated state
 //!
-//! An exit summary (`summary.rs`) replays a subtree's clock delta, its
-//! `RunStats` growth and the VMCS stores the exit engine tracks. Every
-//! other component a subtree can write is a [`Watched`] value: reading
-//! it is free, and every mutable borrow moves its write epoch, so a
-//! recording whose subtree borrowed one mutably is unsummarizable.
-//! Configuration, observer and scratch fields are neither; each says
-//! why where it is declared.
+//! One exhaustive destructuring of [`World`] (`World::state`) sorts
+//! every field into one of three classes, so a new field does not
+//! compile until it is classified:
+//!
+//! - *Replayed*: `clocks`, `vmcs` and `stats`. An exit summary
+//!   (`summary.rs`) replays a subtree's clock delta, its `RunStats`
+//!   growth and the VMCS stores the exit engine tracks.
+//! - *Watched*: every other component a subtree can write, each a
+//!   [`Watched`] value. Reading it is free, and every mutable borrow
+//!   moves its write epoch, so a recording whose subtree borrowed one
+//!   mutably is unsummarizable.
+//! - *Not state*: configuration, observers, scratch and the memo's own
+//!   bookkeeping.
+//!
+//! The summary guard (`World::write_epoch`) and the differential
+//! oracle ([`World::state_diff`]) both read that one list.
 
 use crate::config::{HvKind, IoModel, WorldConfig, MAX_LEVELS};
 use crate::extension::L0Extension;
@@ -35,7 +44,6 @@ use crate::summary::SummaryMemo;
 use crate::trace::Tracer;
 use dvh_arch::apic::{LapicState, LapicTimer, PiDescriptor};
 use dvh_arch::costs::CostModel;
-use dvh_arch::idle::IdleState;
 use dvh_arch::vmx::{ctrl, field, ShadowFieldSet, Vmcs};
 use dvh_arch::Cycles;
 use dvh_devices::iommu::{Iommu, VirtualIommu};
@@ -48,6 +56,7 @@ use dvh_memory::iommu_pt::{IoTable, ShadowIoTable};
 use dvh_memory::sparse::SparseMemory;
 use dvh_memory::{DirtyBitmap, Perms};
 use dvh_obs::MetricsRegistry;
+use std::any::Any;
 use std::ops::{Deref, DerefMut};
 
 /// PFN offset added by each translation stage in the simulator's
@@ -110,7 +119,53 @@ impl<T> DerefMut for Watched<T> {
     }
 }
 
-/// The simulated machine.
+/// A [`Watched`] component with its type erased, so that the world can
+/// list all of them: its write epoch, and equality, epochs included,
+/// with the same component of another world.
+trait Component: Any {
+    fn epoch(&self) -> u64;
+    fn same(&self, other: &dyn Component) -> bool;
+}
+
+impl<T: PartialEq + 'static> Component for Watched<T> {
+    fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    fn same(&self, other: &dyn Component) -> bool {
+        (other as &dyn Any).downcast_ref::<Self>() == Some(self)
+    }
+}
+
+/// Every field of a [`World`] that is simulated state, borrowed (see
+/// `World::state`).
+struct State<'a> {
+    clocks: &'a [Cycles],
+    vmcs: &'a [Vec<Vmcs>],
+    stats: &'a RunStats,
+    /// The 19 [`Watched`] components, by field name.
+    watched: [(&'static str, &'a dyn Component); 19],
+}
+
+/// One way in which the simulated state of two worlds differs (see
+/// [`World::state_diff`]); where a variant holds two values, this
+/// world's comes first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum StateDiff {
+    /// A [`RunStats`] ledger, by field name.
+    Ledger(&'static str),
+    /// A CPU's clock: the CPU and both times.
+    Clock(usize, Cycles, Cycles),
+    /// The VMCS the hypervisor at a level keeps for a CPU: the level,
+    /// the CPU, and the first differing `(field, value)` entries in
+    /// encoding order (`None` when only the number of written fields
+    /// differs).
+    Vmcs(usize, usize, Option<((u32, u64), (u32, u64))>),
+    /// A [`Watched`] component: its field name and both write epochs.
+    Watched(&'static str, u64, u64),
+}
+
+/// The simulated machine. `World::state` classifies every field.
 pub struct World {
     /// Cycle-cost model in force, fixed at construction: exit summaries
     /// replay the cycles recorded under it.
@@ -120,12 +175,13 @@ pub struct World {
     /// World-switch footprint of guest hypervisors. Changed only
     /// through [`World::profile_mut`], which drops stale summaries.
     pub(crate) profile: HvProfile,
-    /// Configuration, fixed at construction.
+    /// The vmcs12 fields L0 shadows for L1, fixed at construction.
     shadow: ShadowFieldSet,
-    /// Per-CPU simulated time; summaries replay its delta.
+    /// Per-CPU simulated time.
     clocks: Vec<Cycles>,
-    /// Per-CPU idle state.
-    pub(crate) idle: Watched<Vec<IdleState>>,
+    /// Per leaf-vCPU: whether it busy-polls for events (`idle=poll`)
+    /// instead of halting.
+    pub(crate) polling: Watched<Vec<bool>>,
     /// `vmcs[cpu][level]`: per CPU, so that the chain of VMCSs an exit
     /// summary replays into is one slice. Summaries replay the stores
     /// the engine tracks; every other store moves
@@ -146,7 +202,7 @@ pub struct World {
     /// Per leaf-vCPU LAPIC interrupt state (IRR/ISR; APICv-virtualized
     /// so acceptance and EOI never exit).
     pub lapic: Watched<Vec<LapicState>>,
-    /// Statistics ledger; summaries replay its growth.
+    /// Statistics ledger.
     pub stats: RunStats,
     /// Host physical memory.
     pub host_mem: Watched<SparseMemory>,
@@ -178,7 +234,7 @@ pub struct World {
     pub shadow_io: Watched<Option<ShadowIoTable>>,
     /// The physical IOMMU (passthrough model).
     pub phys_iommu: Watched<Iommu>,
-    /// Configuration: registering one drops every summary.
+    /// DVH mechanisms; registering one drops every summary.
     pub(crate) extensions: Vec<Box<dyn L0Extension>>,
     /// Whether L0 has cached the nested doorbell GPA resolution (KVM's
     /// MMIO fast path): the first nested doorbell pays the full nested
@@ -187,10 +243,9 @@ pub struct World {
     /// data would have much less overhead" than the DevNotify
     /// microbenchmark (Table 3 discussion).
     pub(crate) mmio_doorbell_cached: Watched<bool>,
-    /// Observer: summaries are bypassed while it is on.
+    /// The event trace; summaries are bypassed while it is on.
     pub(crate) tracer: Option<Tracer>,
-    /// Observability registry (None until [`World::enable_metrics`]);
-    /// an observer, like `tracer`.
+    /// Observability registry (None until [`World::enable_metrics`]).
     pub(crate) metrics: Option<Box<MetricsRegistry>>,
     /// Cached `tracer.is_some() || metrics.is_some()`: every
     /// observation point in the engine is a single predicted branch on
@@ -199,12 +254,11 @@ pub struct World {
     /// In-flight block request (bytes), if a blk doorbell chain is
     /// being processed; see `io.rs`.
     pub(crate) pending_blk_bytes: Watched<Option<u64>>,
-    /// Scratch: the buffer [`World::patterned_packet_arrival`] builds
-    /// frames in, never read across calls.
+    /// The buffer [`World::patterned_packet_arrival`] builds frames in,
+    /// never read across calls.
     pub(crate) rx_frame: Frame,
     /// Use `idle=poll` in the leaf guest instead of `hlt` (the
     /// cycle-wasting alternative §3.4 contrasts with virtual idle).
-    /// Configuration, fixed while any exit runs.
     pub poll_idle: bool,
     /// Per leaf-vCPU pause state (migration stop-and-copy).
     pub(crate) paused: Watched<Vec<bool>>,
@@ -212,22 +266,20 @@ pub struct World {
     /// lets the dispatcher attribute cycles to outermost exits only.
     /// Per-CPU so that exits on a woken sibling (e.g. the destination
     /// side of an IPI) are attributed on their own CPU rather than
-    /// silently folded into the sender's exit. Scratch: back to its
-    /// old value whenever a summarized subtree returns.
+    /// silently folded into the sender's exit. Back to its old value
+    /// whenever a summarized subtree returns.
     pub(crate) exit_depth: Vec<u32>,
     /// The DVH capability word the platform advertises (the simulated
     /// `IA32_VMX_DVH_CAP`). Enabling a DVH control a level was never
     /// offered is a VM-entry consistency violation (§3.5).
-    /// Configuration, fixed while any exit runs.
     pub dvh_advertised: u64,
     /// Whether VM-entry consistency checks run on every simulated
-    /// entry (see `check.rs`). Off by default; an observer.
+    /// entry (see `check.rs`). Off by default.
     pub(crate) vmentry_checks: bool,
     /// Violations collected while `vmentry_checks` is on.
     pub(crate) vmentry_findings: Vec<crate::check::VmentryFinding>,
     /// Memoized guest-hypervisor primitives (see `summary.rs`); built
-    /// lazily by the first occurrence of each primitive. The memo
-    /// itself, so never a summary's subject.
+    /// lazily by the first occurrence of each primitive.
     pub(crate) summaries: Box<SummaryMemo>,
 }
 
@@ -338,7 +390,7 @@ impl World {
                 ShadowFieldSet::empty()
             },
             clocks: vec![Cycles::ZERO; v],
-            idle: Watched::new(vec![IdleState::Running; v]),
+            polling: Watched::new(vec![false; v]),
             vmcs,
             untracked_vmcs_writes: 0,
             halt_chains: Watched::new(vec![Vec::new(); v]),
@@ -512,33 +564,84 @@ impl World {
         self.summaries.invalidate();
     }
 
+    /// The one classification of every field. The destructuring is
+    /// exhaustive, so a field added to [`World`] does not compile until
+    /// it is listed here, and a watched field bound here but left out
+    /// of `watched` is an unused variable.
+    #[rustfmt::skip]
+    fn state(&self) -> State<'_> {
+        let World {
+            // Replayed by exit summaries.
+            clocks, vmcs, stats,
+            // Watched: written by subtrees, replayed by no summary.
+            polling, halt_chains, pi_desc, timers, lapic, host_mem, leaf_dirty,
+            l1_dirty, nic, virtio, vhost, blk, viommus, l0_io_stage, shadow_io,
+            phys_iommu, mmio_doorbell_cached, pending_blk_bytes, paused,
+            // Not state. Configuration, fixed while any exit runs;
+            costs: _, config: _, profile: _, shadow: _, extensions: _,
+            poll_idle: _, dvh_advertised: _,
+            // observers, which summaries never run under;
+            tracer: _, metrics: _, observing: _, vmentry_checks: _,
+            vmentry_findings: _,
+            // scratch;
+            rx_frame: _, exit_depth: _,
+            // and the memo's own bookkeeping, which differs between a
+            // summarized and a full run by design.
+            untracked_vmcs_writes: _, summaries: _,
+        } = self;
+        macro_rules! named {
+            ($($f:ident),*) => { [$((stringify!($f), $f as &dyn Component)),*] };
+        }
+        State {
+            clocks, vmcs, stats,
+            watched: named![
+                polling, halt_chains, pi_desc, timers, lapic, host_mem, leaf_dirty,
+                l1_dirty, nic, virtio, vhost, blk, viommus, l0_io_stage, shadow_io,
+                phys_iommu, mmio_doorbell_cached, pending_blk_bytes, paused
+            ],
+        }
+    }
+
     /// The sum of every [`Watched`] component's write epoch and the
     /// untracked VMCS stores' epoch: it moves with every write that no
     /// exit summary replays.
     pub(crate) fn write_epoch(&self) -> u64 {
-        [
-            self.idle.epoch,
-            self.halt_chains.epoch,
-            self.pi_desc.epoch,
-            self.timers.epoch,
-            self.lapic.epoch,
-            self.host_mem.epoch,
-            self.leaf_dirty.epoch,
-            self.l1_dirty.epoch,
-            self.nic.epoch,
-            self.virtio.epoch,
-            self.vhost.epoch,
-            self.blk.epoch,
-            self.viommus.epoch,
-            self.l0_io_stage.epoch,
-            self.shadow_io.epoch,
-            self.phys_iommu.epoch,
-            self.mmio_doorbell_cached.epoch,
-            self.pending_blk_bytes.epoch,
-            self.paused.epoch,
-        ]
-        .into_iter()
-        .fold(self.untracked_vmcs_writes, u64::wrapping_add)
+        self.state()
+            .watched
+            .iter()
+            .fold(self.untracked_vmcs_writes, |sum, (_, c)| {
+                sum.wrapping_add(c.epoch())
+            })
+    }
+
+    /// Every way in which this world's simulated state differs from
+    /// `other`'s, a world of the same configuration: each ledger of
+    /// [`RunStats`], each CPU's clock, each VMCS and each [`Watched`]
+    /// component, epochs included. Empty when a run with exit summaries
+    /// and one without ended alike.
+    pub fn state_diff(&self, other: &World) -> Vec<StateDiff> {
+        let (a, b) = (self.state(), other.state());
+        let ledgers = a.stats.differing_ledgers(b.stats);
+        let mut out: Vec<StateDiff> = ledgers.into_iter().map(StateDiff::Ledger).collect();
+        for (cpu, (&this, &other)) in a.clocks.iter().zip(b.clocks).enumerate() {
+            if this != other {
+                out.push(StateDiff::Clock(cpu, this, other));
+            }
+        }
+        for (cpu, (x, y)) in a.vmcs.iter().zip(b.vmcs).enumerate() {
+            for (level, (x, y)) in x.iter().zip(y).enumerate() {
+                if x != y {
+                    let first = x.iter().zip(y.iter()).find(|(p, q)| p != q);
+                    out.push(StateDiff::Vmcs(level, cpu, first));
+                }
+            }
+        }
+        for (&(name, x), (_, y)) in a.watched.iter().zip(&b.watched) {
+            if !x.same(*y) {
+                out.push(StateDiff::Watched(name, x.epoch(), y.epoch()));
+            }
+        }
+        out
     }
 
     // ---- Clock and accounting helpers ---------------------------------

@@ -50,13 +50,6 @@ impl DirtyBitmap {
         self.pages.insert(pfn);
     }
 
-    /// Marks `n` consecutive page frames dirty.
-    pub fn mark_range(&mut self, first_pfn: u64, n: u64) {
-        for p in first_pfn..first_pfn.saturating_add(n) {
-            self.pages.insert(p);
-        }
-    }
-
     /// Number of currently-dirty pages.
     pub fn dirty_count(&self) -> u64 {
         self.pages.len() as u64
@@ -110,7 +103,7 @@ mod tests {
     #[test]
     fn range_marking() {
         let mut b = DirtyBitmap::new();
-        b.mark_range(10, 4);
+        (10..14).for_each(|pfn| b.mark_pfn(pfn));
         assert_eq!(b.dirty_count(), 4);
         assert!(b.is_dirty(13));
         assert!(!b.is_dirty(14));

@@ -132,12 +132,6 @@ impl SparseMemory {
         }
     }
 
-    /// Copies one whole page out (zeroes if untouched). Thin allocating
-    /// wrapper around [`SparseMemory::with_page`].
-    pub fn read_page(&self, pfn: u64) -> Vec<u8> {
-        self.with_page(pfn, |p| p.to_vec())
-    }
-
     /// Writes one whole page.
     ///
     /// # Panics
@@ -203,7 +197,7 @@ mod tests {
         let mut ram = SparseMemory::new();
         let page = vec![7u8; PAGE_SIZE as usize];
         ram.write_page(3, &page);
-        assert_eq!(ram.read_page(3), page);
+        ram.with_page(3, |p| assert_eq!(p, page));
         assert_eq!(ram.resident_pfns(), vec![3]);
     }
 

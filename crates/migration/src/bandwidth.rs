@@ -26,11 +26,6 @@ impl Bandwidth {
         Bandwidth { mbps }
     }
 
-    /// The raw rate in Mb/s.
-    pub fn as_mbps(self) -> u64 {
-        self.mbps
-    }
-
     /// Simulated time to transfer `bytes` at this rate.
     pub fn transfer_time(self, bytes: u64) -> Cycles {
         // bits / (mbps * 1e6) seconds; in nanoseconds:
@@ -57,7 +52,7 @@ mod tests {
 
     #[test]
     fn qemu_default_rate() {
-        assert_eq!(Bandwidth::default().as_mbps(), 268);
+        assert_eq!(Bandwidth::default().to_string(), "268 Mb/s");
     }
 
     #[test]

@@ -63,13 +63,6 @@ pub struct TxnMix {
     pub blk_bytes: u32,
 }
 
-impl TxnMix {
-    /// Total per-transaction event count (for sanity checks).
-    pub fn events_per_txn(&self) -> f64 {
-        self.rx_irqs + self.tx_kicks + self.ipis + self.timers + self.idles + self.blk_ops
-    }
-}
-
 /// The outcome of running a workload on one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadResult {
